@@ -15,7 +15,6 @@ from .certify import (
     NetSupremum,
     Verdict,
     alternating_max_lower_bound,
-    bilinear_bound_check,
     certified_upper_bound_A,
     default_net_delta,
     net_supremum_B,
@@ -30,12 +29,9 @@ from .channel import (
     deviation,
     maximally_mixed,
     pair_statistic,
-    pure_adjoint_output,
-    pure_output,
     pure_projector,
     random_pure_state,
     random_pure_states,
-    require_density,
     require_pure_state,
 )
 from .errors import (
@@ -70,17 +66,13 @@ from .haar import (
     as_generator,
     sample_ginibre,
     sample_haar_unitaries,
-    sample_haar_unitary,
     unitarity_defect,
 )
 from .linalg import (
-    EigenSystem,
     TOL,
     Tolerances,
-    hermitian_eigensystem,
     hermitian_part,
     operator_norm,
-    qr_unitary_factor,
     trace_norm,
 )
 from .netcover import (

@@ -22,17 +22,18 @@ import numpy as np
 
 from .channel import (
     RandomUnitaryChannel,
+    apply_adjoint,
+    apply_channel,
     pair_statistic,
-    pure_adjoint_output,
-    pure_output,
+    pure_projector,
     random_pure_state,
 )
 from .errors import DimensionMismatch, InvalidParameter
 from .haar import RngStream, as_generator
-from .linalg import require_hermitian, trace_norm
 from .netcover import PureStateNet
 
-_QUADFORM_BUDGET = 4_000_000  # complex entries held per B-scan chunk
+_SCAN_BUDGET = 1_000_000  # entries of the (chunk, net size) statistic block per B-scan step
+_TIE_TOL = 1e-12  # extreme eigenvalues this close in magnitude count as a tie
 
 
 class Verdict(str, Enum):
@@ -79,9 +80,9 @@ def net_supremum_B(ch: RandomUnitaryChannel, net: PureStateNet) -> NetSupremum:
     """Exact maximum of |pair statistic - 1/d| over all ordered net pairs.
 
     The statistic is not symmetric in (phi, psi), so all size^2 ordered pairs
-    are scanned. For each phi the channel output R(|phi><phi|) is formed once
-    (O(N d^2)) and evaluated against every psi as a quadratic form
-    (O(size d^2)), which beats caching the N transformed vectors per state.
+    are scanned. With P the (size, d^2) matrix whose rows are vec|x><x|, the
+    statistics of all pairs form the sandwich P S^T P†, evaluated in chunks of
+    phi rows so that one (chunk, size) block is the largest temporary.
     """
     if net.dim != ch.dim:
         raise DimensionMismatch(f"net dimension {net.dim} != channel dimension {ch.dim}")
@@ -90,18 +91,15 @@ def net_supremum_B(ch: RandomUnitaryChannel, net: PureStateNet) -> NetSupremum:
     if m < 1:
         raise InvalidParameter("net is empty")
     inv_d = 1.0 / d
-    states_t = states.T  # (d, m)
+    proj = np.einsum("mi,mj->mij", states, np.conj(states)).reshape(m, d * d)  # rows vec|x><x|
+    proj_h = np.conj(proj.T)
+    sup_t = ch.superoperator.T
 
-    chunk = max(1, _QUADFORM_BUDGET // max(1, m * d))
+    chunk = max(1, _SCAN_BUDGET // max(m, d * d))
     best = -1.0
     best_i = best_j = 0
-    u = ch.unitaries
     for start in range(0, m, chunk):
-        block = states[start:start + chunk]  # (k, d)
-        w = np.einsum("nij,kj->kni", u, block, optimize=True)  # rows U_i phi
-        outputs = np.einsum("kni,knj->kij", w, np.conj(w), optimize=True) / ch.count
-        quad = np.matmul(outputs, states_t)  # (k, d, m) columns R_k psi_m
-        stats = np.einsum("md,kdm->km", np.conj(states), quad, optimize=True).real
+        stats = ((proj[start:start + chunk] @ sup_t) @ proj_h).real  # (k, m): row phi, column psi
         dev = np.abs(stats - inv_d)
         flat = int(np.argmax(dev))
         k_i, j = divmod(flat, m)
@@ -125,51 +123,42 @@ class LowerBound(NamedTuple):
 
 
 def _extreme_eigvec(h: np.ndarray):
-    """Eigenpair of largest magnitude; exact ties go to the positive branch."""
+    """Eigenpair of largest magnitude; ties within _TIE_TOL go to the positive branch."""
     values, vectors = np.linalg.eigh(h)
-    if values[-1] >= -values[0]:
+    if values[-1] >= -values[0] - _TIE_TOL:
         return float(values[-1]), vectors[:, -1]
     return float(values[0]), vectors[:, 0]
 
 
 def _ascend(ch: RandomUnitaryChannel, phi0: np.ndarray, tol: float, max_iters: int):
-    """Alternating eigenvector ascent from one start; yields each half-step objective.
+    """Alternating eigenvector ascent from one start.
 
     Fixing phi, the best psi is the extreme eigenvector of R(|phi><phi|) - I/d;
     fixing psi, the best phi is the extreme eigenvector of the adjoint image.
     Each half step solves its subproblem exactly, so the objective sequence is
-    non-decreasing up to roundoff.
+    non-decreasing up to roundoff. Returns the best (value, phi, psi) triple
+    and the list of half-step objectives.
     """
-    d = ch.dim
-    shift = np.eye(d, dtype=complex) / d
+    shift = np.eye(ch.dim, dtype=complex) / ch.dim
     phi = phi0
     best = (-1.0, phi0, phi0)
+    objectives = []
     previous = -np.inf
     for _ in range(max_iters):
-        lam_psi, psi = _extreme_eigvec(pure_output(ch, phi) - shift)
+        lam_psi, psi = _extreme_eigvec(apply_channel(ch, pure_projector(phi)) - shift)
         obj = abs(lam_psi)
+        objectives.append(obj)
         if obj > best[0]:
             best = (obj, phi, psi)
-        yield obj
-        lam_phi, phi = _extreme_eigvec(pure_adjoint_output(ch, psi) - shift)
+        lam_phi, phi = _extreme_eigvec(apply_adjoint(ch, pure_projector(psi)) - shift)
         obj = abs(lam_phi)
+        objectives.append(obj)
         if obj > best[0]:
             best = (obj, phi, psi)
-        yield obj
         if obj - previous < tol:
             break
         previous = obj
-    # communicate the best triple back through the generator return value
-    return best
-
-
-def _run_ascent(ch, phi0, tol, max_iters):
-    gen = _ascend(ch, phi0, tol, max_iters)
-    while True:
-        try:
-            next(gen)
-        except StopIteration as stop:
-            return stop.value
+    return best, objectives
 
 
 def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = 32,
@@ -189,7 +178,7 @@ def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = 32,
     d = ch.dim
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for _ in range(restarts):
-        candidate = _run_ascent(ch, random_pure_state(d, gen), tol, max_iters)
+        candidate, _ = _ascend(ch, random_pure_state(d, gen), tol, max_iters)
         if best is None or candidate[0] > best[0]:
             best = candidate
     assert best is not None
@@ -274,21 +263,3 @@ def verdict(ch: RandomUnitaryChannel, epsilon: float, net: PureStateNet,
             "optimizer_seconds": t2 - t1,
         },
     )
-
-
-def bilinear_bound_check(ch: RandomUnitaryChannel, a: np.ndarray, b: np.ndarray,
-                         a_upper: float) -> bool:
-    """Check |(1/N) sum_i tr(U_i a U_i† b)| <= ||a||_1 ||b||_1 (A_upper + 1/d).
-
-    Holds for every pair of self-adjoint operators whenever a_upper really
-    bounds the supremum A; a False return signals a bug (or an invalid bound).
-    """
-    a = require_hermitian(a)
-    b = require_hermitian(b)
-    if a.shape[0] != ch.dim or b.shape[0] != ch.dim:
-        raise DimensionMismatch("operand dimension does not match the channel")
-    u = ch.unitaries
-    traces = np.einsum("nij,jk,nlk,li->n", u, a, np.conj(u), b, optimize=True)
-    lhs = abs(float(np.mean(traces.real)))
-    rhs = trace_norm(a) * trace_norm(b) * (a_upper + 1.0 / ch.dim)
-    return lhs <= rhs + 1e-12 * (1.0 + rhs)

@@ -1,8 +1,12 @@
 """Random unitary mixing channels R(rho) = (1/N) sum_i U_i rho U_i†.
 
-The channel keeps its raw unitaries as one ``(N, d, d)`` array; every quantity
-used downstream (outputs, the pair statistic, deviations) is expressed through
-``d x d`` products, so nothing ever materializes a superoperator.
+A channel is computed through its d^2 x d^2 superoperator
+S = (1/N) sum_i U_i ⊗ conj(U_i), which maps the row-major vec of rho to the
+vec of R(rho). Forming S costs O(N d^4) once; afterwards every output costs
+O(d^4) instead of O(N d^2). That pays because the randomizing regime needs
+N >= C d / eps^2 ln(1/eps), far above d^2 at desk scale, while S itself has at
+most 65536 entries at d = 16. The raw ``(N, d, d)`` unitaries are kept too:
+``pair_statistic`` re-evaluates witnesses from them and persistence writes them.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidDimension, InvalidMatrix, InvalidParameter
 from .haar import RngStream, as_generator, complex_standard_normal, sample_haar_unitaries, unitarity_defect
-from .linalg import TOL, hermitian_eigenvalues, hermitian_part, max_abs, operator_norm, require_finite
+from .linalg import TOL, hermitian_part, operator_norm, require_finite
 
 
 def maximally_mixed(d: int) -> np.ndarray:
@@ -60,29 +64,13 @@ def random_pure_states(d: int, count: int, rng) -> np.ndarray:
     return vecs / norms
 
 
-def require_density(rho: np.ndarray, tol_trace: float = TOL.density_trace,
-                    tol_neg: float = TOL.density_negativity) -> np.ndarray:
-    """Validate a mixed state: Hermitian, trace 1, spectrum above -tol_neg."""
-    rho = require_finite(np.asarray(rho, dtype=complex), "density matrix")
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise InvalidMatrix(f"density matrix must be square, got shape {rho.shape}")
-    sym = hermitian_part(rho)
-    if max_abs(rho - sym) > TOL.hermiticity:
-        raise InvalidMatrix("density matrix is not Hermitian")
-    tr = float(np.trace(sym).real)
-    if abs(tr - 1.0) > tol_trace:
-        raise InvalidMatrix(f"density matrix trace {tr} deviates from 1")
-    if float(hermitian_eigenvalues(sym)[-1]) < -tol_neg:
-        raise InvalidMatrix("density matrix has a negative eigenvalue beyond tolerance")
-    return sym
-
-
 @dataclass(frozen=True)
 class RandomUnitaryChannel:
-    """Uniform mixture of unitary conjugations, stored as raw unitaries (N, d, d)."""
+    """Uniform mixture of unitary conjugations: raw unitaries (N, d, d) plus the superoperator."""
 
     unitaries: np.ndarray
     provenance: dict = field(default_factory=dict)
+    superoperator: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = require_finite(np.asarray(self.unitaries, dtype=complex), "unitary stack")
@@ -94,6 +82,13 @@ class RandomUnitaryChannel:
         u = u.copy()
         u.setflags(write=False)
         object.__setattr__(self, "unitaries", u)
+        n, d = u.shape[0], u.shape[1]
+        flat = u.reshape(n, d * d)
+        # gram[(i, j), (k, l)] = sum_n U_n[i, j] conj(U_n[k, l]); S regroups it as [(i, k), (j, l)]
+        gram = (flat.T @ np.conj(flat)) / n
+        sup = gram.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        sup.setflags(write=False)
+        object.__setattr__(self, "superoperator", sup)
 
     @property
     def dim(self) -> int:
@@ -146,50 +141,33 @@ def _check_dim(ch: RandomUnitaryChannel, dim: int):
         raise DimensionMismatch(f"channel acts on C^{ch.dim}, operand lives in C^{dim}")
 
 
+def _require_square(ch: RandomUnitaryChannel, a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+    _check_dim(ch, a.shape[0])
+    return a
+
+
 def apply_channel(ch: RandomUnitaryChannel, rho: np.ndarray) -> np.ndarray:
-    """(1/N) sum_i U_i rho U_i†, symmetrized to kill Hermiticity drift."""
-    rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {rho.shape}")
-    _check_dim(ch, rho.shape[0])
-    u = ch.unitaries
-    out = np.einsum("nij,jk,nlk->il", u, rho, np.conj(u), optimize=True) / ch.count
-    return hermitian_part(out)
+    """(1/N) sum_i U_i rho U_i† as S vec(rho), symmetrized to kill Hermiticity drift."""
+    rho = _require_square(ch, rho)
+    return hermitian_part((ch.superoperator @ rho.reshape(-1)).reshape(rho.shape))
 
 
 def apply_adjoint(ch: RandomUnitaryChannel, sigma: np.ndarray) -> np.ndarray:
-    """Adjoint map (1/N) sum_i U_i† sigma U_i."""
-    sigma = np.asarray(sigma, dtype=complex)
-    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {sigma.shape}")
-    _check_dim(ch, sigma.shape[0])
-    u = ch.unitaries
-    out = np.einsum("nji,jk,nkl->il", np.conj(u), sigma, u, optimize=True) / ch.count
-    return hermitian_part(out)
-
-
-def pure_output(ch: RandomUnitaryChannel, phi: np.ndarray) -> np.ndarray:
-    """R(|phi><phi|) computed from the N transformed vectors, O(N d^2)."""
-    phi = np.asarray(phi, dtype=complex)
-    _check_dim(ch, phi.shape[0])
-    w = ch.unitaries @ phi  # (N, d) rows U_i phi
-    return hermitian_part(w.T @ np.conj(w)) / ch.count
-
-
-def pure_adjoint_output(ch: RandomUnitaryChannel, psi: np.ndarray) -> np.ndarray:
-    """R†(|psi><psi|), the adjoint applied to a rank-1 projector."""
-    psi = np.asarray(psi, dtype=complex)
-    _check_dim(ch, psi.shape[0])
-    v = np.einsum("nji,j->ni", np.conj(ch.unitaries), psi)  # rows U_i† psi
-    return hermitian_part(v.T @ np.conj(v)) / ch.count
+    """Adjoint map (1/N) sum_i U_i† sigma U_i as S† vec(sigma)."""
+    sigma = _require_square(ch, sigma)
+    out = np.conj(np.conj(sigma.reshape(-1)) @ ch.superoperator)  # conj(S^T conj(v)) = S† v
+    return hermitian_part(out.reshape(sigma.shape))
 
 
 def pair_statistic(ch: RandomUnitaryChannel, phi: np.ndarray, psi: np.ndarray) -> float:
     """(1/N) sum_i |<psi|U_i|phi>|^2, via inner products only.
 
-    This is the hot quantity of net certification: it equals
-    tr(R(|phi><phi|) |psi><psi|) but costs O(N d) after the N matrix-vector
-    products instead of any matrix-matrix work.
+    It equals tr(R(|phi><phi|) |psi><psi|) but reads the raw unitaries, not S,
+    so it is the independent path on which certified values are re-evaluated
+    at their witness pair.
     """
     phi = np.asarray(phi, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
@@ -202,6 +180,4 @@ def pair_statistic(ch: RandomUnitaryChannel, phi: np.ndarray, psi: np.ndarray) -
 
 def deviation(ch: RandomUnitaryChannel, phi: np.ndarray) -> float:
     """Operator-norm distance of R(|phi><phi|) from the maximally mixed state."""
-    phi = np.asarray(phi, dtype=complex)
-    _check_dim(ch, phi.shape[0])
-    return operator_norm(pure_output(ch, phi) - maximally_mixed(ch.dim))
+    return operator_norm(apply_channel(ch, pure_projector(phi)) - maximally_mixed(ch.dim))

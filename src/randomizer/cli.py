@@ -57,6 +57,11 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+def _optional(raw: dict, key: str, cast):
+    value = raw.get(key)
+    return None if value is None else cast(value)
+
+
 def _cmd_sample_channel(args) -> int:
     stream = _resolve_stream(args)
     ch = build_random_channel(args.dim, args.count, stream)
@@ -157,18 +162,25 @@ def _cmd_sweep(args) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"error: cannot read sweep config: {exc}", file=sys.stderr)
             return 2
-        grid = SweepConfig(
-            dims=tuple(int(v) for v in raw["dims"]),
-            epsilons=tuple(float(v) for v in raw["epsilons"]),
-            counts=tuple(int(v) for v in raw["counts"]),
-            channels_per_cell=int(raw.get("channels_per_cell", 20)),
-            delta=raw.get("delta"),
-            stop_k=raw.get("stop_k"),
-            max_net_states=raw.get("max_net_states"),
-            restarts=int(raw.get("restarts", 32)),
-            tol=float(raw.get("tol", 1e-10)),
-            max_iters=int(raw.get("max_iters", 500)),
-        )
+        try:
+            grid = SweepConfig(
+                dims=tuple(int(v) for v in raw["dims"]),
+                epsilons=tuple(float(v) for v in raw["epsilons"]),
+                counts=tuple(int(v) for v in raw["counts"]),
+                channels_per_cell=int(raw.get("channels_per_cell", 20)),
+                delta=_optional(raw, "delta", float),
+                stop_k=_optional(raw, "stop_k", int),
+                max_net_states=_optional(raw, "max_net_states", int),
+                restarts=int(raw.get("restarts", 32)),
+                tol=float(raw.get("tol", 1e-10)),
+                max_iters=int(raw.get("max_iters", 500)),
+            )
+        except KeyError as exc:
+            print(f"error: sweep config lacks key {exc}", file=sys.stderr)
+            return 2
+        except (TypeError, ValueError) as exc:
+            print(f"error: malformed sweep config: {exc}", file=sys.stderr)
+            return 2
     else:
         grid = SweepConfig(
             dims=tuple(args.dims), epsilons=tuple(args.epsilons), counts=tuple(args.counts),

@@ -22,6 +22,8 @@ from .netcover import PureStateNet, build_delta_net
 _TRIAL_CHUNK = 2000
 
 CHANNEL_SCHEMA = "ruc-1"
+NET_PROVENANCE = ("seed", "stream_id", "stop_k", "max_states", "candidates", "rejections",
+                  "stopped_by")
 CONCENTRATION_CSV_COLUMNS = ("d", "N", "delta", "trials", "empirical_tail",
                              "bound", "vacuous", "seed")
 SWEEP_CSV_COLUMNS = ("d", "epsilon", "N", "channels", "frac_certified", "frac_not",
@@ -289,10 +291,7 @@ def save_net(path: str, net: PureStateNet) -> None:
         "dim": net.dim,
         "delta": net.delta,
         "states": _complex_to_pairs(net.states),
-        "seed": net.provenance.get("seed"),
-        "stream_id": net.provenance.get("stream_id"),
-        "stop_k": net.provenance.get("stop_k"),
-        "stopped_by": net.provenance.get("stopped_by"),
+        **{key: net.provenance.get(key) for key in NET_PROVENANCE},
     }
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, separators=(",", ":"), sort_keys=True)
@@ -311,8 +310,7 @@ def load_net(path: str) -> PureStateNet:
         if key not in payload:
             raise ParseError(f"{path}: missing key {key!r}")
     states = _pairs_to_complex(payload["states"], 2, f"{path}: states")
-    prov = {"seed": payload.get("seed"), "stream_id": payload.get("stream_id"),
-            "stop_k": payload.get("stop_k"), "stopped_by": payload.get("stopped_by")}
+    prov = {key: payload.get(key) for key in NET_PROVENANCE}
     return PureStateNet(int(payload["dim"]), float(payload["delta"]), states, prov)
 
 

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSample, InvalidDimension, NumericalFailure
-from .linalg import TOL, max_abs, qr_positive_stacked, qr_unitary_factor
+from .errors import InvalidDimension, NumericalFailure
+from .linalg import max_abs, qr_positive_stacked
 
 _MASK64 = (1 << 64) - 1
 _MAX_RESAMPLES = 10
@@ -37,10 +37,6 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
-
-    def worker(self, index: int) -> "RngStream":
-        """Stream for parallel worker ``index``: stream_id = base + index."""
-        return RngStream(self.seed, (self.stream_id + index) & _MASK64)
 
     def child(self, *indices: int) -> "RngStream":
         """Independent substream keyed by a tuple of indices (cell, trial, ...)."""
@@ -89,27 +85,11 @@ def sample_ginibre(d: int, rng, count: int | None = None) -> np.ndarray:
     return complex_standard_normal(gen, shape)
 
 
-def sample_haar_unitary(d: int, rng) -> np.ndarray:
-    """One Haar-distributed unitary on U(d).
-
-    QR of a Ginibre matrix with the positive-diagonal phase convention;
-    degenerate draws are resampled (at most 10 times, then NumericalFailure).
-    """
-    d = _require_dim(d)
-    gen = as_generator(rng)
-    for _ in range(_MAX_RESAMPLES):
-        try:
-            return qr_unitary_factor(sample_ginibre(d, gen))
-        except DegenerateSample:
-            continue
-    raise NumericalFailure(f"{_MAX_RESAMPLES} consecutive degenerate Ginibre samples at d={d}")
-
-
 def sample_haar_unitaries(d: int, count: int, rng) -> np.ndarray:
     """Stack of ``count`` independent Haar unitaries, shape ``(count, d, d)``.
 
-    Uses one batched Ginibre draw plus batched QR; the batch is the canonical
-    sample sequence of a stream (it differs from looping sample_haar_unitary).
+    Uses one batched Ginibre draw plus batched QR; degenerate draws are
+    redrawn (at most 10 times, then NumericalFailure).
     """
     d = _require_dim(d)
     if count < 1:
@@ -137,6 +117,3 @@ def unitarity_defect(u: np.ndarray) -> float:
     gram = np.einsum("...ki,...kj->...ij", np.conj(u), u)
     return max_abs(gram - np.eye(d))
 
-
-def is_unitary(u: np.ndarray, tol: float = TOL.unitarity) -> bool:
-    return unitarity_defect(u) <= tol

@@ -7,11 +7,10 @@ Matrices may be stacked along leading axes where noted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSample, InvalidMatrix, NumericalFailure
+from .errors import InvalidMatrix, NumericalFailure
 
 
 @dataclass(frozen=True)
@@ -20,23 +19,11 @@ class Tolerances:
 
     hermiticity: float = 1e-12
     unitarity: float = 1e-10
-    orthonormality: float = 1e-10
-    reconstruction: float = 1e-10
-    qr_residual: float = 1e-10
     rank_deficiency: float = 1e-12
     state_norm: float = 1e-12
-    density_trace: float = 1e-10
-    density_negativity: float = 1e-10
 
 
 TOL = Tolerances()
-
-
-class EigenSystem(NamedTuple):
-    """Spectral decomposition of a Hermitian matrix, eigenvalues sorted descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -68,33 +55,6 @@ def require_hermitian(a: np.ndarray, tol: float = TOL.hermiticity) -> np.ndarray
     if drift > tol:
         raise InvalidMatrix(f"matrix is not Hermitian: max|H - H^dag| = {drift:.3e} > {tol:.1e}")
     return hermitian_part(arr)
-
-
-def hermitian_eigensystem(h: np.ndarray) -> EigenSystem:
-    """Full spectral decomposition H = V diag(w) V† with eigenvalues descending.
-
-    Raises InvalidMatrix on non-finite or non-Hermitian input and
-    NumericalFailure if the solver does not converge or the decomposition
-    fails its orthonormality/reconstruction contract.
-    """
-    h = require_hermitian(h)
-    try:
-        values, vectors = np.linalg.eigh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-    order = np.argsort(values)[::-1]
-    values = np.ascontiguousarray(values[order])
-    vectors = np.ascontiguousarray(vectors[:, order])
-
-    d = h.shape[0]
-    gram_err = max_abs(np.conj(vectors.T) @ vectors - np.eye(d))
-    scale = max(1.0, float(np.max(np.abs(values))) if d else 1.0)
-    recon_err = max_abs(h - (vectors * values) @ np.conj(vectors.T))
-    if gram_err > TOL.orthonormality or recon_err > TOL.reconstruction * scale:
-        raise NumericalFailure(
-            f"eigendecomposition out of tolerance: gram={gram_err:.3e} recon={recon_err:.3e}"
-        )
-    return EigenSystem(values, vectors)
 
 
 def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
@@ -139,21 +99,3 @@ def qr_positive_stacked(mats: np.ndarray, rank_tol: float = TOL.rank_deficiency)
     phases = diag / safe
     q = q * phases[..., None, :]
     return q, degenerate
-
-
-def qr_unitary_factor(m: np.ndarray) -> np.ndarray:
-    """Unitary factor Q of M = QR with positive real diagonal of R.
-
-    Raises DegenerateSample when M is numerically rank deficient, in which
-    case the caller is expected to draw a fresh sample.
-    """
-    m = require_finite(m, "matrix")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidMatrix(f"expected a square matrix, got shape {m.shape}")
-    q, degenerate = qr_positive_stacked(m)
-    if bool(degenerate):
-        raise DegenerateSample("matrix is numerically rank deficient")
-    residual = max_abs(np.conj(q.T) @ q - np.eye(m.shape[0]))
-    if residual > TOL.unitarity:
-        raise NumericalFailure(f"QR produced a non-unitary factor: {residual:.3e}")
-    return q

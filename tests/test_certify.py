@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, stream
+import randomizer.certify
+from conftest import stream
 from randomizer import (
     DimensionMismatch,
     InvalidParameter,
@@ -10,7 +11,6 @@ from randomizer import (
     RngStream,
     Verdict,
     alternating_max_lower_bound,
-    bilinear_bound_check,
     build_delta_net,
     build_random_channel,
     build_weyl_channel,
@@ -102,19 +102,33 @@ def test_net_supremum_dim_one():
     assert net_supremum_B(ch, net).value <= 1e-15
 
 
-def test_net_supremum_matches_bruteforce():
-    ch = build_random_channel(2, 6, RngStream(5))
-    net = small_net(2, 0.35, seed=6, size=25)
-    result = net_supremum_B(ch, net)
-    brute = max(
-        abs(pair_statistic(ch, phi, psi) - 0.5)
+def _bruteforce_B(ch, net):
+    return max(
+        abs(pair_statistic(ch, phi, psi) - 1.0 / ch.dim)
         for phi in net.states
         for psi in net.states
     )
-    assert result.value == pytest.approx(brute, abs=1e-12)
-    assert abs(pair_statistic(ch, result.phi, result.psi) - 0.5) == pytest.approx(
-        result.value, abs=1e-15
-    )
+
+
+def test_net_supremum_matches_bruteforce():
+    for d in (2, 3, 5):
+        ch = build_random_channel(d, 6, RngStream(5).child(d))
+        net = small_net(d, 0.35, seed=6 + d, size=25)
+        result = net_supremum_B(ch, net)
+        assert result.value == pytest.approx(_bruteforce_B(ch, net), abs=1e-12)
+        assert abs(pair_statistic(ch, result.phi, result.psi) - 1.0 / d) == pytest.approx(
+            result.value, abs=1e-15
+        )
+
+
+def test_net_supremum_spans_chunks(monkeypatch):
+    # a budget of 50 statistics per step splits the 25-state net into chunks of 2 phi rows
+    monkeypatch.setattr(randomizer.certify, "_SCAN_BUDGET", 50)
+    ch = build_random_channel(3, 8, RngStream(44))
+    net = small_net(3, 0.35, seed=45, size=25)
+    result = net_supremum_B(ch, net)
+    assert result.value == pytest.approx(_bruteforce_B(ch, net), abs=1e-12)
+    assert result.phi_index >= 2  # the winning row lies outside the first chunk
 
 
 def test_net_supremum_dimension_mismatch():
@@ -143,7 +157,7 @@ def test_alternating_single_unitary(d):
 def test_alternating_monotone_half_steps():
     ch = build_random_channel(4, 8, RngStream(12))
     phi0 = random_pure_state(4, stream(13))
-    values = list(_ascend(ch, phi0, tol=1e-12, max_iters=200))
+    _, values = _ascend(ch, phi0, tol=1e-12, max_iters=200)
     assert len(values) >= 2
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -220,40 +234,6 @@ def test_verdict_parameter_validation():
     coarse = small_net(2, 0.6, seed=33, size=4)
     with pytest.raises(InvalidParameter):
         verdict(ch, 0.5, coarse, rng=RngStream(34))
-
-
-def test_bilinear_check_trivia():
-    ch = build_random_channel(2, 4, RngStream(35))
-    zero = np.zeros((2, 2), dtype=complex)
-    assert bilinear_bound_check(ch, zero, zero, 0.0)
-    phi = random_pure_state(2, stream(36))
-    psi = random_pure_state(2, stream(37))
-    proj_phi = np.outer(phi, np.conj(phi))
-    proj_psi = np.outer(psi, np.conj(psi))
-    a_upper = abs(pair_statistic(ch, phi, psi) - 0.5)
-    assert bilinear_bound_check(ch, proj_phi, proj_psi, a_upper)
-
-
-def test_bilinear_check_certified_net_d2():
-    net = build_delta_net(2, 0.3, RngStream(38))
-    ch = build_random_channel(2, 16, RngStream(39))
-    a_upper = certified_upper_bound_A(net_supremum_B(ch, net).value, net.delta, 2)
-    gen = stream(40)
-    for trial in range(1000):
-        a = random_hermitian(2, gen.child(trial, 0))
-        b = random_hermitian(2, gen.child(trial, 1))
-        assert bilinear_bound_check(ch, a, b, a_upper)
-
-
-def test_bilinear_check_universal_bound_d4():
-    # 1 - 1/d bounds the supremum for every channel; covering nets below the
-    # lift pole are not desk-feasible at d=4, so the sweep uses this bound
-    ch = build_random_channel(4, 16, RngStream(41))
-    gen = stream(42)
-    for trial in range(1000):
-        a = random_hermitian(4, gen.child(trial, 0))
-        b = random_hermitian(4, gen.child(trial, 1))
-        assert bilinear_bound_check(ch, a, b, 0.75)
 
 
 def test_separation_helper_used_by_small_net():

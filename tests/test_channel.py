@@ -15,12 +15,10 @@ from randomizer import (
     maximally_mixed,
     operator_norm,
     pair_statistic,
-    pure_output,
     pure_projector,
     random_pure_state,
     sample_haar_unitaries,
 )
-from randomizer.linalg import hermitian_eigensystem
 
 
 def naive_apply(unitaries, rho):
@@ -28,6 +26,14 @@ def naive_apply(unitaries, rho):
     total = np.zeros_like(rho)
     for u in unitaries:
         total = total + u @ rho @ np.conj(u.T)
+    return total / len(unitaries)
+
+
+def naive_adjoint(unitaries, sigma):
+    """Independent oracle for the adjoint: direct sum of U† sigma U."""
+    total = np.zeros_like(sigma)
+    for u in unitaries:
+        total = total + np.conj(u.T) @ sigma @ u
     return total / len(unitaries)
 
 
@@ -82,6 +88,9 @@ def test_weyl_randomizes_exactly(d):
     assert np.max(np.abs(out - np.eye(d) / d)) <= 1e-12
     out2 = apply_channel(w, random_density(d, stream(50, d)))
     assert np.max(np.abs(out2 - np.eye(d) / d)) <= 1e-12
+    # the whole channel is the trace-and-replace map: S = |I>><<I| / d
+    vec_eye = np.eye(d).reshape(-1)
+    assert np.max(np.abs(w.superoperator - np.outer(vec_eye, vec_eye) / d)) <= 1e-12
 
 
 def test_apply_identity_channel():
@@ -95,6 +104,12 @@ def test_apply_matches_naive_oracle():
     ch = build_random_channel(4, 7, RngStream(52))
     rho = random_density(4, stream(53))
     assert np.max(np.abs(apply_channel(ch, rho) - naive_apply(ch.unitaries, rho))) <= 1e-13
+
+
+def test_apply_adjoint_matches_naive_oracle():
+    ch = build_random_channel(4, 7, RngStream(78))
+    sigma = random_density(4, stream(79))
+    assert np.max(np.abs(apply_adjoint(ch, sigma) - naive_adjoint(ch.unitaries, sigma))) <= 1e-13
 
 
 def test_apply_preserves_trace_and_positivity():
@@ -143,9 +158,12 @@ def test_pair_statistic_equals_trace_path():
 
 
 def test_pure_output_matches_apply():
+    # on a pure input R(|phi><phi|) is (1/N) sum_i |U_i phi><U_i phi|
     ch = build_random_channel(5, 4, RngStream(63))
     phi = random_pure_state(5, stream(64))
-    assert np.max(np.abs(pure_output(ch, phi) - apply_channel(ch, pure_projector(phi)))) <= 1e-13
+    w = ch.unitaries @ phi
+    via_vectors = w.T @ np.conj(w) / ch.count
+    assert np.max(np.abs(via_vectors - apply_channel(ch, pure_projector(phi)))) <= 1e-13
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -173,9 +191,8 @@ def test_variational_identity():
     ch = build_random_channel(3, 8, RngStream(69))
     phi = random_pure_state(3, stream(70))
     dev = deviation(ch, phi)
-    es = hermitian_eigensystem(pure_output(ch, phi) - maximally_mixed(3))
-    idx = int(np.argmax(np.abs(es.eigenvalues)))
-    psi_star = es.eigenvectors[:, idx]
+    values, vectors = np.linalg.eigh(apply_channel(ch, pure_projector(phi)) - maximally_mixed(3))
+    psi_star = vectors[:, int(np.argmax(np.abs(values)))]
     assert abs(abs(pair_statistic(ch, phi, psi_star) - 1.0 / 3.0) - dev) <= 1e-9
     for trial in range(100):
         psi = random_pure_state(3, stream(71, trial))
@@ -189,8 +206,8 @@ def test_convexity_restriction():
     for trial in range(200):
         rho = random_density(3, stream(73, trial))
         mixed_dev = operator_norm(apply_channel(ch, rho) - eye)
-        es = hermitian_eigensystem(rho)
-        pure_best = max(deviation(ch, es.eigenvectors[:, k]) for k in range(3))
+        _, vectors = np.linalg.eigh(rho)
+        pure_best = max(deviation(ch, vectors[:, k]) for k in range(3))
         assert mixed_dev <= pure_best + 1e-9
 
 
@@ -214,6 +231,8 @@ def test_dimension_mismatch():
     ch = build_random_channel(3, 2, RngStream(77))
     with pytest.raises(DimensionMismatch):
         apply_channel(ch, np.eye(2, dtype=complex) / 2)
+    with pytest.raises(DimensionMismatch):
+        apply_adjoint(ch, np.ones(3, dtype=complex))
     with pytest.raises(DimensionMismatch):
         pair_statistic(ch, basis_state(3), basis_state(2))
     with pytest.raises(DimensionMismatch):

@@ -130,6 +130,18 @@ def test_sweep_config_file(tmp_path):
     assert out.exists()
 
 
+def test_sweep_config_malformed_exits_two(tmp_path, capsys):
+    grid = tmp_path / "grid.json"
+    out = tmp_path / "sweep.csv"
+    for raw, hint in (({"dims": [2], "epsilons": [0.9]}, "counts"),
+                      ({"dims": 2, "epsilons": [0.9], "counts": [8]}, "malformed")):
+        grid.write_text(json.dumps(raw))
+        assert run(["sweep", "--config", str(grid), "--seed", "12", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and hint in err
+    assert not out.exists()
+
+
 def test_bounds_json(capsys):
     assert run(["bounds", "--dim", "2", "--epsilon", "0.5"]) == 0
     payload = json.loads(capsys.readouterr().out)

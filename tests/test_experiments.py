@@ -195,8 +195,13 @@ def test_net_round_trip(tmp_path):
     loaded = load_net(path)
     assert np.array_equal(loaded.states, net.states)
     assert loaded.delta == net.delta
+    assert loaded.provenance == net.provenance
     payload = json.loads(path.read_text())
-    assert set(payload) >= {"dim", "delta", "states", "seed", "stop_k"}
+    assert set(payload) >= {"dim", "delta", "states", "seed", "stop_k", "max_states",
+                            "candidates", "rejections", "stopped_by"}
+    budgeted = build_delta_net(2, 0.3, RngStream(15), max_states=7)
+    save_net(path, budgeted)
+    assert load_net(path).provenance == budgeted.provenance
 
 
 def test_certificate_schema(tmp_path):

@@ -7,7 +7,6 @@ from randomizer import (
     RngStream,
     sample_ginibre,
     sample_haar_unitaries,
-    sample_haar_unitary,
     unitarity_defect,
 )
 from randomizer.channel import random_pure_states
@@ -35,20 +34,20 @@ def test_invalid_dimension():
     with pytest.raises(InvalidDimension):
         sample_ginibre(0, RngStream(0))
     with pytest.raises(InvalidDimension):
-        sample_haar_unitary(0, RngStream(0))
+        sample_haar_unitaries(0, 1, RngStream(0))
     with pytest.raises(InvalidDimension):
         sample_haar_unitaries(2, 0, RngStream(0))
 
 
 def test_haar_dim_one_is_phase():
-    u = sample_haar_unitary(1, RngStream(3))
+    u = sample_haar_unitaries(1, 1, RngStream(3))[0]
     assert u.shape == (1, 1)
     assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
 
 
 def test_haar_unitarity_contract():
     for d in (2, 3, 7):
-        u = sample_haar_unitary(d, RngStream(100 + d))
+        u = sample_haar_unitaries(d, 1, RngStream(100 + d))
         assert unitarity_defect(u) <= 1e-10
     batch = sample_haar_unitaries(4, 64, RngStream(5))
     assert batch.shape == (64, 4, 4)
@@ -65,7 +64,6 @@ def test_reproducibility_bitwise():
 
 def test_stream_derivation():
     base = RngStream(42)
-    assert base.worker(3) == RngStream(42, 3)
     assert base.child(1, 2) == base.child(1, 2)
     assert base.child(1, 2) != base.child(2, 1)
 
@@ -84,7 +82,7 @@ def test_left_invariance_smoke():
     # |(WU)_11|^2 must be distributed like |U_11|^2 for any fixed unitary W
     n = 20_000
     us = sample_haar_unitaries(4, n, RngStream(8))
-    w = sample_haar_unitary(4, RngStream(88))
+    w = sample_haar_unitaries(4, 1, RngStream(88))[0]
     rotated = np.einsum("ij,njk->nik", w, us)
     stat = two_sample_ks(np.abs(us[:, 0, 0]) ** 2, np.abs(rotated[:, 0, 0]) ** 2)
     critical_1pct = 1.628 * np.sqrt(2.0 / n)

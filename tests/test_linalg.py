@@ -1,45 +1,45 @@
 import numpy as np
 import pytest
 
+import randomizer.haar
 from conftest import random_hermitian, random_unit_vector, stream
 from randomizer import (
-    DegenerateSample,
     InvalidMatrix,
-    hermitian_eigensystem,
+    NumericalFailure,
+    RandomUnitaryChannel,
     operator_norm,
-    qr_unitary_factor,
-    sample_haar_unitary,
+    sample_haar_unitaries,
     trace_norm,
 )
+from randomizer.certify import _extreme_eigvec
+from randomizer.linalg import hermitian_eigenvalues, qr_positive_stacked
 
 
 def test_identity_eigensystem():
-    es = hermitian_eigensystem(np.eye(3, dtype=complex))
-    assert np.allclose(es.eigenvalues, [1.0, 1.0, 1.0])
+    assert np.allclose(hermitian_eigenvalues(np.eye(3, dtype=complex)), [1.0, 1.0, 1.0])
 
 
 def test_diagonal_eigensystem_sorted_descending():
-    es = hermitian_eigensystem(np.diag([3.0, -1.0]).astype(complex))
-    assert es.eigenvalues.tolist() == [3.0, -1.0]
+    assert hermitian_eigenvalues(np.diag([3.0, -1.0]).astype(complex)).tolist() == [3.0, -1.0]
 
 
 def test_pauli_x_eigensystem():
     # by hand: characteristic polynomial lambda^2 - 1, eigenvectors (1, +-1)/sqrt(2)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    es = hermitian_eigensystem(x)
-    assert np.allclose(es.eigenvalues, [1.0, -1.0], atol=1e-12)
+    assert np.allclose(hermitian_eigenvalues(x), [1.0, -1.0], atol=1e-12)
+    # +-1 tie exactly in magnitude: the extreme eigenpair takes the positive branch
+    value, vector = _extreme_eigvec(x)
     plus = np.array([1, 1]) / np.sqrt(2)
-    minus = np.array([1, -1]) / np.sqrt(2)
-    assert abs(abs(np.vdot(plus, es.eigenvectors[:, 0])) - 1.0) < 1e-12
-    assert abs(abs(np.vdot(minus, es.eigenvectors[:, 1])) - 1.0) < 1e-12
+    assert value == pytest.approx(1.0, abs=1e-12)
+    assert abs(abs(np.vdot(plus, vector)) - 1.0) < 1e-12
 
 
 def test_eigensystem_deterministic():
     h = random_hermitian(6, stream(3))
-    first = hermitian_eigensystem(h)
-    second = hermitian_eigensystem(h)
-    assert np.array_equal(first.eigenvalues, second.eigenvalues)
-    assert np.array_equal(first.eigenvectors, second.eigenvectors)
+    assert np.array_equal(hermitian_eigenvalues(h), hermitian_eigenvalues(h))
+    first, second = _extreme_eigvec(h), _extreme_eigvec(h)
+    assert first[0] == second[0]
+    assert np.array_equal(first[1], second[1])
 
 
 def test_operator_norm_examples():
@@ -80,42 +80,46 @@ def test_reconstruction_random_hermitian(d):
     gen = stream(20, d)
     for trial in range(50):
         h = random_hermitian(d, gen.child(trial), scale=1.0 + trial % 3)
-        es = hermitian_eigensystem(h)
-        recon = (es.eigenvectors * es.eigenvalues) @ np.conj(es.eigenvectors.T)
+        values, vectors = np.linalg.eigh(h)
+        recon = (vectors * values) @ np.conj(vectors.T)
         scale = max(1.0, operator_norm(h))
         assert np.max(np.abs(h - recon)) <= 1e-10 * scale
-        assert np.all(np.diff(es.eigenvalues) <= 1e-12)
+        descending = hermitian_eigenvalues(h)
+        assert np.all(np.diff(descending) <= 1e-12)
+        assert np.max(np.abs(descending - values[::-1])) <= 1e-12 * scale
 
 
 def test_unitary_invariance_of_spectrum():
     h = random_hermitian(6, stream(30))
-    w = sample_haar_unitary(6, stream(31))
+    w = sample_haar_unitaries(6, 1, stream(31))[0]
     rotated = w @ h @ np.conj(w.T)
-    lam = hermitian_eigensystem(h).eigenvalues
-    lam_rot = hermitian_eigensystem((rotated + np.conj(rotated.T)) / 2).eigenvalues
+    lam = hermitian_eigenvalues(h)
+    lam_rot = hermitian_eigenvalues((rotated + np.conj(rotated.T)) / 2)
     assert np.max(np.abs(lam - lam_rot)) <= 1e-9
     assert trace_norm(h) == pytest.approx(trace_norm(rotated), abs=1e-9)
     assert operator_norm(h) == pytest.approx(operator_norm(rotated), abs=1e-9)
 
 
 def test_qr_identity_and_positive_diagonal():
-    assert np.allclose(qr_unitary_factor(np.eye(4, dtype=complex)), np.eye(4))
-    assert np.allclose(qr_unitary_factor(np.diag([2.0, 3.0]).astype(complex)), np.eye(2))
+    for m in (np.eye(4, dtype=complex), np.diag([2.0, 3.0]).astype(complex)):
+        q, degenerate = qr_positive_stacked(m)
+        assert np.allclose(q, np.eye(m.shape[0]))
+        assert not degenerate
 
 
 def test_qr_fixes_unitaries():
     # positive-diagonal QR is unique, so a unitary input returns itself
-    for k in range(5):
-        u = sample_haar_unitary(5, stream(40, k))
-        q = qr_unitary_factor(u)
-        assert np.max(np.abs(q - u)) <= 1e-9
+    us = sample_haar_unitaries(5, 5, stream(40))
+    q, degenerate = qr_positive_stacked(us)
+    assert np.max(np.abs(q - us)) <= 1e-9
+    assert not np.any(degenerate)
 
 
 def test_qr_residual_and_unitarity():
     gen = stream(41).generator()
     for d in (2, 4, 9):
         m = (gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d)))
-        q = qr_unitary_factor(m)
+        q, _ = qr_positive_stacked(m)
         assert np.max(np.abs(np.conj(q.T) @ q - np.eye(d))) <= 1e-10
         r = np.conj(q.T) @ m
         diag = np.diagonal(r)
@@ -123,18 +127,23 @@ def test_qr_residual_and_unitarity():
         assert np.max(np.abs(diag.imag)) <= 1e-10 * np.max(np.abs(m))
 
 
-def test_qr_rank_deficient_raises():
+def test_qr_rank_deficient_raises(monkeypatch):
     singular = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
-    with pytest.raises(DegenerateSample):
-        qr_unitary_factor(singular)
+    _, degenerate = qr_positive_stacked(singular)
+    assert degenerate
+    # the batched sampler redraws flagged matrices and gives up on persistent degeneracy
+    monkeypatch.setattr(randomizer.haar, "sample_ginibre",
+                        lambda d, rng, count=None: np.broadcast_to(singular, (count, 2, 2)))
+    with pytest.raises(NumericalFailure):
+        sample_haar_unitaries(2, 3, stream(42))
 
 
 def test_non_finite_rejected():
     bad = np.array([[np.nan, 0], [0, 1]], dtype=complex)
     with pytest.raises(InvalidMatrix):
-        hermitian_eigensystem(bad)
+        operator_norm(bad)
     with pytest.raises(InvalidMatrix):
-        qr_unitary_factor(bad)
+        RandomUnitaryChannel(bad[None, :, :])
 
 
 def test_non_hermitian_rejected():
