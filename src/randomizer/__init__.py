@@ -35,7 +35,6 @@ from .channel import (
     require_pure_state,
 )
 from .errors import (
-    DegenerateSample,
     DimensionMismatch,
     InvalidDimension,
     InvalidMatrix,

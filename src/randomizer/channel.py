@@ -64,13 +64,16 @@ def random_pure_states(d: int, count: int, rng) -> np.ndarray:
     return vecs / norms
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RandomUnitaryChannel:
-    """Uniform mixture of unitary conjugations: raw unitaries (N, d, d) plus the superoperator."""
+    """Uniform mixture of unitary conjugations: raw unitaries (N, d, d) plus the superoperator.
+
+    Equality is identity: comparing the unitary stacks elementwise has no truth value.
+    """
 
     unitaries: np.ndarray
     provenance: dict = field(default_factory=dict)
-    superoperator: np.ndarray = field(init=False, repr=False, compare=False)
+    superoperator: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         u = require_finite(np.asarray(self.unitaries, dtype=complex), "unitary stack")

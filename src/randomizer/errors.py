@@ -21,10 +21,6 @@ class DimensionMismatch(RandomizerError, ValueError):
     """Operands live in different dimensions."""
 
 
-class DegenerateSample(RandomizerError, RuntimeError):
-    """A random matrix draw was numerically rank deficient; the caller should resample."""
-
-
 class NumericalFailure(RandomizerError, RuntimeError):
     """A numerical routine failed to converge or exhausted its retries."""
 

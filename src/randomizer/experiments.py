@@ -250,6 +250,15 @@ def _pairs_to_complex(data, expected_ndim: int, what: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _number(payload: dict, key: str, kind, path: str):
+    """``kind(payload[key])``; a null or non-numeric value is a ParseError naming the key."""
+    value = payload[key]
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{path}: {key!r} is not a number: {value!r}") from exc
+
+
 def save_channel(path: str, ch: RandomUnitaryChannel) -> None:
     payload = {
         "schema": CHANNEL_SCHEMA,
@@ -278,7 +287,7 @@ def load_channel(path: str) -> RandomUnitaryChannel:
         if key not in payload:
             raise ParseError(f"{path}: missing key {key!r}")
     us = _pairs_to_complex(payload["unitaries"], 3, f"{path}: unitaries")
-    d, n = int(payload["dim"]), int(payload["count"])
+    d, n = _number(payload, "dim", int, path), _number(payload, "count", int, path)
     if us.shape != (n, d, d):
         raise ParseError(f"{path}: unitaries shape {us.shape} != ({n}, {d}, {d})")
     prov = {"kind": payload.get("kind", "unknown"), "seed": payload.get("seed"),
@@ -311,7 +320,8 @@ def load_net(path: str) -> PureStateNet:
             raise ParseError(f"{path}: missing key {key!r}")
     states = _pairs_to_complex(payload["states"], 2, f"{path}: states")
     prov = {key: payload.get(key) for key in NET_PROVENANCE}
-    return PureStateNet(int(payload["dim"]), float(payload["delta"]), states, prov)
+    return PureStateNet(_number(payload, "dim", int, path), _number(payload, "delta", float, path),
+                        states, prov)
 
 
 def certificate_to_dict(cert: DeviationCertificate) -> dict:

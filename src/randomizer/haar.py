@@ -74,15 +74,10 @@ def _require_dim(d: int) -> int:
     return int(d)
 
 
-def sample_ginibre(d: int, rng, count: int | None = None) -> np.ndarray:
-    """Draw ``d x d`` matrices of iid complex standard Gaussians.
-
-    Returns shape ``(d, d)`` when ``count`` is None, else ``(count, d, d)``.
-    """
+def sample_ginibre(d: int, rng, count: int) -> np.ndarray:
+    """Draw ``count`` matrices of iid complex standard Gaussians, shape ``(count, d, d)``."""
     d = _require_dim(d)
-    gen = as_generator(rng)
-    shape = (d, d) if count is None else (int(count), d, d)
-    return complex_standard_normal(gen, shape)
+    return complex_standard_normal(as_generator(rng), (int(count), d, d))
 
 
 def sample_haar_unitaries(d: int, count: int, rng) -> np.ndarray:

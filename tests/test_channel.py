@@ -237,3 +237,11 @@ def test_dimension_mismatch():
         pair_statistic(ch, basis_state(3), basis_state(2))
     with pytest.raises(DimensionMismatch):
         deviation(ch, basis_state(4))
+
+
+def test_channel_equality_is_identity():
+    a = build_random_channel(2, 3, RngStream(5))
+    b = build_random_channel(2, 3, RngStream(5))
+    assert (a == b) is False
+    assert (a == a) is True
+    assert len({a, b}) == 2

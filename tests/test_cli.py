@@ -172,3 +172,33 @@ def test_runtime_errors_exit_two(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "max_states" in err or "ceiling" in err
+
+
+@pytest.mark.parametrize("key, value", [("dim", "x"), ("delta", None), ("dim", None),
+                                        ("delta", "wide")])
+def test_audit_net_malformed_number_exits_two(tmp_path, capsys, key, value):
+    net_path = tmp_path / "net.json"
+    assert run(["net", "--dim", "2", "--delta", "1.5", "--seed", "8",
+                "--out", str(net_path)]) == 0
+    payload = json.loads(net_path.read_text())
+    payload[key] = value
+    net_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["audit-net", "--net", str(net_path), "--trials", "10", "--seed", "9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+
+
+@pytest.mark.parametrize("key, value", [("dim", "x"), ("count", "two"), ("count", None)])
+def test_verify_malformed_channel_number_exits_two(tmp_path, capsys, key, value):
+    ch_path = tmp_path / "ch.json"
+    assert run(["sample-channel", "--dim", "2", "--count", "4", "--seed", "3",
+                "--out", str(ch_path)]) == 0
+    payload = json.loads(ch_path.read_text())
+    payload[key] = value
+    ch_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["verify", "--channel", str(ch_path), "--epsilon", "0.5", "--seed", "4",
+                "--max-net-states", "10"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err

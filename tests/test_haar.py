@@ -13,8 +13,8 @@ from randomizer.channel import random_pure_states
 
 
 def test_ginibre_shape_and_finiteness():
-    z = sample_ginibre(1, RngStream(1))
-    assert z.shape == (1, 1)
+    z = sample_ginibre(1, RngStream(1), count=1)
+    assert z.shape == (1, 1, 1)
     assert np.isfinite(z).all()
 
 
@@ -32,7 +32,7 @@ def test_ginibre_moments():
 
 def test_invalid_dimension():
     with pytest.raises(InvalidDimension):
-        sample_ginibre(0, RngStream(0))
+        sample_ginibre(0, RngStream(0), count=1)
     with pytest.raises(InvalidDimension):
         sample_haar_unitaries(0, 1, RngStream(0))
     with pytest.raises(InvalidDimension):

@@ -1,7 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import stream
 from randomizer import (
@@ -18,6 +22,8 @@ from randomizer import (
     trace_norm,
     pure_projector,
 )
+from randomizer.haar import as_generator
+from randomizer.netcover import _CANDIDATE_BATCH, _bloch_features, _overlap_threshold
 
 
 def test_trace_distance_trivia():
@@ -151,3 +157,119 @@ def test_builder_reproducible():
     b = build_delta_net(2, 0.6, RngStream(18))
     assert np.array_equal(a.states, b.states)
     assert a.provenance["candidates"] == b.provenance["candidates"]
+
+
+def test_net_equality_is_identity():
+    a = build_delta_net(2, 0.6, RngStream(18))
+    b = build_delta_net(2, 0.6, RngStream(18))
+    assert (a == b) is False
+    assert (a == a) is True
+    assert len({a, b}) == 2
+
+
+# ---------------------------------------------------------------------------
+# the real overlap kernel against the candidate-by-candidate complex oracle
+# ---------------------------------------------------------------------------
+
+def _reference_build(d, delta, rng, stop_k=None, max_states=None):
+    """The builder as a plain sequential loop over candidates with complex overlaps.
+
+    Returns the kept states and the provenance counters; draws the same
+    candidate batches from the same stream as ``build_delta_net``.
+    """
+    gen = as_generator(rng)
+    threshold = _overlap_threshold(delta)
+    ceiling = math.inf if max_states is None else max_states
+    kept = np.zeros((0, d), dtype=complex)
+    consecutive = candidates = rejections = 0
+    stopped_by = "rejections"
+    while True:
+        batch = random_pure_states(d, _CANDIDATE_BATCH, gen)
+        for x in batch:
+            candidates += 1
+            worst = float(np.max(np.abs(kept @ np.conj(x)) ** 2)) if len(kept) else 0.0
+            if worst <= threshold:
+                kept = np.vstack([kept, x])
+                consecutive = 0
+                if len(kept) >= ceiling:
+                    stopped_by = "budget"
+                    break
+            else:
+                rejections += 1
+                consecutive += 1
+                if consecutive >= (stop_k if stop_k is not None else max(1000, 20 * len(kept))):
+                    break
+        else:
+            continue
+        break
+    prov = {"candidates": candidates, "rejections": rejections, "stopped_by": stopped_by}
+    return kept, prov
+
+
+@pytest.mark.parametrize("d, delta, seed, stop_k, max_states", [
+    (1, 0.5, 26, None, None),     # one state, then the default stop rule
+    (2, 0.5, 25, None, None),     # the default stop rule tracks the growing net
+    (2, 1.9, 28, None, None),     # coarse radius, a handful of states
+    (3, 1.5, 21, None, None),
+    (2, 0.3, 24, 200, None),      # explicit stop_k, stops partway through a batch
+    (2, 0.5, 35, 1, None),        # tiny stop_k: the stop must fire even when an accept follows
+    (2, 0.5, 36, 3, None),
+    (5, 0.3, 23, None, 300),      # budget reached inside the first batch
+    (3, 0.6, 22, 500, 1000),      # budget reached partway through the third batch
+    (16, 0.5, 27, None, 64),      # the 64-state budgeted net at the top of desk scale
+])
+def test_builder_matches_sequential_reference(d, delta, seed, stop_k, max_states):
+    net = build_delta_net(d, delta, RngStream(seed), stop_k=stop_k, max_states=max_states)
+    states, prov = _reference_build(d, delta, RngStream(seed), stop_k=stop_k,
+                                    max_states=max_states)
+    assert np.array_equal(net.states, states)
+    assert {key: net.provenance[key] for key in prov} == prov
+    assert net.provenance["stop_k"] == stop_k and net.provenance["max_states"] == max_states
+    assert all(type(net.provenance[key]) is int for key in ("candidates", "rejections"))
+    json.dumps(net.provenance)
+
+
+def _reference_audit(net, trials, rng, chunk=4096):
+    gen = as_generator(rng)
+    gaps = []
+    remaining = trials
+    while remaining > 0:
+        k = min(chunk, remaining)
+        sample = random_pure_states(net.dim, k, gen)
+        best = np.max(np.abs(sample @ np.conj(net.states.T)) ** 2, axis=1)
+        gaps.append(2.0 * np.sqrt(np.maximum(0.0, 1.0 - best)))
+        remaining -= k
+    gaps = np.concatenate(gaps)
+    return float(np.max(gaps)), int(np.sum(gaps > net.delta))
+
+
+@pytest.mark.parametrize("make_net", [
+    lambda: PureStateNet(1, 0.5, np.ones((1, 1), dtype=complex)),
+    lambda: PureStateNet(2, 0.1, random_pure_state(2, RngStream(12))[None, :]),
+    lambda: build_delta_net(2, 0.25, RngStream(31)),
+    lambda: build_delta_net(3, 0.6, RngStream(32), max_states=400),
+    lambda: build_delta_net(16, 0.5, RngStream(33), max_states=64),
+], ids=["d1", "d2-single", "d2-net", "d3-budget", "d16-budget"])
+def test_audit_matches_complex_reference(make_net):
+    net = make_net()
+    trials = 10_001  # two full draws and a partial one
+    report = audit_covering(net, trials, RngStream(34))
+    max_gap, failures = _reference_audit(net, trials, RngStream(34))
+    assert report.failures == failures
+    # at d=1 the gap is sqrt(roundoff), about 1e-8; elsewhere the two agree to 1e-15
+    assert abs(report.max_gap - max_gap) <= 1e-7
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 8), data=st.data())
+def test_bloch_features_give_squared_overlaps(d, data):
+    parts = data.draw(hnp.arrays(np.float64, (2, d, 2),
+                                 elements=st.floats(-1.0, 1.0, allow_nan=False)))
+    states = parts[..., 0] + 1j * parts[..., 1]
+    norms = np.linalg.norm(states, axis=1)
+    assume(np.all(norms > 1e-3))
+    x, y = states / norms[:, None]
+    feats = _bloch_features(np.stack([x, y]))
+    assert feats.shape == (2, d * d) and feats.dtype == np.float64
+    assert abs(feats[0] @ feats[1] - abs(np.vdot(x, y)) ** 2) <= 1e-14
+    assert abs(feats[0] @ feats[0] - 1.0) <= 1e-14
