@@ -7,6 +7,15 @@ O(d^4) instead of O(N d^2). That pays because the randomizing regime needs
 N >= C d / eps^2 ln(1/eps), far above d^2 at desk scale, while S itself has at
 most 65536 entries at d = 16. The raw ``(N, d, d)`` unitaries are kept too:
 ``pair_statistic`` re-evaluates witnesses from them and persistence writes them.
+
+S is formed from one real product ``x.T @ x``, where ``x`` views the
+``(N, d^2)`` complex stack as ``(N, 2 d^2)`` interleaved (Re, Im) reals.
+NumPy sends that product to a symmetric rank-k update, so no conjugated copy
+of the stack is made, and the Gram matrix sum_n vec(U_n) vec(U_n)† read off
+from it is exactly Hermitian. The constructor's unitarity check runs in tiles
+of ``_TILE_ENTRIES`` stack entries (``haar.unitarity_defect``): a single
+batched product over the whole stack would build a Gram stack as large as the
+stack itself, 64 MB at d = 16, N = 16000, only to take its maximum.
 """
 
 from __future__ import annotations
@@ -86,9 +95,12 @@ class RandomUnitaryChannel:
         u.setflags(write=False)
         object.__setattr__(self, "unitaries", u)
         n, d = u.shape[0], u.shape[1]
-        flat = u.reshape(n, d * d)
-        # gram[(i, j), (k, l)] = sum_n U_n[i, j] conj(U_n[k, l]); S regroups it as [(i, k), (j, l)]
-        gram = (flat.T @ np.conj(flat)) / n
+        # gram[(i, j), (k, l)] = sum_n U_n[i, j] conj(U_n[k, l]); S regroups it as [(i, k), (j, l)].
+        # x interleaves (Re, Im) columns, so g = x^T x holds every real cross product.
+        x = u.reshape(n, d * d).view(np.float64)
+        g = x.T @ x
+        gram = (g[0::2, 0::2] + g[1::2, 1::2]) + 1j * (g[1::2, 0::2] - g[0::2, 1::2])
+        gram /= n
         sup = gram.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
         sup.setflags(write=False)
         object.__setattr__(self, "superoperator", sup)

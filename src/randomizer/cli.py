@@ -17,7 +17,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .certify import default_net_delta, verdict
 from .channel import build_random_channel, random_pure_state
-from .errors import RandomizerError
+from .errors import InvalidDimension, RandomizerError
 from .experiments import (
     SweepConfig,
     load_channel,
@@ -113,8 +113,7 @@ def _cmd_audit_net(args) -> int:
                    "max_gap": report.max_gap, "failures": report.failures,
                    "seed": stream.seed}
         with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, separators=(",", ":"), sort_keys=True)
-            handle.write("\n")
+            handle.write(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
     print(
         f"audit-net: size={net.size} delta={net.delta} trials={report.trials} "
         f"max_gap={report.max_gap:.6f} failures={report.failures} seed={stream.seed}"
@@ -125,6 +124,8 @@ def _cmd_audit_net(args) -> int:
 def _cmd_concentration(args) -> int:
     stream = _resolve_stream(args)
     d = args.dim
+    if d < 1:
+        raise InvalidDimension(f"dimension must be a positive integer, got {d}")
     if args.random_pair:
         phi = random_pure_state(d, stream.child(10))
         psi = random_pure_state(d, stream.child(11))

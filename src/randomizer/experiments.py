@@ -259,6 +259,16 @@ def _number(payload: dict, key: str, kind, path: str):
         raise ParseError(f"{path}: {key!r} is not a number: {value!r}") from exc
 
 
+def _write_json(path: str, payload: dict) -> None:
+    """Compact, key-sorted JSON plus a newline.
+
+    ``json.dumps`` encodes in one call through the C encoder; ``json.dump``
+    to a file streams through the pure-Python one, with the same bytes.
+    """
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
+
+
 def save_channel(path: str, ch: RandomUnitaryChannel) -> None:
     payload = {
         "schema": CHANNEL_SCHEMA,
@@ -269,9 +279,7 @@ def save_channel(path: str, ch: RandomUnitaryChannel) -> None:
         "kind": ch.provenance.get("kind", "unknown"),
         "unitaries": _complex_to_pairs(ch.unitaries),
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, separators=(",", ":"), sort_keys=True)
-        handle.write("\n")
+    _write_json(path, payload)
 
 
 def load_channel(path: str) -> RandomUnitaryChannel:
@@ -302,9 +310,7 @@ def save_net(path: str, net: PureStateNet) -> None:
         "states": _complex_to_pairs(net.states),
         **{key: net.provenance.get(key) for key in NET_PROVENANCE},
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, separators=(",", ":"), sort_keys=True)
-        handle.write("\n")
+    _write_json(path, payload)
 
 
 def load_net(path: str) -> PureStateNet:
@@ -341,9 +347,7 @@ def certificate_to_dict(cert: DeviationCertificate) -> dict:
 
 
 def save_certificate(path: str, cert: DeviationCertificate) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(certificate_to_dict(cert), handle, separators=(",", ":"), sort_keys=True)
-        handle.write("\n")
+    _write_json(path, certificate_to_dict(cert))
 
 
 def write_concentration_csv(path: str, reports) -> None:

@@ -7,10 +7,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidDimension, NumericalFailure
-from .linalg import max_abs, qr_positive_stacked
+from .linalg import qr_positive_stacked
 
 _MASK64 = (1 << 64) - 1
 _MAX_RESAMPLES = 10
+# Entries of the unitary stack per unitarity-check tile: 256 KB of complex128,
+# so each tile's Gram block stays in L2 instead of a full-stack temporary.
+_TILE_ENTRIES = 1 << 14
 
 
 def _mix64(a: int, b: int) -> int:
@@ -62,10 +65,19 @@ def complex_standard_normal(gen: np.random.Generator, shape) -> np.ndarray:
 
     Complex Box-Muller: radius sqrt(-ln u1) and uniform phase give
     E|z|^2 = 1 exactly. u1 is shifted into (0, 1] to keep the log finite.
+    Computed in place, bit for bit equal to
+    ``np.sqrt(-np.log(1.0 - u1)) * np.exp(2j * np.pi * u2)`` with u1 drawn first.
     """
-    u1 = 1.0 - gen.random(shape)
-    u2 = gen.random(shape)
-    return np.sqrt(-np.log(u1)) * np.exp(2j * np.pi * u2)
+    radius = gen.random(shape)
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    np.negative(radius, out=radius)
+    np.sqrt(radius, out=radius)
+    z = np.zeros(shape, dtype=complex)
+    np.multiply(gen.random(shape), 2.0 * np.pi, out=z.imag)
+    np.exp(z, out=z)
+    z *= radius
+    return z
 
 
 def _require_dim(d: int) -> int:
@@ -106,9 +118,22 @@ def sample_haar_unitaries(d: int, count: int, rng) -> np.ndarray:
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """max|U†U - I|, possibly over a stack of unitaries."""
+    """max|U†U - I|, possibly over a stack of unitaries; 0.0 for an empty stack.
+
+    Batched ``matmul`` over tiles of at most ``_TILE_ENTRIES`` stack entries,
+    with the maximum reduced per tile; a NaN entry makes the result NaN.
+    """
     u = np.asarray(u, dtype=complex)
-    d = u.shape[-1]
-    gram = np.einsum("...ki,...kj->...ij", np.conj(u), u)
-    return max_abs(gram - np.eye(d))
+    rows, d = u.shape[-2:]
+    stack = u.reshape(-1, rows, d)
+    if stack.size == 0:
+        return 0.0
+    per_tile = max(1, _TILE_ENTRIES // (rows * d))
+    peaks = []
+    for start in range(0, stack.shape[0], per_tile):
+        tile = stack[start:start + per_tile]
+        gram = np.matmul(np.conj(tile.transpose(0, 2, 1)), tile)
+        gram.reshape(len(tile), d * d)[:, ::d + 1] -= 1.0
+        peaks.append(np.max(np.abs(gram)))
+    return float(np.max(peaks))
 

@@ -97,5 +97,5 @@ def qr_positive_stacked(mats: np.ndarray, rank_tol: float = TOL.rank_deficiency)
     # makes the factor exactly Haar-distributed for Gaussian input.
     safe = np.where(mag > 0.0, mag, 1.0)
     phases = diag / safe
-    q = q * phases[..., None, :]
+    q *= phases[..., None, :]
     return q, degenerate

@@ -50,6 +50,16 @@ def test_build_reproducible():
     assert a.provenance["seed"] == 5
 
 
+@pytest.mark.parametrize("d, n", [(1, 5), (2, 40), (3, 17), (16, 30)])
+def test_superoperator_matches_kron_sum(d, n):
+    ch = build_random_channel(d, n, RngStream(60 + d))
+    want = sum(np.kron(u, np.conj(u)) for u in ch.unitaries) / n
+    assert np.max(np.abs(ch.superoperator - want)) <= 1e-14
+    # regrouped to [(i, j), (k, l)], S is the Gram matrix of the vec(U_n): exactly Hermitian
+    gram = ch.superoperator.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    assert np.array_equal(gram, np.conj(gram.T))
+
+
 def test_build_dim_one():
     ch = build_random_channel(1, 5, RngStream(6))
     assert ch.count == 5

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -99,6 +100,17 @@ def test_net_and_audit(tmp_path, capsys):
     assert "failures=0" in summary
     payload = json.loads(report_path.read_text())
     assert payload["failures"] == 0
+    streamed = io.StringIO()  # oracle: the streaming encoder
+    json.dump(payload, streamed, separators=(",", ":"), sort_keys=True)
+    assert report_path.read_text() == streamed.getvalue() + "\n"
+
+
+def test_concentration_nonpositive_dim_exits_two(capsys):
+    for dim in ("0", "-2"):
+        for extra in ([], ["--random-pair"]):
+            assert run(["concentration", "--dim", dim, "--counts", "5", "--deltas", "0.5",
+                        "--trials", "10", "--seed", "1"] + extra) == 2
+            assert capsys.readouterr().err.startswith("error:")
 
 
 def test_concentration_csv_output(tmp_path):

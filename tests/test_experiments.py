@@ -216,6 +216,23 @@ def test_certificate_schema(tmp_path):
     assert set(payload["witnesses"]) == {"phi", "psi"}
 
 
+def test_saved_bytes_match_streaming_encoder(tmp_path):
+    # json.dump streams the same payload through the pure-Python encoder: the oracle
+    net = build_delta_net(2, 0.3, RngStream(16), max_states=20)
+    ch = build_random_channel(3, 6, RngStream(17))
+    cert = verdict(ch, 0.5, build_delta_net(3, 0.4, RngStream(18), max_states=30),
+                   restarts=2, rng=RngStream(19))
+    for name, save, obj in (("ch.json", save_channel, ch), ("net.json", save_net, net),
+                            ("cert.json", save_certificate, cert)):
+        path = tmp_path / name
+        save(path, obj)
+        with open(tmp_path / "oracle.json", "w", encoding="utf-8") as handle:
+            json.dump(json.loads(path.read_text()), handle, separators=(",", ":"),
+                      sort_keys=True)
+            handle.write("\n")
+        assert path.read_bytes() == (tmp_path / "oracle.json").read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # CSV emission
 # ---------------------------------------------------------------------------

@@ -4,12 +4,21 @@ import pytest
 from conftest import two_sample_ks
 from randomizer import (
     InvalidDimension,
+    InvalidMatrix,
+    RandomUnitaryChannel,
     RngStream,
     sample_ginibre,
     sample_haar_unitaries,
     unitarity_defect,
 )
+from randomizer import haar
 from randomizer.channel import random_pure_states
+
+
+def einsum_defect(u):
+    """Oracle: one untiled Gram stack, max|U†U - I|."""
+    gram = np.einsum("...ki,...kj->...ij", np.conj(u), u)
+    return float(np.max(np.abs(gram - np.eye(u.shape[-1]))))
 
 
 def test_ginibre_shape_and_finiteness():
@@ -87,3 +96,36 @@ def test_left_invariance_smoke():
     stat = two_sample_ks(np.abs(us[:, 0, 0]) ** 2, np.abs(rotated[:, 0, 0]) ** 2)
     critical_1pct = 1.628 * np.sqrt(2.0 / n)
     assert stat < critical_1pct
+
+
+@pytest.mark.parametrize("d", [1, 2, 16])
+def test_unitarity_defect_matches_untiled_oracle(d):
+    per_tile = haar._TILE_ENTRIES // (d * d)
+    us = sample_haar_unitaries(d, 4 * per_tile + 3, RngStream(20 + d))
+    assert unitarity_defect(us) == pytest.approx(einsum_defect(us), abs=1e-15)
+    assert unitarity_defect(us[5]) == pytest.approx(einsum_defect(us[5]), abs=1e-15)
+    # one non-unitary matrix in the first, a middle and the last tile; the last tile is partial
+    for index in (1, 2 * per_tile + 1, len(us) - 1):
+        bad = us.copy()
+        bad[index] *= 1.001
+        want = einsum_defect(bad)
+        assert want > 1e-3
+        assert unitarity_defect(bad) == pytest.approx(want, rel=1e-12)
+        nan_stack = us.copy()
+        nan_stack[index, 0, 0] = np.nan
+        assert np.isnan(unitarity_defect(nan_stack))
+        with pytest.raises(InvalidMatrix):
+            RandomUnitaryChannel(nan_stack)
+        with pytest.raises(InvalidMatrix):
+            RandomUnitaryChannel(bad)
+
+
+@pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (40, 4, 4), (2, 3, 1)])
+def test_complex_standard_normal_matches_one_line_formula(shape):
+    for seed in (0, 1, 99):
+        gen, oracle = RngStream(seed).generator(), RngStream(seed).generator()
+        u1 = 1.0 - oracle.random(shape)
+        u2 = oracle.random(shape)
+        want = np.sqrt(-np.log(u1)) * np.exp(2j * np.pi * u2)
+        assert np.array_equal(haar.complex_standard_normal(gen, shape), want)
+        assert np.array_equal(gen.random(3), oracle.random(3))  # same draws consumed
