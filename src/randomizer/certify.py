@@ -34,6 +34,7 @@ from .netcover import PureStateNet
 
 _SCAN_BUDGET = 1_000_000  # entries of the (chunk, net size) statistic block per B-scan step
 _TIE_TOL = 1e-12  # extreme eigenvalues this close in magnitude count as a tie
+_PHASE_FLOOR = 1e-8  # witness entries below this magnitude never fix its global phase
 
 
 class Verdict(str, Enum):
@@ -161,6 +162,15 @@ def _ascend(ch: RandomUnitaryChannel, phi0: np.ndarray, tol: float, max_iters: i
     return best, objectives
 
 
+def _canonical_phase(x: np.ndarray) -> np.ndarray:
+    """``x`` times the phase that makes its first entry above _PHASE_FLOOR real and positive."""
+    k = int(np.argmax(np.abs(x) > _PHASE_FLOOR))
+    mag = abs(x[k])
+    out = x * (np.conj(x[k]) / mag)
+    out[k] = mag
+    return out
+
+
 def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = 32,
                                 tol: float = 1e-10, max_iters: int = 500,
                                 rng=None) -> LowerBound:
@@ -169,6 +179,12 @@ def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = 32,
     Returns a valid lower bound on the full supremum together with the state
     pair achieving it; the value is re-evaluated through pair_statistic so the
     witnesses reproduce it exactly.
+
+    Each witness is rotated so that its first entry above ``_PHASE_FLOOR`` in
+    magnitude is real and positive: the eigensolver's arbitrary global phase,
+    which roundoff in S can flip, never reaches a certificate. Not made
+    canonical: at d = 2 the optimum may be attained by two orthogonal pairs,
+    and roundoff may swap one for the other.
     """
     if restarts < 1 or max_iters < 1:
         raise InvalidParameter("restarts and max_iters must be positive")
@@ -182,7 +198,7 @@ def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = 32,
         if best is None or candidate[0] > best[0]:
             best = candidate
     assert best is not None
-    _, phi, psi = best
+    phi, psi = _canonical_phase(best[1]), _canonical_phase(best[2])
     value = abs(pair_statistic(ch, phi, psi) - 1.0 / d)
     return LowerBound(value, phi, psi)
 

@@ -13,9 +13,10 @@ S is formed from one real product ``x.T @ x``, where ``x`` views the
 NumPy sends that product to a symmetric rank-k update, so no conjugated copy
 of the stack is made, and the Gram matrix sum_n vec(U_n) vec(U_n)† read off
 from it is exactly Hermitian. The constructor's unitarity check runs in tiles
-of ``_TILE_ENTRIES`` stack entries (``haar.unitarity_defect``): a single
-batched product over the whole stack would build a Gram stack as large as the
-stack itself, 64 MB at d = 16, N = 16000, only to take its maximum.
+of ``_TILE_ENTRIES`` stack entries on the worker threads
+(``haar.unitarity_defect``): a single batched product over the whole stack
+would build a Gram stack as large as the stack itself, 64 MB at d = 16,
+N = 16000, only to take its maximum.
 """
 
 from __future__ import annotations

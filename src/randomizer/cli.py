@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_threads(p):
         p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: RANDOMIZER_THREADS or all cores)")
+                       help="worker threads (default: RANDOMIZER_THREADS or the usable cores)")
 
     p = sub.add_parser("sample-channel", help="sample a Haar random unitary channel")
     p.add_argument("--dim", type=int, required=True, help="Hilbert space dimension d")

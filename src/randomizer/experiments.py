@@ -5,8 +5,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -18,6 +16,7 @@ from .channel import RandomUnitaryChannel, build_random_channel, require_pure_st
 from .errors import InvalidParameter, NetInfeasible, ParseError
 from .haar import RngStream, sample_haar_unitaries
 from .netcover import PureStateNet, build_delta_net
+from .workers import parallel_map, resolve_threads  # resolve_threads: cli imports it from here
 
 _TRIAL_CHUNK = 2000
 
@@ -28,33 +27,6 @@ CONCENTRATION_CSV_COLUMNS = ("d", "N", "delta", "trials", "empirical_tail",
                              "bound", "vacuous", "seed")
 SWEEP_CSV_COLUMNS = ("d", "epsilon", "N", "channels", "frac_certified", "frac_not",
                      "frac_undetermined", "mean_A_upper", "mean_A_lower", "seed")
-
-
-def resolve_threads(requested: int | None = None) -> int:
-    """--threads flag, RANDOMIZER_THREADS fallback, else available parallelism."""
-    if requested is not None:
-        if requested < 1:
-            raise InvalidParameter(f"threads must be positive, got {requested}")
-        return int(requested)
-    env = os.environ.get("RANDOMIZER_THREADS")
-    if env:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise InvalidParameter(f"RANDOMIZER_THREADS is not an integer: {env!r}") from exc
-        if value < 1:
-            raise InvalidParameter(f"RANDOMIZER_THREADS must be positive, got {value}")
-        return value
-    return os.cpu_count() or 1
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Map preserving item order; the reduction order never depends on scheduling."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------

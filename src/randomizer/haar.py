@@ -1,4 +1,17 @@
-"""Reproducible Haar sampling on the unitary group via Ginibre matrices and phase-fixed QR."""
+"""Reproducible Haar sampling on the unitary group via Ginibre matrices and phase-fixed QR.
+
+Sampling a stack has a serial part and a per-entry part. The Philox draws run
+on the calling thread in one fixed order: all radius uniforms, then all phase
+uniforms, then the draws of any refills. The Box-Muller transform, the QR
+with its phase fix and rank scale, and the unitarity check then run over
+tiles of ``_TILE_ENTRIES`` stack entries on the package's worker threads
+(``workers.resolve_threads``), each tile writing its slice of one
+preallocated output. Tile boundaries depend only on the shape of the stack,
+never on the thread count, and a tile computes for its entries exactly what
+the whole-stack operation computes, so stacks are bit for bit the same for
+every thread count. A stack of one tile runs inline with no pool, and a call
+from inside another map's worker runs its tiles serially.
+"""
 
 from __future__ import annotations
 
@@ -8,11 +21,12 @@ import numpy as np
 
 from .errors import InvalidDimension, NumericalFailure
 from .linalg import qr_positive_stacked
+from .workers import parallel_map, resolve_threads
 
 _MASK64 = (1 << 64) - 1
 _MAX_RESAMPLES = 10
-# Entries of the unitary stack per unitarity-check tile: 256 KB of complex128,
-# so each tile's Gram block stays in L2 instead of a full-stack temporary.
+# Stack entries per tile: 256 KB of complex128, so each tile's temporaries
+# (Gram block, R factors, rank scale) stay in L2 instead of spanning the stack.
 _TILE_ENTRIES = 1 << 14
 
 
@@ -60,23 +74,38 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream, Generator or int, got {type(rng).__name__}")
 
 
+def _map_tiles(fn, count: int, per_tile: int) -> list:
+    """``fn(tile)`` over consecutive slices of ``per_tile`` items out of ``count``, in order."""
+    tiles = [slice(start, start + per_tile) for start in range(0, count, per_tile)]
+    return parallel_map(fn, tiles, resolve_threads() if len(tiles) > 1 else 1)
+
+
 def complex_standard_normal(gen: np.random.Generator, shape) -> np.ndarray:
     """Complex Gaussians with mean 0 and variance 1/2 per real component.
 
     Complex Box-Muller: radius sqrt(-ln u1) and uniform phase give
     E|z|^2 = 1 exactly. u1 is shifted into (0, 1] to keep the log finite.
-    Computed in place, bit for bit equal to
+    Both uniform arrays are drawn first, then transformed in place per tile,
+    bit for bit equal to
     ``np.sqrt(-np.log(1.0 - u1)) * np.exp(2j * np.pi * u2)`` with u1 drawn first.
     """
-    radius = gen.random(shape)
-    np.subtract(1.0, radius, out=radius)
-    np.log(radius, out=radius)
-    np.negative(radius, out=radius)
-    np.sqrt(radius, out=radius)
-    z = np.zeros(shape, dtype=complex)
-    np.multiply(gen.random(shape), 2.0 * np.pi, out=z.imag)
-    np.exp(z, out=z)
-    z *= radius
+    u1 = gen.random(shape)
+    u2 = gen.random(shape)
+    z = np.empty(shape, dtype=complex)
+    radius, angle, out = u1.reshape(-1), u2.reshape(-1), z.reshape(-1)
+
+    def transform(tile):
+        r, w = radius[tile], out[tile]
+        np.subtract(1.0, r, out=r)
+        np.log(r, out=r)
+        np.negative(r, out=r)
+        np.sqrt(r, out=r)
+        w.real = 0.0
+        np.multiply(angle[tile], 2.0 * np.pi, out=w.imag)
+        np.exp(w, out=w)
+        w *= r
+
+    _map_tiles(transform, z.size, _TILE_ENTRIES)
     return z
 
 
@@ -95,15 +124,22 @@ def sample_ginibre(d: int, rng, count: int) -> np.ndarray:
 def sample_haar_unitaries(d: int, count: int, rng) -> np.ndarray:
     """Stack of ``count`` independent Haar unitaries, shape ``(count, d, d)``.
 
-    Uses one batched Ginibre draw plus batched QR; degenerate draws are
-    redrawn (at most 10 times, then NumericalFailure).
+    Uses one batched Ginibre draw plus QR tile by tile; degenerate draws are
+    redrawn serially (at most 10 times, then NumericalFailure).
     """
     d = _require_dim(d)
     if count < 1:
         raise InvalidDimension(f"count must be a positive integer, got {count!r}")
+    count = int(count)
     gen = as_generator(rng)
     mats = sample_ginibre(d, gen, count=count)
-    q, degenerate = qr_positive_stacked(mats)
+    q = np.empty((count, d, d), dtype=complex)
+    degenerate = np.empty(count, dtype=bool)
+
+    def factor(tile):
+        q[tile], degenerate[tile] = qr_positive_stacked(mats[tile])
+
+    _map_tiles(factor, count, max(1, _TILE_ENTRIES // (d * d)))
     for _ in range(_MAX_RESAMPLES):
         if not np.any(degenerate):
             break
@@ -120,20 +156,20 @@ def sample_haar_unitaries(d: int, count: int, rng) -> np.ndarray:
 def unitarity_defect(u: np.ndarray) -> float:
     """max|U†U - I|, possibly over a stack of unitaries; 0.0 for an empty stack.
 
-    Batched ``matmul`` over tiles of at most ``_TILE_ENTRIES`` stack entries,
-    with the maximum reduced per tile; a NaN entry makes the result NaN.
+    Batched ``matmul`` over tiles of at most ``_TILE_ENTRIES`` stack entries on
+    the worker threads, with the maximum reduced per tile; a NaN entry makes
+    the result NaN.
     """
     u = np.asarray(u, dtype=complex)
     rows, d = u.shape[-2:]
     stack = u.reshape(-1, rows, d)
     if stack.size == 0:
         return 0.0
-    per_tile = max(1, _TILE_ENTRIES // (rows * d))
-    peaks = []
-    for start in range(0, stack.shape[0], per_tile):
-        tile = stack[start:start + per_tile]
-        gram = np.matmul(np.conj(tile.transpose(0, 2, 1)), tile)
-        gram.reshape(len(tile), d * d)[:, ::d + 1] -= 1.0
-        peaks.append(np.max(np.abs(gram)))
-    return float(np.max(peaks))
 
+    def peak(tile):
+        block = stack[tile]
+        gram = np.matmul(np.conj(block.transpose(0, 2, 1)), block)
+        gram.reshape(len(block), d * d)[:, ::d + 1] -= 1.0
+        return np.max(np.abs(gram))
+
+    return float(np.max(_map_tiles(peak, stack.shape[0], max(1, _TILE_ENTRIES // (rows * d)))))

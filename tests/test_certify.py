@@ -169,6 +169,48 @@ def test_witness_reproduces_value():
     assert reproduced == pytest.approx(result.value, abs=1e-10)
 
 
+def first_large_entry(x):
+    return x[np.argmax(np.abs(x) > randomizer.certify._PHASE_FLOOR)]
+
+
+@pytest.mark.parametrize("d, n", [(2, 40), (3, 60), (8, 200)])
+def test_witness_phase_ignores_eigensolver_phase(d, n, monkeypatch):
+    ch = build_random_channel(d, n, RngStream(90 + d))
+    want = alternating_max_lower_bound(ch, restarts=3, rng=RngStream(91))
+    for w in (want.phi, want.psi):
+        assert first_large_entry(w).imag == 0.0 and first_large_entry(w).real > 0.0
+    eigh = np.linalg.eigh
+    for phase, exact in ((-1.0, True), (1j, False), (np.exp(0.7j), False)):
+        def rotated_eigh(h, phase=phase):
+            values, vectors = eigh(h)
+            return values, vectors * phase
+
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigh", rotated_eigh)
+            got = alternating_max_lower_bound(ch, restarts=3, rng=RngStream(91))
+        if exact:  # a sign flip is exact arithmetic, so the witness bytes are identical
+            assert got.phi.tobytes() == want.phi.tobytes()
+            assert got.psi.tobytes() == want.psi.tobytes()
+            assert got.value == want.value
+        assert np.max(np.abs(got.phi - want.phi)) <= 1e-13
+        assert np.max(np.abs(got.psi - want.psi)) <= 1e-13
+        assert abs(got.value - want.value) <= 1e-15
+
+
+@pytest.mark.parametrize("d, n", [(2, 40), (4, 100), (16, 300)])
+def test_witnesses_ignore_phases_of_the_unitaries(d, n):
+    ch = build_random_channel(d, n, RngStream(95 + d))
+    theta = 2.0 * np.pi * RngStream(96).generator().random(n)
+    rotated = RandomUnitaryChannel(ch.unitaries * np.exp(1j * theta)[:, None, None])
+    # the same channel: S agrees up to roundoff, so the ascent ends at the same pair
+    assert np.max(np.abs(rotated.superoperator - ch.superoperator)) <= 1e-15
+    want = alternating_max_lower_bound(ch, restarts=3, rng=RngStream(97))
+    got = alternating_max_lower_bound(rotated, restarts=3, rng=RngStream(97))
+    assert np.max(np.abs(got.phi - want.phi)) <= 1e-13
+    assert np.max(np.abs(got.psi - want.psi)) <= 1e-13
+    assert abs(got.value - want.value) <= 1e-15
+
+
 def test_sandwich_against_covering_net():
     net = build_delta_net(2, 0.3, RngStream(16))
     for trial, n in enumerate([16, 64]):

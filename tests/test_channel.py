@@ -19,6 +19,7 @@ from randomizer import (
     random_pure_state,
     sample_haar_unitaries,
 )
+from randomizer import haar
 
 
 def naive_apply(unitaries, rho):
@@ -58,6 +59,19 @@ def test_superoperator_matches_kron_sum(d, n):
     # regrouped to [(i, j), (k, l)], S is the Gram matrix of the vec(U_n): exactly Hermitian
     gram = ch.superoperator.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     assert np.array_equal(gram, np.conj(gram.T))
+
+
+@pytest.mark.parametrize("d", [1, 2, 16])
+def test_channel_does_not_depend_on_thread_count(d, monkeypatch):
+    per_tile = haar._TILE_ENTRIES // (d * d)
+    for n in (min(7, per_tile), 3 * per_tile, 2 * per_tile + 7):
+        channels = []
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RANDOMIZER_THREADS", threads)
+            channels.append(build_random_channel(d, n, RngStream(80 + d)))
+        for ch in channels[1:]:
+            assert np.array_equal(ch.unitaries, channels[0].unitaries)
+            assert np.array_equal(ch.superoperator, channels[0].superoperator)
 
 
 def test_build_dim_one():

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -144,6 +145,14 @@ def test_resolve_threads(monkeypatch):
     assert resolve_threads() >= 1
     with pytest.raises(InvalidParameter):
         resolve_threads(0)
+    # the default counts the cores this process may run on, not the machine's
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert resolve_threads() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 9}, raising=False)
+    assert resolve_threads() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)  # platforms without affinity
+    assert resolve_threads() == 64
 
 
 # ---------------------------------------------------------------------------

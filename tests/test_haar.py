@@ -11,14 +11,46 @@ from randomizer import (
     sample_haar_unitaries,
     unitarity_defect,
 )
-from randomizer import haar
+from randomizer import as_generator, haar, workers
 from randomizer.channel import random_pure_states
+from randomizer.linalg import qr_positive_stacked
+from randomizer.workers import parallel_map
 
 
 def einsum_defect(u):
     """Oracle: one untiled Gram stack, max|U†U - I|."""
     gram = np.einsum("...ki,...kj->...ij", np.conj(u), u)
     return float(np.max(np.abs(gram - np.eye(u.shape[-1]))))
+
+
+def whole_stack_haar(d, count, rng, plant=None):
+    """Oracle: the untiled sampler, one Box-Muller formula and one QR call over the whole stack.
+
+    ``plant`` may edit the first Ginibre draw in place before it is factored.
+    """
+    gen = as_generator(rng)
+
+    def ginibre(k):
+        u1 = 1.0 - gen.random((k, d, d))
+        u2 = gen.random((k, d, d))
+        return np.sqrt(-np.log(u1)) * np.exp(2j * np.pi * u2)
+
+    mats = ginibre(count)
+    if plant is not None:
+        plant(mats)
+    q, degenerate = qr_positive_stacked(mats)
+    for _ in range(10):
+        if not np.any(degenerate):
+            return q
+        idx = np.flatnonzero(degenerate)
+        q[idx], degenerate[idx] = qr_positive_stacked(ginibre(len(idx)))
+    raise AssertionError("oracle kept drawing degenerate matrices")
+
+
+def tiled_counts(d):
+    """Stack sizes of one tile, of exactly three tiles, and of two tiles plus a partial one."""
+    per_tile = haar._TILE_ENTRIES // (d * d)
+    return (min(7, per_tile), 3 * per_tile, 2 * per_tile + 7)
 
 
 def test_ginibre_shape_and_finiteness():
@@ -129,3 +161,68 @@ def test_complex_standard_normal_matches_one_line_formula(shape):
         want = np.sqrt(-np.log(u1)) * np.exp(2j * np.pi * u2)
         assert np.array_equal(haar.complex_standard_normal(gen, shape), want)
         assert np.array_equal(gen.random(3), oracle.random(3))  # same draws consumed
+
+
+@pytest.mark.parametrize("d", [1, 2, 16])
+def test_stacks_do_not_depend_on_thread_count(d, monkeypatch):
+    for count in tiled_counts(d):
+        want = whole_stack_haar(d, count, RngStream(30 + d, 4))
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("RANDOMIZER_THREADS", threads)
+            got = sample_haar_unitaries(d, count, RngStream(30 + d, 4))
+            assert np.array_equal(got, want), (count, threads)
+
+
+def test_planted_degenerate_draw_refills_alike(monkeypatch):
+    d = 16
+    per_tile = haar._TILE_ENTRIES // (d * d)
+    count, index = 2 * per_tile + 7, per_tile + 5  # the singular matrix sits in the middle tile
+
+    def make_singular(mats):
+        mats[index, :, 1] = mats[index, :, 0]
+
+    want = whole_stack_haar(d, count, RngStream(35), plant=make_singular)
+    clean = whole_stack_haar(d, count, RngStream(35))
+    real = haar.sample_ginibre
+    draws = []
+
+    def planted(d_, rng, count):
+        mats = real(d_, rng, count=count)
+        if not draws:
+            make_singular(mats)
+        draws.append(count)
+        return mats
+
+    monkeypatch.setattr(haar, "sample_ginibre", planted)
+    for threads in ("1", "2"):
+        draws.clear()
+        monkeypatch.setenv("RANDOMIZER_THREADS", threads)
+        got = sample_haar_unitaries(d, count, RngStream(35))
+        assert draws == [count, 1]  # one refill, of the planted matrix only
+        assert np.array_equal(got, want)
+    assert not np.array_equal(want[index], clean[index])
+    assert np.array_equal(np.delete(want, index, axis=0), np.delete(clean, index, axis=0))
+    assert unitarity_defect(want) <= 1e-10
+
+
+def test_sampling_inside_a_worker_starts_no_pool(monkeypatch):
+    monkeypatch.setenv("RANDOMIZER_THREADS", "2")
+    count = 3 * haar._TILE_ENTRIES // 256
+    want = [sample_haar_unitaries(16, count, RngStream(s)) for s in (1, 2, 3)]
+    real = workers.ThreadPoolExecutor
+    pools = []
+
+    def single_pool(*args, **kwargs):
+        if pools:
+            raise AssertionError("a second thread pool was started")
+        pools.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(workers, "ThreadPoolExecutor", single_pool)
+    got = parallel_map(lambda s: sample_haar_unitaries(16, count, RngStream(s)), (1, 2, 3),
+                       threads=2)
+    assert len(pools) == 1
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    # outside a worker the same stack does start a pool, so the check above is not vacuous
+    with pytest.raises(AssertionError, match="second thread pool"):
+        sample_haar_unitaries(16, count, RngStream(1))
