@@ -7,7 +7,6 @@ from .bounds import (
     failure_log_bound,
     min_N_for_success,
     required_N,
-    success_constant_ratio,
 )
 from .certify import (
     DeviationCertificate,
@@ -26,6 +25,7 @@ from .channel import (
     apply_channel,
     build_random_channel,
     build_weyl_channel,
+    channel_from_unitaries,
     deviation,
     maximally_mixed,
     pair_statistic,
@@ -72,7 +72,6 @@ from .linalg import (
     Tolerances,
     hermitian_part,
     operator_norm,
-    trace_norm,
 )
 from .netcover import (
     CoverageReport,
@@ -80,7 +79,6 @@ from .netcover import (
     audit_covering,
     build_delta_net,
     log_cardinality_bound,
-    trace_distance_pure,
 )
 
 __version__ = "0.1.0"

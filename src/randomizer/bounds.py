@@ -99,17 +99,3 @@ def min_N_for_success(d: int, epsilon: float,
     while n > 1 and failure_log_bound(d, epsilon, n - 1, consts) < 0.0:
         n -= 1
     return n
-
-
-def success_constant_ratio(d: int, epsilon: float,
-                           consts: BoundConstants = DEFAULT_CONSTANTS) -> float:
-    """Ratio min_N_for_success / (d / epsilon^2 * ln(1/epsilon)), for reporting.
-
-    This is the effective prefactor the failure bound demands at the given
-    (d, epsilon); it exceeds C = 150 at moderate epsilon and approaches its
-    limit only as epsilon -> 0.
-    """
-    d = _require_dim(d)
-    epsilon = _require_epsilon(epsilon)
-    scale = d / (epsilon * epsilon) * math.log(1.0 / epsilon)
-    return min_N_for_success(d, epsilon, consts) / scale

@@ -83,7 +83,8 @@ def net_supremum_B(ch: RandomUnitaryChannel, net: PureStateNet) -> NetSupremum:
     The statistic is not symmetric in (phi, psi), so all size^2 ordered pairs
     are scanned. With P the (size, d^2) matrix whose rows are vec|x><x|, the
     statistics of all pairs form the sandwich P S^T P†, evaluated in chunks of
-    phi rows so that one (chunk, size) block is the largest temporary.
+    phi rows so that one (chunk, size) block is the largest temporary. The
+    value returned is ``pair_statistic`` (the form x†Cx) at the maximizing pair.
     """
     if net.dim != ch.dim:
         raise DimensionMismatch(f"net dimension {net.dim} != channel dimension {ch.dim}")
@@ -111,8 +112,8 @@ def net_supremum_B(ch: RandomUnitaryChannel, net: PureStateNet) -> NetSupremum:
 
     phi = states[best_i]
     psi = states[best_j]
-    # re-evaluate through the canonical inner-product path so the reported B
-    # is definitionally |pair_statistic - 1/d| at the witness pair
+    # re-evaluate at the witness pair so the reported B is definitionally
+    # |pair_statistic - 1/d| there, whatever the rounding of the sandwich
     value = abs(pair_statistic(ch, phi, psi) - inv_d)
     return NetSupremum(value, phi, psi, best_i, best_j)
 

@@ -1,33 +1,34 @@
-"""Random unitary mixing channels R(rho) = (1/N) sum_i U_i rho U_i†.
+"""Random unitary mixing channels R(rho) = (1/N) sum_i U_i rho U_i†, held as one d^2 x d^2 matrix.
 
-A channel is computed through its d^2 x d^2 superoperator
-S = (1/N) sum_i U_i ⊗ conj(U_i), which maps the row-major vec of rho to the
-vec of R(rho). Forming S costs O(N d^4) once; afterwards every output costs
-O(d^4) instead of O(N d^2). That pays because the randomizing regime needs
-N >= C d / eps^2 ln(1/eps), far above d^2 at desk scale, while S itself has at
-most 65536 entries at d = 16. The raw ``(N, d, d)`` unitaries are kept too:
-``pair_statistic`` re-evaluates witnesses from them and persistence writes them.
+A channel is its matrix C = (1/N) sum_i vec(U_i) vec(U_i)†, indexed by
+row-major pairs (i, j): R depends on nothing else, and at the N >= d / eps^2
+the randomizing regime needs, C (65536 entries at d = 16) is far smaller than
+the stack (N d^2). Regrouping its pairs (i, j), (k, l) to (i, k), (j, l) gives
+the superoperator S = (1/N) sum_i U_i ⊗ conj(U_i), which maps the row-major
+vec of rho to the vec of R(rho) and drives ``apply_*``, the net scan and the
+ascent. The pair statistic is the form x†Cx with x = psi ⊗ conj(phi).
 
-S is formed from one real product ``x.T @ x``, where ``x`` views the
-``(N, d^2)`` complex stack as ``(N, 2 d^2)`` interleaved (Re, Im) reals.
-NumPy sends that product to a symmetric rank-k update, so no conjugated copy
-of the stack is made, and the Gram matrix sum_n vec(U_n) vec(U_n)† read off
-from it is exactly Hermitian. The constructor's unitarity check runs in tiles
-of ``_TILE_ENTRIES`` stack entries on the worker threads
-(``haar.unitarity_defect``): a single batched product over the whole stack
-would build a Gram stack as large as the stack itself, 64 MB at d = 16,
-N = 16000, only to take its maximum.
+A unitary stack lives only inside ``channel_from_unitaries``: a tiled
+unitarity check (``haar.unitarity_defect``), then C from one real product
+``x.T @ x`` over the stack viewed as ``(N, 2 d^2)`` interleaved (Re, Im)
+reals. NumPy sends that to a symmetric rank-k update: no copy of the stack,
+and C exactly Hermitian. The constructor validates C on every path, fresh or
+loaded: shape d^2 x d^2, finite, Hermitian, positive semidefinite, and both
+partial traces the identity (R preserves the trace and is unital). That is
+all any bound uses; it does not prove that C is a mixture of unitaries, which
+at d >= 3 a unital channel need not be.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDimension, InvalidMatrix, InvalidParameter
 from .haar import RngStream, as_generator, complex_standard_normal, sample_haar_unitaries, unitarity_defect
-from .linalg import TOL, hermitian_part, operator_norm, require_finite
+from .linalg import TOL, hermitian_eigenvalues, hermitian_part, max_abs, operator_norm, require_finite
 
 
 def maximally_mixed(d: int) -> np.ndarray:
@@ -76,56 +77,83 @@ def random_pure_states(d: int, count: int, rng) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RandomUnitaryChannel:
-    """Uniform mixture of unitary conjugations: raw unitaries (N, d, d) plus the superoperator.
+    """A channel given by its matrix C = (1/N) sum_i vec(U_i) vec(U_i)†, shape ``(d^2, d^2)``.
 
-    Equality is identity: comparing the unitary stacks elementwise has no truth value.
+    ``gram`` is C, validated and stored read-only; ``superoperator`` is S, the
+    same entries regrouped. ``provenance`` records where C came from and must
+    hold ``count``, the number N of unitaries. Build a channel from a unitary
+    stack with ``channel_from_unitaries``. Equality is identity.
     """
 
-    unitaries: np.ndarray
+    gram: np.ndarray
     provenance: dict = field(default_factory=dict)
     superoperator: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        u = require_finite(np.asarray(self.unitaries, dtype=complex), "unitary stack")
-        if u.ndim != 3 or u.shape[1] != u.shape[2] or u.shape[0] < 1 or u.shape[1] < 1:
-            raise InvalidDimension(f"expected a nonempty stack (N, d, d), got shape {u.shape}")
-        defect = unitarity_defect(u)
-        if defect > TOL.unitarity:
-            raise InvalidMatrix(f"stack contains a non-unitary matrix: max|U†U - I| = {defect:.3e}")
-        u = u.copy()
-        u.setflags(write=False)
-        object.__setattr__(self, "unitaries", u)
-        n, d = u.shape[0], u.shape[1]
-        # gram[(i, j), (k, l)] = sum_n U_n[i, j] conj(U_n[k, l]); S regroups it as [(i, k), (j, l)].
-        # x interleaves (Re, Im) columns, so g = x^T x holds every real cross product.
-        x = u.reshape(n, d * d).view(np.float64)
-        g = x.T @ x
-        gram = (g[0::2, 0::2] + g[1::2, 1::2]) + 1j * (g[1::2, 0::2] - g[0::2, 1::2])
-        gram /= n
-        sup = gram.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        c = require_finite(np.array(self.gram, dtype=complex), "channel matrix C")
+        d = math.isqrt(c.shape[0]) if c.ndim == 2 else 0
+        if d < 1 or c.shape != (d * d, d * d):
+            raise InvalidDimension(f"channel matrix C must be d^2 x d^2, got shape {c.shape}")
+        count = self.provenance.get("count")
+        if not isinstance(count, (int, np.integer)) or count < 1:
+            raise InvalidParameter(f"provenance must record a positive count N, got {count!r}")
+        lowest = hermitian_eigenvalues(c)[-1]  # also checks Hermiticity within TOL.hermiticity
+        if lowest < -TOL.unitarity:
+            raise InvalidMatrix(f"channel matrix C is not positive semidefinite: "
+                                f"smallest eigenvalue {lowest:.3e}")
+        blocks = c.reshape(d, d, d, d)
+        eye = np.eye(d)
+        for factor, partial in (("first", np.einsum("ijil->jl", blocks)),
+                                ("second", np.einsum("ijkj->ik", blocks))):
+            defect = max_abs(partial - eye)
+            if defect > TOL.unitarity:
+                raise InvalidMatrix(f"partial trace of C over its {factor} factor is not the "
+                                    f"identity: max deviation {defect:.3e}")
+        c.setflags(write=False)
+        object.__setattr__(self, "gram", c)
+        sup = blocks.transpose(0, 2, 1, 3).reshape(d * d, d * d)
         sup.setflags(write=False)
         object.__setattr__(self, "superoperator", sup)
 
     @property
     def dim(self) -> int:
-        return int(self.unitaries.shape[1])
+        return math.isqrt(self.gram.shape[0])
 
     @property
     def count(self) -> int:
-        return int(self.unitaries.shape[0])
+        return int(self.provenance["count"])
+
+
+def channel_from_unitaries(unitaries: np.ndarray, provenance: dict | None = None
+                           ) -> RandomUnitaryChannel:
+    """The channel of a stack ``(N, d, d)`` of unitaries; the stack is read, never copied or kept.
+
+    A non-finite entry or max|U†U - I| above ``TOL.unitarity`` raises InvalidMatrix.
+    """
+    u = np.asarray(unitaries, dtype=complex)
+    if u.ndim != 3 or u.shape[1] != u.shape[2] or u.shape[0] < 1 or u.shape[1] < 1:
+        raise InvalidDimension(f"expected a nonempty stack (N, d, d), got shape {u.shape}")
+    defect = unitarity_defect(u)
+    if not defect <= TOL.unitarity:  # a non-finite entry makes the defect NaN
+        raise InvalidMatrix(f"stack contains a non-unitary matrix: max|U†U - I| = {defect:.3e}")
+    n, d = u.shape[0], u.shape[1]
+    # gram[(i, j), (k, l)] = sum_n U_n[i, j] conj(U_n[k, l]).
+    # x interleaves (Re, Im) columns, so g = x^T x holds every real cross product.
+    x = u.reshape(n, d * d).view(np.float64)
+    g = x.T @ x
+    gram = (g[0::2, 0::2] + g[1::2, 1::2]) + 1j * (g[1::2, 0::2] - g[0::2, 1::2])
+    gram /= n
+    return RandomUnitaryChannel(gram, {**(provenance or {}), "dim": d, "count": n})
 
 
 def build_random_channel(d: int, n: int, seed: RngStream) -> RandomUnitaryChannel:
     """Channel from ``n`` independent Haar unitaries on U(d), reproducible per stream."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InvalidDimension(f"dimension must be a positive integer, got {d!r}")
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidDimension(f"count must be a positive integer, got {n!r}")
     stream = seed if isinstance(seed, RngStream) else RngStream(int(seed))
-    us = sample_haar_unitaries(int(d), int(n), stream)
-    prov = {"kind": "haar", "seed": stream.seed, "stream_id": stream.stream_id,
-            "dim": int(d), "count": int(n)}
-    return RandomUnitaryChannel(us, prov)
+    us = sample_haar_unitaries(d, int(n), stream)  # validates d
+    return channel_from_unitaries(us, {"kind": "haar", "seed": stream.seed,
+                                       "stream_id": stream.stream_id})
 
 
 def build_weyl_channel(d: int) -> RandomUnitaryChannel:
@@ -149,7 +177,7 @@ def build_weyl_channel(d: int) -> RandomUnitaryChannel:
             ops.append(xj @ zk)
             zk = zk @ clock
         xj = xj @ shift
-    return RandomUnitaryChannel(np.stack(ops), {"kind": "weyl", "dim": d, "count": d * d})
+    return channel_from_unitaries(np.stack(ops), {"kind": "weyl"})
 
 
 def _check_dim(ch: RandomUnitaryChannel, dim: int):
@@ -179,19 +207,19 @@ def apply_adjoint(ch: RandomUnitaryChannel, sigma: np.ndarray) -> np.ndarray:
 
 
 def pair_statistic(ch: RandomUnitaryChannel, phi: np.ndarray, psi: np.ndarray) -> float:
-    """(1/N) sum_i |<psi|U_i|phi>|^2, via inner products only.
+    """(1/N) sum_i |<psi|U_i|phi>|^2 = tr(R(|phi><phi|) |psi><psi|), as x†Cx with x = psi ⊗ conj(phi).
 
-    It equals tr(R(|phi><phi|) |psi><psi|) but reads the raw unitaries, not S,
-    so it is the independent path on which certified values are re-evaluated
-    at their witness pair.
+    One d^2 x d^2 matrix-vector product, whatever N is. Certificates report
+    their values through it at the witness pair, so a value can be checked
+    again from the pair and the channel alone.
     """
     phi = np.asarray(phi, dtype=complex)
     psi = np.asarray(psi, dtype=complex)
     if phi.shape != psi.shape:
         raise DimensionMismatch(f"state shapes differ: {phi.shape} vs {psi.shape}")
     _check_dim(ch, phi.shape[0])
-    amps = (ch.unitaries @ phi) @ np.conj(psi)
-    return float(np.mean(np.abs(amps) ** 2))
+    x = np.outer(psi, np.conj(phi)).reshape(-1)
+    return float(np.vdot(x, ch.gram @ x).real)
 
 
 def deviation(ch: RandomUnitaryChannel, phi: np.ndarray) -> float:

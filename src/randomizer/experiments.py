@@ -20,7 +20,7 @@ from .workers import parallel_map, resolve_threads  # resolve_threads: cli impor
 
 _TRIAL_CHUNK = 2000
 
-CHANNEL_SCHEMA = "ruc-1"
+CHANNEL_SCHEMA = "ruc-2"
 NET_PROVENANCE = ("seed", "stream_id", "stop_k", "max_states", "candidates", "rejections",
                   "stopped_by")
 CONCENTRATION_CSV_COLUMNS = ("d", "N", "delta", "trials", "empirical_tail",
@@ -219,7 +219,7 @@ def _pairs_to_complex(data, expected_ndim: int, what: str) -> np.ndarray:
         raise ParseError(f"{what}: entries are not [re, im] pairs") from exc
     if arr.ndim != expected_ndim + 1 or arr.shape[-1] != 2:
         raise ParseError(f"{what}: expected [re, im] pairs, got shape {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
+    return arr.view(complex)[..., 0]  # bit for bit, signed zeros included
 
 
 def _number(payload: dict, key: str, kind, path: str):
@@ -249,13 +249,13 @@ def save_channel(path: str, ch: RandomUnitaryChannel) -> None:
         "seed": ch.provenance.get("seed"),
         "stream_id": ch.provenance.get("stream_id"),
         "kind": ch.provenance.get("kind", "unknown"),
-        "unitaries": _complex_to_pairs(ch.unitaries),
+        "gram": _complex_to_pairs(ch.gram),
     }
     _write_json(path, payload)
 
 
 def load_channel(path: str) -> RandomUnitaryChannel:
-    """Load and re-validate a channel; unitarity violations raise InvalidMatrix."""
+    """Load a channel and re-validate its matrix C; a C that is no channel raises InvalidMatrix."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
@@ -263,16 +263,16 @@ def load_channel(path: str) -> RandomUnitaryChannel:
         raise ParseError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict) or payload.get("schema") != CHANNEL_SCHEMA:
         raise ParseError(f"{path}: missing or unsupported schema (want {CHANNEL_SCHEMA!r})")
-    for key in ("dim", "count", "unitaries"):
+    for key in ("dim", "count", "gram"):
         if key not in payload:
             raise ParseError(f"{path}: missing key {key!r}")
-    us = _pairs_to_complex(payload["unitaries"], 3, f"{path}: unitaries")
+    gram = _pairs_to_complex(payload["gram"], 2, f"{path}: gram")
     d, n = _number(payload, "dim", int, path), _number(payload, "count", int, path)
-    if us.shape != (n, d, d):
-        raise ParseError(f"{path}: unitaries shape {us.shape} != ({n}, {d}, {d})")
+    if d < 1 or gram.shape != (d * d, d * d):
+        raise ParseError(f"{path}: gram shape {gram.shape} != ({d * d}, {d * d}) for dim {d}")
     prov = {"kind": payload.get("kind", "unknown"), "seed": payload.get("seed"),
             "stream_id": payload.get("stream_id"), "dim": d, "count": n}
-    return RandomUnitaryChannel(us, prov)
+    return RandomUnitaryChannel(gram, prov)
 
 
 def save_net(path: str, net: PureStateNet) -> None:

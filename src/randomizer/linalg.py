@@ -1,4 +1,4 @@
-"""Dense complex linear algebra: Hermitian spectra, the two matrix norms, phase-fixed QR.
+"""Dense complex linear algebra: Hermitian spectra, the operator norm, phase-fixed QR.
 
 Everything operates on plain ``numpy`` arrays with ``complex128`` entries.
 Matrices may be stacked along leading axes where noted.
@@ -71,12 +71,6 @@ def operator_norm(h: np.ndarray) -> float:
     """max_i |lambda_i| for Hermitian H."""
     values = hermitian_eigenvalues(h)
     return float(np.max(np.abs(values))) if values.size else 0.0
-
-
-def trace_norm(h: np.ndarray) -> float:
-    """sum_i |lambda_i| for Hermitian H."""
-    values = hermitian_eigenvalues(h)
-    return float(np.sum(np.abs(values)))
 
 
 def qr_positive_stacked(mats: np.ndarray, rank_tol: float = TOL.rank_deficiency):

@@ -28,29 +28,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import random_pure_states
-from .errors import DimensionMismatch, InvalidDimension, InvalidParameter, NetInfeasible
+from .errors import InvalidDimension, InvalidParameter, NetInfeasible
 from .haar import RngStream, as_generator
 from .linalg import TOL, require_finite
 
 _SIZE_CEILING = 10_000_000  # desk-scale memory ceiling on materialized nets
 _CANDIDATE_BATCH = 512
 _TILE_ENTRIES = 1 << 17  # one 1 MB float block of overlaps, small enough to stay in L2
-
-
-def trace_distance_pure(x: np.ndarray, y: np.ndarray) -> float:
-    """Trace-norm distance between rank-1 projectors: 2 sqrt(1 - |<x|y>|^2).
-
-    Closed form for the rank-<=2 difference, phase invariant by construction.
-    Evaluated through the component of y orthogonal to x, which keeps full
-    precision near coincident states where 1 - |<x|y>|^2 cancels.
-    """
-    x = np.asarray(x, dtype=complex)
-    y = np.asarray(y, dtype=complex)
-    if x.shape != y.shape:
-        raise DimensionMismatch(f"state shapes differ: {x.shape} vs {y.shape}")
-    overlap = np.vdot(x, y)
-    perp = float(np.linalg.norm(y - overlap * x))  # |y_perp|^2 = 1 - |<x|y>|^2 for unit x, y
-    return 2.0 * min(1.0, perp)
 
 
 def log_cardinality_bound(d: int, delta: float) -> float:

@@ -6,6 +6,7 @@ import numpy as np
 
 from randomizer import RngStream, as_generator
 from randomizer.haar import complex_standard_normal
+from randomizer.linalg import hermitian_eigenvalues
 
 
 def random_hermitian(d: int, rng, scale: float = 1.0) -> np.ndarray:
@@ -26,6 +27,11 @@ def random_unit_vector(d: int, rng) -> np.ndarray:
     gen = as_generator(rng)
     v = complex_standard_normal(gen, (d,))
     return v / np.linalg.norm(v)
+
+
+def trace_norm(h: np.ndarray) -> float:
+    """Oracle: sum_i |lambda_i| for Hermitian H."""
+    return float(np.sum(np.abs(hermitian_eigenvalues(h))))
 
 
 def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:

@@ -11,8 +11,12 @@ from randomizer import (
     failure_log_bound,
     min_N_for_success,
     required_N,
-    success_constant_ratio,
 )
+
+
+def success_constant_ratio(d: int, epsilon: float) -> float:
+    """The prefactor min_N_for_success / (d / epsilon^2 * ln(1/epsilon)) demands."""
+    return min_N_for_success(d, epsilon) / (d / (epsilon * epsilon) * math.log(1.0 / epsilon))
 
 
 def test_default_constants():
@@ -105,7 +109,7 @@ def test_min_n_monotone_in_dimension():
 
 def test_success_constant_ratio_reported():
     # the effective prefactor at moderate epsilon sits far above C = 150 and
-    # decreases toward small epsilon; desk users read it off this helper
+    # decreases toward small epsilon
     r_mid = success_constant_ratio(10_000, 0.5)
     r_small = success_constant_ratio(10_000, 0.01)
     assert r_mid > 150.0

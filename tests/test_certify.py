@@ -7,7 +7,6 @@ from randomizer import (
     DimensionMismatch,
     InvalidParameter,
     PureStateNet,
-    RandomUnitaryChannel,
     RngStream,
     Verdict,
     alternating_max_lower_bound,
@@ -15,11 +14,13 @@ from randomizer import (
     build_random_channel,
     build_weyl_channel,
     certified_upper_bound_A,
+    channel_from_unitaries,
     default_net_delta,
     net_supremum_B,
     pair_statistic,
     random_pure_state,
     random_pure_states,
+    sample_haar_unitaries,
     verdict,
 )
 from randomizer.certify import _ascend
@@ -150,7 +151,7 @@ def test_alternating_single_unitary(d):
     result = alternating_max_lower_bound(ch, restarts=4, rng=RngStream(20 + d))
     assert result.value == pytest.approx(1.0 - 1.0 / d, abs=1e-9)
     # the witness pair is aligned: psi = U phi up to phase
-    transported = ch.unitaries[0] @ result.phi
+    transported = sample_haar_unitaries(d, 1, RngStream(10 + d))[0] @ result.phi
     assert abs(abs(np.vdot(result.psi, transported)) - 1.0) <= 1e-9
 
 
@@ -201,7 +202,8 @@ def test_witness_phase_ignores_eigensolver_phase(d, n, monkeypatch):
 def test_witnesses_ignore_phases_of_the_unitaries(d, n):
     ch = build_random_channel(d, n, RngStream(95 + d))
     theta = 2.0 * np.pi * RngStream(96).generator().random(n)
-    rotated = RandomUnitaryChannel(ch.unitaries * np.exp(1j * theta)[:, None, None])
+    us = sample_haar_unitaries(d, n, RngStream(95 + d))
+    rotated = channel_from_unitaries(us * np.exp(1j * theta)[:, None, None])
     # the same channel: S agrees up to roundoff, so the ascent ends at the same pair
     assert np.max(np.abs(rotated.superoperator - ch.superoperator)) <= 1e-15
     want = alternating_max_lower_bound(ch, restarts=3, rng=RngStream(97))
@@ -248,7 +250,7 @@ def test_verdict_witness_beats_undercovering_net():
     # shift channel with a single net state whose statistic sits exactly at 1/d:
     # the lifted bound alone would certify, but the witness proves otherwise
     shift = np.array([[0, 1], [1, 0]], dtype=complex)
-    ch = RandomUnitaryChannel(shift[None, :, :])
+    ch = channel_from_unitaries(shift[None, :, :])
     t = np.pi / 8.0
     x = np.array([np.cos(t), np.sin(t)], dtype=complex)  # |<x|X|x>|^2 = 1/2
     net = PureStateNet(2, default_net_delta(0.5), x[None, :])

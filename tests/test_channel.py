@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density, stream
 from randomizer import (
     DimensionMismatch,
     InvalidDimension,
+    InvalidMatrix,
+    InvalidParameter,
     RandomUnitaryChannel,
     RngStream,
     apply_adjoint,
     apply_channel,
     build_random_channel,
     build_weyl_channel,
+    channel_from_unitaries,
     deviation,
     maximally_mixed,
     operator_norm,
@@ -20,6 +25,17 @@ from randomizer import (
     sample_haar_unitaries,
 )
 from randomizer import haar
+
+
+def haar_stack(d, n, seed):
+    """Oracle stack: the unitaries build_random_channel(d, n, RngStream(seed)) samples."""
+    return sample_haar_unitaries(d, n, RngStream(seed))
+
+
+def stack_gram(unitaries):
+    """Oracle C: (1/N) sum_n vec(U_n) vec(U_n)† as a sum of outer products."""
+    vecs = [u.reshape(-1) for u in unitaries]
+    return sum(np.outer(v, np.conj(v)) for v in vecs) / len(vecs)
 
 
 def naive_apply(unitaries, rho):
@@ -47,17 +63,21 @@ def basis_state(d, k=0):
 def test_build_reproducible():
     a = build_random_channel(2, 3, RngStream(5))
     b = build_random_channel(2, 3, RngStream(5))
-    assert np.array_equal(a.unitaries, b.unitaries)
+    assert np.array_equal(a.gram, b.gram)
+    assert np.array_equal(a.superoperator, b.superoperator)
     assert a.provenance["seed"] == 5
 
 
 @pytest.mark.parametrize("d, n", [(1, 5), (2, 40), (3, 17), (16, 30)])
 def test_superoperator_matches_kron_sum(d, n):
     ch = build_random_channel(d, n, RngStream(60 + d))
-    want = sum(np.kron(u, np.conj(u)) for u in ch.unitaries) / n
+    us = haar_stack(d, n, 60 + d)
+    want = sum(np.kron(u, np.conj(u)) for u in us) / n
     assert np.max(np.abs(ch.superoperator - want)) <= 1e-14
-    # regrouped to [(i, j), (k, l)], S is the Gram matrix of the vec(U_n): exactly Hermitian
+    assert np.max(np.abs(ch.gram - stack_gram(us))) <= 1e-14
+    # regrouped to [(i, j), (k, l)], S is C, the Gram matrix of the vec(U_n): exactly Hermitian
     gram = ch.superoperator.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    assert np.array_equal(gram, ch.gram)
     assert np.array_equal(gram, np.conj(gram.T))
 
 
@@ -70,20 +90,24 @@ def test_channel_does_not_depend_on_thread_count(d, monkeypatch):
             monkeypatch.setenv("RANDOMIZER_THREADS", threads)
             channels.append(build_random_channel(d, n, RngStream(80 + d)))
         for ch in channels[1:]:
-            assert np.array_equal(ch.unitaries, channels[0].unitaries)
+            assert np.array_equal(ch.gram, channels[0].gram)
             assert np.array_equal(ch.superoperator, channels[0].superoperator)
 
 
 def test_build_dim_one():
+    # every U(1) element is a phase, so C = mean |u|^2 = 1
     ch = build_random_channel(1, 5, RngStream(6))
     assert ch.count == 5
-    assert np.allclose(np.abs(ch.unitaries), 1.0, atol=1e-12)
+    assert np.allclose(ch.gram, [[1.0]], atol=1e-12)
 
 
 def test_build_contract_and_errors():
     ch = build_random_channel(4, 16, RngStream(7))
     from randomizer import unitarity_defect
-    assert unitarity_defect(ch.unitaries) <= 1e-10
+    assert unitarity_defect(haar_stack(4, 16, 7)) <= 1e-10
+    assert ch.dim == 4 and ch.count == 16 and ch.gram.shape == (16, 16)
+    assert ch.provenance == {"kind": "haar", "seed": 7, "stream_id": 0, "dim": 4, "count": 16}
+    assert not ch.gram.flags.writeable and not ch.superoperator.flags.writeable
     with pytest.raises(InvalidDimension):
         build_random_channel(0, 3, RngStream(0))
     with pytest.raises(InvalidDimension):
@@ -93,7 +117,7 @@ def test_build_contract_and_errors():
 def test_weyl_dim_one_and_two():
     w1 = build_weyl_channel(1)
     assert w1.count == 1
-    assert np.allclose(w1.unitaries[0], [[1.0]])
+    assert np.allclose(w1.gram, [[1.0]])
 
     w2 = build_weyl_channel(2)
     eye = np.eye(2)
@@ -101,14 +125,18 @@ def test_weyl_dim_one_and_two():
     z = np.diag([1.0, -1.0]).astype(complex)
     expected = [eye, z, x, x @ z]
     assert w2.count == 4
-    for got, want in zip(w2.unitaries, expected):
-        assert np.allclose(got, want, atol=1e-14)
+    assert np.max(np.abs(w2.gram - stack_gram(expected))) <= 1e-15
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_weyl_randomizes_exactly(d):
     w = build_weyl_channel(d)
-    out = naive_apply(w.unitaries, pure_projector(basis_state(d)))
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    ops = [np.linalg.matrix_power(shift, j) @ np.linalg.matrix_power(clock, k)
+           for j in range(d) for k in range(d)]
+    assert np.max(np.abs(w.gram - stack_gram(ops))) <= 1e-12
+    out = naive_apply(ops, pure_projector(basis_state(d)))
     assert np.max(np.abs(out - np.eye(d) / d)) <= 1e-12
     out2 = apply_channel(w, random_density(d, stream(50, d)))
     assert np.max(np.abs(out2 - np.eye(d) / d)) <= 1e-12
@@ -118,7 +146,7 @@ def test_weyl_randomizes_exactly(d):
 
 
 def test_apply_identity_channel():
-    ch = RandomUnitaryChannel(np.eye(3, dtype=complex)[None, :, :])
+    ch = channel_from_unitaries(np.eye(3, dtype=complex)[None, :, :])
     rho = random_density(3, stream(51))
     assert np.max(np.abs(apply_channel(ch, rho) - rho)) <= 1e-14
     assert np.max(np.abs(apply_adjoint(ch, rho) - rho)) <= 1e-14
@@ -127,13 +155,14 @@ def test_apply_identity_channel():
 def test_apply_matches_naive_oracle():
     ch = build_random_channel(4, 7, RngStream(52))
     rho = random_density(4, stream(53))
-    assert np.max(np.abs(apply_channel(ch, rho) - naive_apply(ch.unitaries, rho))) <= 1e-13
+    assert np.max(np.abs(apply_channel(ch, rho) - naive_apply(haar_stack(4, 7, 52), rho))) <= 1e-13
 
 
 def test_apply_adjoint_matches_naive_oracle():
     ch = build_random_channel(4, 7, RngStream(78))
     sigma = random_density(4, stream(79))
-    assert np.max(np.abs(apply_adjoint(ch, sigma) - naive_adjoint(ch.unitaries, sigma))) <= 1e-13
+    want = naive_adjoint(haar_stack(4, 7, 78), sigma)
+    assert np.max(np.abs(apply_adjoint(ch, sigma) - want)) <= 1e-13
 
 
 def test_apply_preserves_trace_and_positivity():
@@ -158,7 +187,7 @@ def test_adjoint_duality():
 
 
 def test_pair_statistic_trivia():
-    ch = RandomUnitaryChannel(np.eye(2, dtype=complex)[None, :, :])
+    ch = channel_from_unitaries(np.eye(2, dtype=complex)[None, :, :])
     e0, e1 = basis_state(2, 0), basis_state(2, 1)
     assert pair_statistic(ch, e0, e0) == pytest.approx(1.0, abs=1e-15)
     assert pair_statistic(ch, e0, e1) == pytest.approx(0.0, abs=1e-15)
@@ -181,11 +210,41 @@ def test_pair_statistic_equals_trace_path():
         assert abs(pair_statistic(ch, phi, psi) - via_trace) <= 1e-11
 
 
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([1, 2, 3, 16]), n=st.integers(1, 40), seed=st.integers(0, 2**32))
+def test_pair_statistic_matches_stack_oracle(d, n, seed):
+    # x†Cx with x = psi ⊗ conj(phi) against the mean of |<psi|U_i|phi>|^2 over the stack
+    ch = build_random_channel(d, n, RngStream(seed))
+    us = haar_stack(d, n, seed)
+    for trial in range(3):
+        phi = random_pure_state(d, stream(seed, 1, trial))
+        psi = random_pure_state(d, stream(seed, 2, trial))
+        want = float(np.mean(np.abs((us @ phi) @ np.conj(psi)) ** 2))
+        assert abs(pair_statistic(ch, phi, psi) - want) <= 1e-13
+
+
+def test_channel_matrix_contract():
+    ch = build_random_channel(3, 5, RngStream(81))
+    c = np.array(ch.gram)
+    again = RandomUnitaryChannel(c, ch.provenance)
+    assert np.array_equal(again.superoperator, ch.superoperator)
+    c[0, 0] = 7.0  # the channel keeps its own validated copy of C
+    assert np.array_equal(again.gram, ch.gram)
+    for provenance in ({}, {"count": 0}, {"count": "5"}):
+        with pytest.raises(InvalidParameter):
+            RandomUnitaryChannel(ch.gram, provenance)
+    for bad in (np.ones(9), np.ones((9, 8)), np.eye(8)):  # C must be d^2 x d^2
+        with pytest.raises(InvalidDimension):
+            RandomUnitaryChannel(bad, {"count": 1})
+    with pytest.raises(InvalidMatrix):
+        channel_from_unitaries(np.ones((2, 2, 2)))
+
+
 def test_pure_output_matches_apply():
     # on a pure input R(|phi><phi|) is (1/N) sum_i |U_i phi><U_i phi|
     ch = build_random_channel(5, 4, RngStream(63))
     phi = random_pure_state(5, stream(64))
-    w = ch.unitaries @ phi
+    w = haar_stack(5, 4, 63) @ phi
     via_vectors = w.T @ np.conj(w) / ch.count
     assert np.max(np.abs(via_vectors - apply_channel(ch, pure_projector(phi)))) <= 1e-13
 
@@ -247,7 +306,7 @@ def test_haar_one_design():
     assert abs(float(np.mean(values)) - 1.0 / d) <= 3.0 * sigma / np.sqrt(m)
     # spot-check the batch against the per-channel statistic path
     for k in range(25):
-        ch = RandomUnitaryChannel(us[k:k + 1])
+        ch = channel_from_unitaries(us[k:k + 1])
         assert abs(pair_statistic(ch, phi, psi) - values[k]) <= 1e-13
 
 

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from randomizer import load_channel, load_net
+from randomizer import RngStream, build_random_channel, load_channel, load_net
+from randomizer import cli
 from randomizer.cli import run
 
 
@@ -32,8 +33,32 @@ def test_sample_channel_roundtrip(tmp_path, capsys):
     assert "seed=7" in summary
     ch = load_channel(out)
     assert ch.dim == 4 and ch.count == 16
-    from randomizer import unitarity_defect
-    assert unitarity_defect(ch.unitaries) <= 1e-10
+    assert np.array_equal(ch.gram, build_random_channel(4, 16, RngStream(7)).gram)
+
+
+def test_parser_is_shared_and_commands_do_not_leak(tmp_path, capsys):
+    assert cli._parser() is cli._parser()
+    assert run(["sample-channel", "--dim", "2", "--count", "3", "--seed", "7",
+                "--out", str(tmp_path / "ch.json")]) == 0
+    assert run(["bounds", "--dim", "3", "--epsilon", "0.5", "--constant-C", "300"]) == 0
+    capsys.readouterr()
+    # neither the seed of sample-channel nor the constant of the first bounds call carries over
+    assert run(["net", "--dim", "2", "--delta", "1.5", "--out", str(tmp_path / "net.json")]) == 0
+    assert "seed=7 " not in capsys.readouterr().out
+    assert run(["bounds", "--dim", "2", "--epsilon", "0.5"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["d"] == 2 and payload["C"] == 150.0 and payload["required_N"] == 832
+
+
+def test_verify_ruc1_channel_exits_two(tmp_path, capsys):
+    ch_path = tmp_path / "ch.json"
+    ch_path.write_text(json.dumps({"schema": "ruc-1", "dim": 1, "count": 1, "seed": 3,
+                                   "stream_id": 0, "kind": "haar",
+                                   "unitaries": [[[[1.0, 0.0]]]]}))
+    assert run(["verify", "--channel", str(ch_path), "--epsilon", "0.5", "--seed", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "unsupported schema" in err
+    assert "Traceback" not in err
 
 
 def test_sample_channel_byte_identical(tmp_path):

@@ -14,6 +14,8 @@ from randomizer import (
     build_delta_net,
     build_random_channel,
     build_weyl_channel,
+    certificate_to_dict,
+    channel_from_unitaries,
     load_channel,
     load_net,
     pair_statistic,
@@ -28,7 +30,6 @@ from randomizer import (
 )
 from randomizer.experiments import parallel_map, resolve_threads
 from randomizer.haar import sample_haar_unitaries
-from randomizer.channel import RandomUnitaryChannel
 
 
 def e_k(d, k=0):
@@ -60,7 +61,7 @@ def test_concentration_matches_per_channel_statistic():
     us = sample_haar_unitaries(d, trials * n, RngStream(3)).reshape(trials, n, d, d)
     stats = []
     for k in range(trials):
-        ch = RandomUnitaryChannel(us[k])
+        ch = channel_from_unitaries(us[k])
         stats.append(pair_statistic(ch, e_k(d), e_k(d)))
     stats = np.asarray(stats)
     assert rep.stat_mean == pytest.approx(float(np.mean(stats)), abs=1e-12)
@@ -164,9 +165,25 @@ def test_channel_round_trip(tmp_path):
     path = tmp_path / "ch.json"
     save_channel(path, ch)
     loaded = load_channel(path)
-    assert np.array_equal(loaded.unitaries, ch.unitaries)
+    assert np.array_equal(loaded.gram, ch.gram)
+    assert np.array_equal(loaded.superoperator, ch.superoperator)
+    assert loaded.gram.tobytes() == ch.gram.tobytes()
     assert loaded.dim == 3 and loaded.count == 4
-    assert loaded.provenance["seed"] == 9
+    assert loaded.provenance == ch.provenance
+    assert set(json.loads(path.read_text())) == {"schema", "dim", "count", "seed", "stream_id",
+                                                 "kind", "gram"}
+
+
+def test_verify_on_reloaded_channel_matches_in_memory(tmp_path):
+    ch = build_random_channel(2, 64, RngStream(20))
+    path = tmp_path / "ch.json"
+    save_channel(path, ch)
+    net = build_delta_net(2, 0.3, RngStream(21))
+    certs = [certificate_to_dict(verdict(c, 0.5, net, restarts=4, rng=RngStream(22)))
+             for c in (ch, load_channel(path))]
+    for cert in certs:
+        cert.pop("timings")
+    assert certs[0] == certs[1]
 
 
 def test_channel_truncated_file(tmp_path):
@@ -181,20 +198,58 @@ def test_channel_truncated_file(tmp_path):
 
 def test_channel_wrong_schema(tmp_path):
     path = tmp_path / "ch.json"
-    path.write_text(json.dumps({"schema": "ruc-2", "dim": 1, "count": 1, "unitaries": []}))
-    with pytest.raises(ParseError):
-        load_channel(path)
+    for schema in ("ruc-1", "ruc-3", None):
+        path.write_text(json.dumps({"schema": schema, "dim": 1, "count": 1,
+                                    "unitaries": [[[[1.0, 0.0]]]], "gram": [[[1.0, 0.0]]]}))
+        with pytest.raises(ParseError, match="unsupported schema"):
+            load_channel(path)
 
 
-def test_channel_non_unitary_rejected(tmp_path):
+def _pairs(c):
+    return np.stack([c.real, c.imag], axis=-1).tolist()
+
+
+def _kraus_gram(ops):
+    """sum_k vec(K_k) vec(K_k)†, the matrix C of the map rho -> sum_k K_k rho K_k†."""
+    return sum(np.outer(k.reshape(-1), np.conj(k.reshape(-1))) for k in ops)
+
+
+def test_channel_tampered_gram_rejected(tmp_path):
     ch = build_random_channel(2, 2, RngStream(11))
     path = tmp_path / "ch.json"
     save_channel(path, ch)
-    payload = json.loads(path.read_text())
-    payload["unitaries"][0][0][0] = [1.7, 0.0]
-    path.write_text(json.dumps(payload))
-    with pytest.raises(InvalidMatrix):
-        load_channel(path)
+    saved = json.loads(path.read_text())
+    reset = [np.array([[1, 0], [0, 0]], dtype=complex), np.array([[0, 1], [0, 0]], dtype=complex)]
+
+    def entry(row, col, pair):
+        def tamper(gram):
+            gram[row][col] = pair
+            return gram
+        return tamper
+
+    cases = [
+        # one entry of a conjugate pair moved: C is not Hermitian
+        (entry(0, 1, [saved["gram"][0][1][0] + 1e-6, saved["gram"][0][1][1]]), "not Hermitian"),
+        # a diagonal entry moved: trace no longer d, both partial traces broken
+        (entry(0, 0, [saved["gram"][0][0][0] + 0.1, 0.0]), "partial trace"),
+        # the transpose map: Hermitian, trace preserving and unital, eigenvalue -1
+        (lambda gram: _pairs(np.eye(4, dtype=complex)[[0, 2, 1, 3]]), "positive semidefinite"),
+        # reset to |0>: trace preserving, not unital; its adjoint: unital, not trace preserving
+        (lambda gram: _pairs(_kraus_gram(reset)), "partial trace of C over its second"),
+        (lambda gram: _pairs(_kraus_gram([np.conj(k.T) for k in reset])),
+         "partial trace of C over its first"),
+        (entry(1, 2, [float("nan"), 0.0]), "non-finite"),
+    ]
+    for tamper, message in cases:
+        payload = json.loads(json.dumps(saved))
+        payload["gram"] = tamper(payload["gram"])
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InvalidMatrix, match=message):
+            load_channel(path)
+    for gram in (saved["gram"][:3], [row[:3] for row in saved["gram"][:3]]):  # not 4 x 4
+        path.write_text(json.dumps({**saved, "gram": gram}))
+        with pytest.raises(ParseError, match="gram shape"):
+            load_channel(path)
 
 
 def test_net_round_trip(tmp_path):

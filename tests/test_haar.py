@@ -5,8 +5,8 @@ from conftest import two_sample_ks
 from randomizer import (
     InvalidDimension,
     InvalidMatrix,
-    RandomUnitaryChannel,
     RngStream,
+    channel_from_unitaries,
     sample_ginibre,
     sample_haar_unitaries,
     unitarity_defect,
@@ -147,9 +147,9 @@ def test_unitarity_defect_matches_untiled_oracle(d):
         nan_stack[index, 0, 0] = np.nan
         assert np.isnan(unitarity_defect(nan_stack))
         with pytest.raises(InvalidMatrix):
-            RandomUnitaryChannel(nan_stack)
+            channel_from_unitaries(nan_stack)
         with pytest.raises(InvalidMatrix):
-            RandomUnitaryChannel(bad)
+            channel_from_unitaries(bad)
 
 
 @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (40, 4, 4), (2, 3, 1)])

@@ -2,14 +2,13 @@ import numpy as np
 import pytest
 
 import randomizer.haar
-from conftest import random_hermitian, random_unit_vector, stream
+from conftest import random_hermitian, random_unit_vector, stream, trace_norm
 from randomizer import (
     InvalidMatrix,
     NumericalFailure,
-    RandomUnitaryChannel,
+    channel_from_unitaries,
     operator_norm,
     sample_haar_unitaries,
-    trace_norm,
 )
 from randomizer.certify import _extreme_eigvec
 from randomizer.linalg import hermitian_eigenvalues, qr_positive_stacked
@@ -143,7 +142,7 @@ def test_non_finite_rejected():
     with pytest.raises(InvalidMatrix):
         operator_norm(bad)
     with pytest.raises(InvalidMatrix):
-        RandomUnitaryChannel(bad[None, :, :])
+        channel_from_unitaries(bad[None, :, :])
 
 
 def test_non_hermitian_rejected():

@@ -7,8 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import stream
+from conftest import stream, trace_norm
 from randomizer import (
+    DimensionMismatch,
     InvalidParameter,
     NetInfeasible,
     PureStateNet,
@@ -18,12 +19,25 @@ from randomizer import (
     log_cardinality_bound,
     random_pure_state,
     random_pure_states,
-    trace_distance_pure,
-    trace_norm,
     pure_projector,
 )
 from randomizer.haar import as_generator
 from randomizer.netcover import _CANDIDATE_BATCH, _bloch_features, _overlap_threshold
+
+
+def trace_distance_pure(x: np.ndarray, y: np.ndarray) -> float:
+    """Oracle: trace-norm distance between rank-1 projectors, 2 sqrt(1 - |<x|y>|^2).
+
+    Evaluated through the component of y orthogonal to x, which keeps full
+    precision near coincident states where 1 - |<x|y>|^2 cancels.
+    """
+    x = np.asarray(x, dtype=complex)
+    y = np.asarray(y, dtype=complex)
+    if x.shape != y.shape:
+        raise DimensionMismatch(f"state shapes differ: {x.shape} vs {y.shape}")
+    overlap = np.vdot(x, y)
+    perp = float(np.linalg.norm(y - overlap * x))  # |y_perp|^2 = 1 - |<x|y>|^2 for unit x, y
+    return 2.0 * min(1.0, perp)
 
 
 def test_trace_distance_trivia():
