@@ -8,15 +8,19 @@ the superoperator S = (1/N) sum_i U_i ⊗ conj(U_i), which maps the row-major
 vec of rho to the vec of R(rho) and drives ``apply_*``, the net scan and the
 ascent. The pair statistic is the form x†Cx with x = psi ⊗ conj(phi).
 
-A unitary stack lives only inside ``channel_from_unitaries``: a tiled
-unitarity check (``haar.unitarity_defect``), then C from one real product
-``x.T @ x`` over the stack viewed as ``(N, 2 d^2)`` interleaved (Re, Im)
-reals. NumPy sends that to a symmetric rank-k update: no copy of the stack,
-and C exactly Hermitian. The constructor validates C on every path, fresh or
-loaded: shape d^2 x d^2, finite, Hermitian, positive semidefinite, and both
-partial traces the identity (R preserves the trace and is unital). That is
-all any bound uses; it does not prove that C is a mixture of unitaries, which
-at d >= 3 a unital channel need not be.
+A unitary stack lives only inside ``channel_from_unitaries``, which folds it
+in fixed blocks of ``_GRAM_BLOCK_ENTRIES`` stack entries (whole rows) on the
+package's worker threads. Each block runs the tiled unitarity check
+(``haar.unitarity_defect``) and its real product ``x.T @ x`` over the block
+viewed as ``(rows, 2 d^2)`` interleaved (Re, Im) reals; NumPy sends that to a
+symmetric rank-k update, with no copy of the stack. The partial products are
+summed in block order, and block boundaries depend only on the stack's shape,
+so C is bit for bit the same for every thread count. C is exactly Hermitian
+whatever the number of blocks. The constructor validates C on every path,
+fresh or loaded: shape d^2 x d^2, finite, Hermitian, positive semidefinite,
+and both partial traces the identity (R preserves the trace and is unital).
+That is all any bound uses; it does not prove that C is a mixture of
+unitaries, which at d >= 3 a unital channel need not be.
 """
 
 from __future__ import annotations
@@ -29,6 +33,13 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidDimension, InvalidMatrix, InvalidParameter
 from .haar import RngStream, as_generator, complex_standard_normal, sample_haar_unitaries, unitarity_defect
 from .linalg import TOL, hermitian_eigenvalues, hermitian_part, max_abs, operator_norm, require_finite
+from .workers import map_tiles
+
+# Stack entries per Gram block: 2^19 (2048 unitaries at d = 16, 8 MB). Each
+# block's partial product is (2 d^2)^2 reals (2 MB at d = 16), held until all
+# are summed, so blocks are large; a 16000-unitary stack at d = 16 still gives
+# the worker threads eight blocks.
+_GRAM_BLOCK_ENTRIES = 1 << 19
 
 
 def maximally_mixed(d: int) -> np.ndarray:
@@ -133,14 +144,21 @@ def channel_from_unitaries(unitaries: np.ndarray, provenance: dict | None = None
     u = np.asarray(unitaries, dtype=complex)
     if u.ndim != 3 or u.shape[1] != u.shape[2] or u.shape[0] < 1 or u.shape[1] < 1:
         raise InvalidDimension(f"expected a nonempty stack (N, d, d), got shape {u.shape}")
-    defect = unitarity_defect(u)
-    if not defect <= TOL.unitarity:  # a non-finite entry makes the defect NaN
-        raise InvalidMatrix(f"stack contains a non-unitary matrix: max|U†U - I| = {defect:.3e}")
     n, d = u.shape[0], u.shape[1]
     # gram[(i, j), (k, l)] = sum_n U_n[i, j] conj(U_n[k, l]).
     # x interleaves (Re, Im) columns, so g = x^T x holds every real cross product.
     x = u.reshape(n, d * d).view(np.float64)
-    g = x.T @ x
+
+    def fold(rows):
+        return unitarity_defect(u[rows]), x[rows].T @ x[rows]
+
+    parts = map_tiles(fold, n, max(1, _GRAM_BLOCK_ENTRIES // (d * d)))
+    defect = float(np.max([block_defect for block_defect, _ in parts]))
+    if not defect <= TOL.unitarity:  # a non-finite entry makes the defect NaN
+        raise InvalidMatrix(f"stack contains a non-unitary matrix: max|U†U - I| = {defect:.3e}")
+    g = parts[0][1]
+    for _, partial in parts[1:]:
+        g += partial
     gram = (g[0::2, 0::2] + g[1::2, 1::2]) + 1j * (g[1::2, 0::2] - g[0::2, 1::2])
     gram /= n
     return RandomUnitaryChannel(gram, {**(provenance or {}), "dim": d, "count": n})

@@ -12,9 +12,10 @@ import numpy as np
 
 from .bounds import BoundConstants, DEFAULT_CONSTANTS, concentration_tail_bound
 from .certify import DeviationCertificate, Verdict, default_net_delta, verdict
-from .channel import RandomUnitaryChannel, build_random_channel, require_pure_state
+from .channel import (RandomUnitaryChannel, build_random_channel, random_pure_states,
+                      require_pure_state)
 from .errors import InvalidParameter, NetInfeasible, ParseError
-from .haar import RngStream, sample_haar_unitaries
+from .haar import RngStream, sample_haar_unitaries  # noqa: F401 (the benchmark wraps it here)
 from .netcover import PureStateNet, build_delta_net
 from .workers import parallel_map, resolve_threads  # resolve_threads: cli imports it from here
 
@@ -57,9 +58,10 @@ def run_concentration_trial(d: int, n: int, delta: float, trials: int,
                             consts: BoundConstants = DEFAULT_CONSTANTS) -> ConcentrationReport:
     """Draw ``trials`` independent channels and count tail events at radius delta/d.
 
-    A tail event is |(1/N) sum_i |<psi|U_i|phi>|^2 - 1/d| >= delta/d. The
-    channels are realized as one batched unitary stream per chunk, which is
-    distributionally identical to constructing them one at a time.
+    A tail event is |(1/N) sum_i |<psi|U_i|phi>|^2 - 1/d| >= delta/d. Only
+    the states U_i phi enter, and for Haar U_i each is a uniform pure state,
+    so a chunk of k trials draws k * N uniform pure states in one batch
+    instead of k * N unitaries: the same law, without the QR.
     """
     if not 0.0 < delta < 1.0:
         raise InvalidParameter(f"delta must lie in (0, 1), got {delta}")
@@ -82,9 +84,8 @@ def run_concentration_trial(d: int, n: int, delta: float, trials: int,
     remaining = int(trials)
     while remaining > 0:
         k = min(_TRIAL_CHUNK, remaining)
-        us = sample_haar_unitaries(d, k * n, gen).reshape(k, n, d, d)
-        amps = np.einsum("knij,j,i->kn", us, phi, np.conj(psi), optimize=True)
-        stats = np.mean(np.abs(amps) ** 2, axis=1)
+        amps = random_pure_states(d, k * n, gen) @ np.conj(psi)
+        stats = np.mean(np.abs(amps.reshape(k, n)) ** 2, axis=1)
         exceed += int(np.sum(np.abs(stats - inv_d) >= threshold))
         total += float(np.sum(stats))
         total_sq += float(np.sum(stats * stats))
@@ -222,13 +223,21 @@ def _pairs_to_complex(data, expected_ndim: int, what: str) -> np.ndarray:
     return arr.view(complex)[..., 0]  # bit for bit, signed zeros included
 
 
-def _number(payload: dict, key: str, kind, path: str):
-    """``kind(payload[key])``; a null or non-numeric value is a ParseError naming the key."""
+def _number(payload: dict, key: str, path: str) -> float:
+    """``float(payload[key])``; a null or non-numeric value is a ParseError naming the key."""
     value = payload[key]
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: {key!r} is not a number: {value!r}") from exc
+
+
+def _integer(payload: dict, key: str, path: str) -> int:
+    """``payload[key]`` as a JSON integer; a fraction, string, bool or null is a ParseError."""
+    value = payload[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParseError(f"{path}: {key!r} is not an integer: {value!r}")
+    return value
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -267,7 +276,7 @@ def load_channel(path: str) -> RandomUnitaryChannel:
         if key not in payload:
             raise ParseError(f"{path}: missing key {key!r}")
     gram = _pairs_to_complex(payload["gram"], 2, f"{path}: gram")
-    d, n = _number(payload, "dim", int, path), _number(payload, "count", int, path)
+    d, n = _integer(payload, "dim", path), _integer(payload, "count", path)
     if d < 1 or gram.shape != (d * d, d * d):
         raise ParseError(f"{path}: gram shape {gram.shape} != ({d * d}, {d * d}) for dim {d}")
     prov = {"kind": payload.get("kind", "unknown"), "seed": payload.get("seed"),
@@ -298,7 +307,7 @@ def load_net(path: str) -> PureStateNet:
             raise ParseError(f"{path}: missing key {key!r}")
     states = _pairs_to_complex(payload["states"], 2, f"{path}: states")
     prov = {key: payload.get(key) for key in NET_PROVENANCE}
-    return PureStateNet(_number(payload, "dim", int, path), _number(payload, "delta", float, path),
+    return PureStateNet(_integer(payload, "dim", path), _number(payload, "delta", path),
                         states, prov)
 
 

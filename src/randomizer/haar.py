@@ -1,12 +1,16 @@
 """Reproducible Haar sampling on the unitary group via Ginibre matrices and phase-fixed QR.
 
-Sampling a stack has a serial part and a per-entry part. The Philox draws run
-on the calling thread in one fixed order: all radius uniforms, then all phase
-uniforms, then the draws of any refills. The Box-Muller transform, the QR
-with its phase fix and rank scale, and the unitarity check then run over
-tiles of ``_TILE_ENTRIES`` stack entries on the package's worker threads
-(``workers.resolve_threads``), each tile writing its slice of one
-preallocated output. Tile boundaries depend only on the shape of the stack,
+A stack of T = count * d^2 entries is sampled over tiles of ``_TILE_ENTRIES``
+stack entries on the package's worker threads (``workers.resolve_threads``).
+Entry e takes its radius uniform from position e of the stream and its phase
+uniform from position T + e, the layout of one sequential draw of all radius
+uniforms followed by all phase uniforms. Philox is counter-based, so each
+tile positions its own generator there and draws only its own uniforms: no
+uniform is drawn serially on the calling thread, and no whole-stack uniform
+or Ginibre array exists. A tile writes its Box-Muller Gaussians straight into
+its slice of the one preallocated output, then replaces them in place with
+their phase-fixed QR factors. Degenerate draws are refilled serially from
+position 2T onward. Tile boundaries depend only on the shape of the stack,
 never on the thread count, and a tile computes for its entries exactly what
 the whole-stack operation computes, so stacks are bit for bit the same for
 every thread count. A stack of one tile runs inline with no pool, and a call
@@ -21,7 +25,7 @@ import numpy as np
 
 from .errors import InvalidDimension, NumericalFailure
 from .linalg import qr_positive_stacked
-from .workers import parallel_map, resolve_threads
+from .workers import map_tiles
 
 _MASK64 = (1 << 64) - 1
 _MAX_RESAMPLES = 10
@@ -74,10 +78,16 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream, Generator or int, got {type(rng).__name__}")
 
 
-def _map_tiles(fn, count: int, per_tile: int) -> list:
-    """``fn(tile)`` over consecutive slices of ``per_tile`` items out of ``count``, in order."""
-    tiles = [slice(start, start + per_tile) for start in range(0, count, per_tile)]
-    return parallel_map(fn, tiles, resolve_threads() if len(tiles) > 1 else 1)
+def _box_muller(radius: np.ndarray, angle: np.ndarray, out: np.ndarray) -> None:
+    """``out = sqrt(-ln(1 - radius)) * exp(2 pi i angle)`` on flat arrays; overwrites ``radius``."""
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    np.negative(radius, out=radius)
+    np.sqrt(radius, out=radius)
+    out.real = 0.0
+    np.multiply(angle, 2.0 * np.pi, out=out.imag)
+    np.exp(out, out=out)
+    out *= radius
 
 
 def complex_standard_normal(gen: np.random.Generator, shape) -> np.ndarray:
@@ -93,20 +103,27 @@ def complex_standard_normal(gen: np.random.Generator, shape) -> np.ndarray:
     u2 = gen.random(shape)
     z = np.empty(shape, dtype=complex)
     radius, angle, out = u1.reshape(-1), u2.reshape(-1), z.reshape(-1)
-
-    def transform(tile):
-        r, w = radius[tile], out[tile]
-        np.subtract(1.0, r, out=r)
-        np.log(r, out=r)
-        np.negative(r, out=r)
-        np.sqrt(r, out=r)
-        w.real = 0.0
-        np.multiply(angle[tile], 2.0 * np.pi, out=w.imag)
-        np.exp(w, out=w)
-        w *= r
-
-    _map_tiles(transform, z.size, _TILE_ENTRIES)
+    map_tiles(lambda tile: _box_muller(radius[tile], angle[tile], out[tile]), z.size, _TILE_ENTRIES)
     return z
+
+
+def _uniforms_at(stream: RngStream, position: int, size: int) -> np.ndarray:
+    """``size`` uniforms from absolute ``position`` of the stream's one sequential draw.
+
+    Each Philox counter step yields 4 uint64 values and ``random()`` uses one
+    per double, so a fresh generator advanced ``position // 4`` steps, with
+    ``position % 4`` doubles discarded, stands at ``position``.
+    """
+    gen = stream.generator()
+    gen.bit_generator.advance(position // 4)
+    gen.random(position % 4)
+    return gen.random(size)
+
+
+def _ginibre_at(stream: RngStream, radius_at: int, phase_at: int, out: np.ndarray) -> None:
+    """Fill flat complex ``out`` with Gaussians drawn from the uniforms at the two positions."""
+    size = out.size
+    _box_muller(_uniforms_at(stream, radius_at, size), _uniforms_at(stream, phase_at, size), out)
 
 
 def _require_dim(d: int) -> int:
@@ -124,30 +141,39 @@ def sample_ginibre(d: int, rng, count: int) -> np.ndarray:
 def sample_haar_unitaries(d: int, count: int, rng) -> np.ndarray:
     """Stack of ``count`` independent Haar unitaries, shape ``(count, d, d)``.
 
-    Uses one batched Ginibre draw plus QR tile by tile; degenerate draws are
+    ``rng`` is an RngStream or an int seed; a ``Generator`` cannot be
+    positioned and raises TypeError. Each tile draws its Ginibre entries at
+    their stream positions and factors them in place; degenerate draws are
     redrawn serially (at most 10 times, then NumericalFailure).
     """
     d = _require_dim(d)
     if count < 1:
         raise InvalidDimension(f"count must be a positive integer, got {count!r}")
     count = int(count)
-    gen = as_generator(rng)
-    mats = sample_ginibre(d, gen, count=count)
+    if isinstance(rng, (int, np.integer)):
+        rng = RngStream(int(rng))
+    if not isinstance(rng, RngStream):
+        raise TypeError(f"expected RngStream or int seed, got {type(rng).__name__}")
+    total = count * d * d
     q = np.empty((count, d, d), dtype=complex)
+    flat = q.reshape(-1)
     degenerate = np.empty(count, dtype=bool)
 
-    def factor(tile):
-        q[tile], degenerate[tile] = qr_positive_stacked(mats[tile])
+    def tile(rows):
+        start, stop = rows.start * d * d, min(rows.stop, count) * d * d
+        _ginibre_at(rng, start, total + start, flat[start:stop])
+        q[rows], degenerate[rows] = qr_positive_stacked(q[rows])
 
-    _map_tiles(factor, count, max(1, _TILE_ENTRIES // (d * d)))
+    map_tiles(tile, count, max(1, _TILE_ENTRIES // (d * d)))
+    position = 2 * total
     for _ in range(_MAX_RESAMPLES):
         if not np.any(degenerate):
             break
-        refill = sample_ginibre(d, gen, count=int(np.sum(degenerate)))
-        q_new, degenerate_new = qr_positive_stacked(refill)
         idx = np.flatnonzero(degenerate)
-        q[idx] = q_new
-        degenerate[idx] = degenerate_new
+        refill = np.empty((len(idx), d, d), dtype=complex)
+        _ginibre_at(rng, position, position + refill.size, refill.reshape(-1))
+        position += 2 * refill.size
+        q[idx], degenerate[idx] = qr_positive_stacked(refill)
     else:
         raise NumericalFailure("persistent degenerate Ginibre samples in batch draw")
     return q
@@ -172,4 +198,4 @@ def unitarity_defect(u: np.ndarray) -> float:
         gram.reshape(len(block), d * d)[:, ::d + 1] -= 1.0
         return np.max(np.abs(gram))
 
-    return float(np.max(_map_tiles(peak, stack.shape[0], max(1, _TILE_ENTRIES // (rows * d)))))
+    return float(np.max(map_tiles(peak, stack.shape[0], max(1, _TILE_ENTRIES // (rows * d)))))

@@ -1,9 +1,10 @@
 """Worker threads: how many to use, and the one order-preserving map that runs them.
 
-Sweeps and concentration grids map over cells; Haar sampling and the
-unitarity check map over fixed-size tiles of a stack. A map called from
-inside a worker of another map runs serially, so pools never nest: a sweep
-cell that samples a channel draws its tiles on the cell's own thread.
+Sweeps and concentration grids map over cells; Haar sampling, the unitarity
+check and the channel's Gram product map over fixed-size tiles or blocks of
+a stack. A map called from inside a worker of another map runs serially, so
+pools never nest: a sweep cell that samples a channel draws its tiles on the
+cell's own thread.
 """
 
 from __future__ import annotations
@@ -56,3 +57,13 @@ def parallel_map(fn, items, threads: int = 1) -> list:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(lambda item: _in_worker(fn, item), items))
+
+
+def map_tiles(fn, count: int, per_tile: int) -> list:
+    """``fn(tile)`` over consecutive slices of ``per_tile`` items out of ``count``, in order.
+
+    The last slice may end past ``count``. A single tile runs inline; more run
+    on ``resolve_threads()`` workers.
+    """
+    tiles = [slice(start, start + per_tile) for start in range(0, count, per_tile)]
+    return parallel_map(fn, tiles, resolve_threads() if len(tiles) > 1 else 1)

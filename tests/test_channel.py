@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from randomizer import (
     random_pure_state,
     sample_haar_unitaries,
 )
-from randomizer import haar
+from randomizer import channel, haar
 
 
 def haar_stack(d, n, seed):
@@ -92,6 +94,46 @@ def test_channel_does_not_depend_on_thread_count(d, monkeypatch):
         for ch in channels[1:]:
             assert np.array_equal(ch.gram, channels[0].gram)
             assert np.array_equal(ch.superoperator, channels[0].superoperator)
+
+
+@pytest.mark.parametrize("d", [3, 16])
+def test_gram_blocks_do_not_depend_on_thread_count(d, monkeypatch):
+    per_block = channel._GRAM_BLOCK_ENTRIES // (d * d)
+    us = haar_stack(d, 3 * per_block + 5, 90 + d)  # three full Gram blocks and a partial one
+    grams = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("RANDOMIZER_THREADS", threads)
+        grams.append(channel_from_unitaries(us).gram)
+    assert all(np.array_equal(g, grams[0]) for g in grams[1:])
+    x = us.reshape(len(us), d * d)
+    assert np.max(np.abs(grams[0] - x.T @ np.conj(x) / len(us))) <= 1e-14  # one unblocked product
+    # the unitarity check still covers the last, partial block
+    for planted in (1.001, np.nan):
+        bad = us.copy()
+        bad[-1, 0, 0] *= planted
+        with pytest.raises(InvalidMatrix, match="non-unitary"):
+            channel_from_unitaries(bad)
+
+
+def test_peak_memory_is_the_stack(monkeypatch):
+    monkeypatch.setenv("RANDOMIZER_THREADS", "2")
+    d, n = 16, 4096
+    stack_bytes = n * d * d * 16
+    build_random_channel(d, 8, RngStream(1))  # warm every code path outside the trace
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for fn in (sample_haar_unitaries, build_random_channel):
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = fn(d, n, RngStream(2))
+            peaks[fn.__name__] = (tracemalloc.get_traced_memory()[1] - before) / stack_bytes
+            del result
+    finally:
+        tracemalloc.stop()
+    # no whole-stack uniform, Ginibre or second stack array lives next to the result
+    assert peaks["sample_haar_unitaries"] <= 1.25, peaks
+    assert peaks["build_random_channel"] <= 1.6, peaks
 
 
 def test_build_dim_one():

@@ -212,7 +212,8 @@ def test_runtime_errors_exit_two(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value", [("dim", "x"), ("delta", None), ("dim", None),
-                                        ("delta", "wide")])
+                                        ("delta", "wide"), ("dim", 2.7), ("dim", 2.5),
+                                        ("dim", "2"), ("dim", True)])
 def test_audit_net_malformed_number_exits_two(tmp_path, capsys, key, value):
     net_path = tmp_path / "net.json"
     assert run(["net", "--dim", "2", "--delta", "1.5", "--seed", "8",
@@ -226,7 +227,10 @@ def test_audit_net_malformed_number_exits_two(tmp_path, capsys, key, value):
     assert err.startswith("error:") and repr(key) in err
 
 
-@pytest.mark.parametrize("key, value", [("dim", "x"), ("count", "two"), ("count", None)])
+@pytest.mark.parametrize("key, value", [("dim", "x"), ("count", "two"), ("count", None),
+                                        ("dim", 2.7), ("dim", 2.5), ("dim", "2"), ("dim", True),
+                                        ("count", 2.7), ("count", 2.5), ("count", "2"),
+                                        ("count", True)])
 def test_verify_malformed_channel_number_exits_two(tmp_path, capsys, key, value):
     ch_path = tmp_path / "ch.json"
     assert run(["sample-channel", "--dim", "2", "--count", "4", "--seed", "3",

@@ -19,6 +19,7 @@ from randomizer import (
     load_channel,
     load_net,
     pair_statistic,
+    random_pure_states,
     run_concentration_trial,
     run_randomizing_sweep,
     save_certificate,
@@ -29,7 +30,6 @@ from randomizer import (
     write_sweep_csv,
 )
 from randomizer.experiments import parallel_map, resolve_threads
-from randomizer.haar import sample_haar_unitaries
 
 
 def e_k(d, k=0):
@@ -57,11 +57,17 @@ def test_concentration_vacuous_flag():
 def test_concentration_matches_per_channel_statistic():
     d, n, trials = 3, 4, 50
     rep = run_concentration_trial(d, n, 0.3, trials, e_k(d), e_k(d), RngStream(3))
-    # same stream, same batched draw: one chunk covers all trials
-    us = sample_haar_unitaries(d, trials * n, RngStream(3)).reshape(trials, n, d, d)
+    # same stream, same batched draw: one chunk covers all trials, and only the
+    # states U_i e_0 enter, so any unitary with a drawn state as its first column will do
+    states = random_pure_states(d, trials * n, RngStream(3)).reshape(trials, n, d)
     stats = []
     for k in range(trials):
-        ch = channel_from_unitaries(us[k])
+        us = []
+        for v in states[k]:
+            q, _ = np.linalg.qr(np.column_stack([v, np.eye(d, dtype=complex)[:, 1:]]))
+            assert abs(abs(np.vdot(q[:, 0], v)) - 1.0) <= 1e-12  # q[:, 0] is v up to a phase
+            us.append(q)
+        ch = channel_from_unitaries(np.stack(us))
         stats.append(pair_statistic(ch, e_k(d), e_k(d)))
     stats = np.asarray(stats)
     assert rep.stat_mean == pytest.approx(float(np.mean(stats)), abs=1e-12)

@@ -177,32 +177,55 @@ def test_planted_degenerate_draw_refills_alike(monkeypatch):
     d = 16
     per_tile = haar._TILE_ENTRIES // (d * d)
     count, index = 2 * per_tile + 7, per_tile + 5  # the singular matrix sits in the middle tile
+    total = count * d * d
 
-    def make_singular(mats):
-        mats[index, :, 1] = mats[index, :, 0]
+    def make_singular(mats, i=index):
+        mats[i, :, 1] = mats[i, :, 0]
 
     want = whole_stack_haar(d, count, RngStream(35), plant=make_singular)
     clean = whole_stack_haar(d, count, RngStream(35))
-    real = haar.sample_ginibre
+    real = haar._ginibre_at
     draws = []
 
-    def planted(d_, rng, count):
-        mats = real(d_, rng, count=count)
-        if not draws:
-            make_singular(mats)
-        draws.append(count)
-        return mats
+    def planted(stream, radius_at, phase_at, out):
+        real(stream, radius_at, phase_at, out)
+        if radius_at <= index * d * d < min(radius_at + out.size, total):  # the tile holding it
+            make_singular(out.reshape(-1, d, d), index - radius_at // (d * d))
+        draws.append((radius_at, phase_at, out.size))
 
-    monkeypatch.setattr(haar, "sample_ginibre", planted)
+    monkeypatch.setattr(haar, "_ginibre_at", planted)
     for threads in ("1", "2"):
         draws.clear()
         monkeypatch.setenv("RANDOMIZER_THREADS", threads)
         got = sample_haar_unitaries(d, count, RngStream(35))
-        assert draws == [count, 1]  # one refill, of the planted matrix only
+        *tiles, refill = sorted(draws)
+        # each tile draws its radii at its entries and its phases T entries later
+        assert [t[0] for t in tiles] == list(range(0, total, per_tile * d * d))
+        assert all(phase == total + radius for radius, phase, _ in tiles)
+        assert sum(size for _, _, size in tiles) == total
+        # one refill, of the planted matrix only, continuing the stream at 2T
+        assert refill == (2 * total, 2 * total + d * d, d * d)
         assert np.array_equal(got, want)
     assert not np.array_equal(want[index], clean[index])
     assert np.array_equal(np.delete(want, index, axis=0), np.delete(clean, index, axis=0))
     assert unitarity_defect(want) <= 1e-10
+
+
+@pytest.mark.parametrize("d, count", [(2, 1100), (3, 455)])
+def test_positioned_draws_equal_slices_of_one_sequential_draw(d, count):
+    stream = RngStream(36, 2)
+    total = count * d * d  # 4400 and 4095: the boundary T at both residues mod 4
+    gen = stream.generator()
+    # the parent layout: all radius uniforms in one call, then all phase uniforms in another
+    sequential = np.concatenate([gen.random(total), gen.random(total)])
+    for position, size in ((0, 7), (1, 7), (3, 1), (4, 9), (4097, 100), (total - 5, 11),
+                           (total - 1, 2), (2 * total - 3, 3)):
+        got = haar._uniforms_at(stream, position, size)
+        assert np.array_equal(got, sequential[position:position + size]), position
+    with pytest.raises(TypeError):
+        sample_haar_unitaries(d, count, stream.generator())  # a Generator cannot be positioned
+    assert np.array_equal(sample_haar_unitaries(d, 3, 36),
+                          sample_haar_unitaries(d, 3, RngStream(36)))
 
 
 def test_sampling_inside_a_worker_starts_no_pool(monkeypatch):

@@ -130,9 +130,12 @@ def test_qr_rank_deficient_raises(monkeypatch):
     singular = np.array([[1.0, 0.0], [1.0, 0.0]], dtype=complex)
     _, degenerate = qr_positive_stacked(singular)
     assert degenerate
+
+    def singular_draw(stream, radius_at, phase_at, out):
+        out.reshape(-1, 2, 2)[:] = singular
+
     # the batched sampler redraws flagged matrices and gives up on persistent degeneracy
-    monkeypatch.setattr(randomizer.haar, "sample_ginibre",
-                        lambda d, rng, count=None: np.broadcast_to(singular, (count, 2, 2)))
+    monkeypatch.setattr(randomizer.haar, "_ginibre_at", singular_draw)
     with pytest.raises(NumericalFailure):
         sample_haar_unitaries(2, 3, stream(42))
 
