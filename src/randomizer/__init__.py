@@ -63,7 +63,6 @@ from .experiments import (
 from .haar import (
     RngStream,
     as_generator,
-    sample_ginibre,
     sample_haar_unitaries,
     unitarity_defect,
 )

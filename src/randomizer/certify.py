@@ -35,6 +35,7 @@ from .netcover import PureStateNet
 _SCAN_BUDGET = 1_000_000  # entries of the (chunk, net size) statistic block per B-scan step
 _TIE_TOL = 1e-12  # extreme eigenvalues this close in magnitude count as a tie
 _PHASE_FLOOR = 1e-8  # witness entries below this magnitude never fix its global phase
+_ASCENT_TOL = 1e-10  # a restart stops once a full step gains less than this
 
 
 class Verdict(str, Enum):
@@ -173,8 +174,7 @@ def _canonical_phase(x: np.ndarray) -> np.ndarray:
 
 
 def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = 32,
-                                tol: float = 1e-10, max_iters: int = 500,
-                                rng=None) -> LowerBound:
+                                max_iters: int = 500, rng=None) -> LowerBound:
     """Best witnessed value of |pair statistic - 1/d| over random restarts.
 
     Returns a valid lower bound on the full supremum together with the state
@@ -189,13 +189,11 @@ def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = 32,
     """
     if restarts < 1 or max_iters < 1:
         raise InvalidParameter("restarts and max_iters must be positive")
-    if tol <= 0.0:
-        raise InvalidParameter(f"tol must be positive, got {tol}")
     gen = as_generator(rng if rng is not None else RngStream(0))
     d = ch.dim
     best: tuple[float, np.ndarray, np.ndarray] | None = None
     for _ in range(restarts):
-        candidate, _ = _ascend(ch, random_pure_state(d, gen), tol, max_iters)
+        candidate, _ = _ascend(ch, random_pure_state(d, gen), _ASCENT_TOL, max_iters)
         if best is None or candidate[0] > best[0]:
             best = candidate
     assert best is not None
@@ -233,8 +231,7 @@ class DeviationCertificate:
 
 
 def verdict(ch: RandomUnitaryChannel, epsilon: float, net: PureStateNet,
-            restarts: int = 32, tol: float = 1e-10, max_iters: int = 500,
-            rng=None) -> DeviationCertificate:
+            restarts: int = 32, max_iters: int = 500, rng=None) -> DeviationCertificate:
     """Certify or refute the epsilon-randomizing property of a channel.
 
     CertifiedNotRandomizing when the witnessed lower bound already exceeds
@@ -252,8 +249,7 @@ def verdict(ch: RandomUnitaryChannel, epsilon: float, net: PureStateNet,
     t0 = time.perf_counter()
     supremum = net_supremum_B(ch, net)
     t1 = time.perf_counter()
-    lower = alternating_max_lower_bound(ch, restarts=restarts, tol=tol,
-                                        max_iters=max_iters, rng=rng)
+    lower = alternating_max_lower_bound(ch, restarts=restarts, max_iters=max_iters, rng=rng)
     t2 = time.perf_counter()
 
     a_upper = certified_upper_bound_A(supremum.value, net.delta, ch.dim)

@@ -11,16 +11,18 @@ ascent. The pair statistic is the form x†Cx with x = psi ⊗ conj(phi).
 A unitary stack lives only inside ``channel_from_unitaries``, which folds it
 in fixed blocks of ``_GRAM_BLOCK_ENTRIES`` stack entries (whole rows) on the
 package's worker threads. Each block runs the tiled unitarity check
-(``haar.unitarity_defect``) and its real product ``x.T @ x`` over the block
-viewed as ``(rows, 2 d^2)`` interleaved (Re, Im) reals; NumPy sends that to a
-symmetric rank-k update, with no copy of the stack. The partial products are
-summed in block order, and block boundaries depend only on the stack's shape,
-so C is bit for bit the same for every thread count. C is exactly Hermitian
-whatever the number of blocks. The constructor validates C on every path,
-fresh or loaded: shape d^2 x d^2, finite, Hermitian, positive semidefinite,
-and both partial traces the identity (R preserves the trace and is unital).
-That is all any bound uses; it does not prove that C is a mixture of
-unitaries, which at d >= 3 a unital channel need not be.
+(``haar.unitarity_defect``, on the block's own thread) and its real product
+``x.T @ x`` over the block viewed as ``(rows, 2 d^2)`` interleaved (Re, Im)
+reals; NumPy sends that to a symmetric rank-k update, with no copy of the
+stack. The partial products are summed in block order as the map yields
+them, so only the few blocks that finish ahead of the sum are held at once.
+Block boundaries depend only on the stack's shape, so C is bit for bit the
+same for every thread count, and C is exactly Hermitian whatever the number
+of blocks. The constructor validates C on every path, fresh or loaded: shape
+d^2 x d^2, finite, Hermitian, positive semidefinite, and both partial traces
+the identity (R preserves the trace and is unital). That is all any bound
+uses; it does not prove that C is a mixture of unitaries, which at d >= 3 a
+unital channel need not be.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ from .linalg import TOL, hermitian_eigenvalues, hermitian_part, max_abs, operato
 from .workers import map_tiles
 
 # Stack entries per Gram block: 2^19 (2048 unitaries at d = 16, 8 MB). Each
-# block's partial product is (2 d^2)^2 reals (2 MB at d = 16), held until all
-# are summed, so blocks are large; a 16000-unitary stack at d = 16 still gives
-# the worker threads eight blocks.
+# block's partial product is (2 d^2)^2 reals (2 MB at d = 16), so blocks are
+# large; a 16000-unitary stack at d = 16 still gives the worker threads eight.
 _GRAM_BLOCK_ENTRIES = 1 << 19
 
 
@@ -152,13 +153,13 @@ def channel_from_unitaries(unitaries: np.ndarray, provenance: dict | None = None
     def fold(rows):
         return unitarity_defect(u[rows]), x[rows].T @ x[rows]
 
-    parts = map_tiles(fold, n, max(1, _GRAM_BLOCK_ENTRIES // (d * d)))
-    defect = float(np.max([block_defect for block_defect, _ in parts]))
+    blocks = map_tiles(fold, n, max(1, _GRAM_BLOCK_ENTRIES // (d * d)))
+    defect, g = next(blocks)
+    for block_defect, partial in blocks:
+        defect = np.maximum(defect, block_defect)  # keeps a NaN
+        g += partial
     if not defect <= TOL.unitarity:  # a non-finite entry makes the defect NaN
         raise InvalidMatrix(f"stack contains a non-unitary matrix: max|U†U - I| = {defect:.3e}")
-    g = parts[0][1]
-    for _, partial in parts[1:]:
-        g += partial
     gram = (g[0::2, 0::2] + g[1::2, 1::2]) + 1j * (g[1::2, 0::2] - g[0::2, 1::2])
     gram /= n
     return RandomUnitaryChannel(gram, {**(provenance or {}), "dim": d, "count": n})

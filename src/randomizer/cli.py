@@ -23,8 +23,6 @@ from .experiments import (
     SweepConfig,
     load_channel,
     load_net,
-    parallel_map,
-    resolve_threads,
     run_concentration_trial,
     run_randomizing_sweep,
     save_certificate,
@@ -35,6 +33,7 @@ from .experiments import (
 )
 from .haar import RngStream
 from .netcover import audit_covering, build_delta_net
+from .workers import parallel_map
 
 
 def _resolve_stream(args) -> RngStream:
@@ -80,8 +79,8 @@ def _cmd_verify(args) -> int:
         delta = args.delta if args.delta is not None else default_net_delta(args.epsilon)
         net = build_delta_net(ch.dim, delta, stream.child(0), stop_k=args.stop_k,
                               max_states=args.max_net_states)
-    cert = verdict(ch, args.epsilon, net, restarts=args.restarts, tol=args.tol,
-                   max_iters=args.max_iters, rng=stream.child(1))
+    cert = verdict(ch, args.epsilon, net, restarts=args.restarts, max_iters=args.max_iters,
+                   rng=stream.child(1))
     if args.report is not None:
         save_certificate(args.report, cert)
     destination = f" -> {args.report}" if args.report is not None else ""
@@ -135,14 +134,11 @@ def _cmd_concentration(args) -> int:
         phi[0] = 1.0
         psi = phi.copy()
     cells = [(n, delta) for n in args.counts for delta in args.deltas]
-    threads = resolve_threads(args.threads)
-
-    reports = parallel_map(
+    reports = list(parallel_map(
         lambda ic: run_concentration_trial(d, ic[1][0], ic[1][1], args.trials,
                                            phi, psi, stream.child(ic[0])),
-        list(enumerate(cells)),
-        threads=threads,
-    )
+        enumerate(cells),
+    ))
     if args.out is not None:
         write_concentration_csv(args.out, reports)
     worst = max((r.empirical_tail - r.bound for r in reports), default=0.0)
@@ -174,7 +170,6 @@ def _cmd_sweep(args) -> int:
                 stop_k=_optional(raw, "stop_k", int),
                 max_net_states=_optional(raw, "max_net_states", int),
                 restarts=int(raw.get("restarts", 32)),
-                tol=float(raw.get("tol", 1e-10)),
                 max_iters=int(raw.get("max_iters", 500)),
             )
         except KeyError as exc:
@@ -187,10 +182,10 @@ def _cmd_sweep(args) -> int:
         grid = SweepConfig(
             dims=tuple(args.dims), epsilons=tuple(args.epsilons), counts=tuple(args.counts),
             channels_per_cell=args.channels, delta=args.delta, stop_k=args.stop_k,
-            max_net_states=args.max_net_states, restarts=args.restarts, tol=args.tol,
+            max_net_states=args.max_net_states, restarts=args.restarts,
             max_iters=args.max_iters,
         )
-    report = run_randomizing_sweep(grid, stream, threads=resolve_threads(args.threads))
+    report = run_randomizing_sweep(grid, stream)
     if args.out is not None:
         write_sweep_csv(args.out, report)
     skipped = sum(1 for c in report.cells if c.skipped)
@@ -231,10 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None,
                        help="base seed; omitted: generated and echoed in the summary")
 
-    def add_threads(p):
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: RANDOMIZER_THREADS or the usable cores)")
-
     p = sub.add_parser("sample-channel", help="sample a Haar random unitary channel")
     p.add_argument("--dim", type=int, required=True, help="Hilbert space dimension d")
     p.add_argument("--count", type=int, required=True, help="number of unitaries N")
@@ -253,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-net-states", dest="max_net_states", type=int, default=None,
                    help="size budget for the net; waives the feasibility guard")
     p.add_argument("--restarts", type=int, default=32, help="optimizer restarts")
-    p.add_argument("--tol", type=float, default=1e-10, help="optimizer convergence tolerance")
     p.add_argument("--max-iters", dest="max_iters", type=int, default=500,
                    help="optimizer iteration cap")
     p.add_argument("--report", default=None, help="certificate JSON output path")
@@ -288,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="use one Haar-random state pair instead of (e1, e1)")
     p.add_argument("--out", default=None, help="CSV output path")
     add_seed(p)
-    add_threads(p)
     p.set_defaults(func=_cmd_concentration)
 
     p = sub.add_parser("sweep", help="verdict fractions over a (d, epsilon, N) grid")
@@ -303,11 +292,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop-k", dest="stop_k", type=int, default=None)
     p.add_argument("--max-net-states", dest="max_net_states", type=int, default=None)
     p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=500)
     p.add_argument("--out", default=None, help="CSV output path")
     add_seed(p)
-    add_threads(p)
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("bounds", help="closed-form sample-size and failure-probability numbers")

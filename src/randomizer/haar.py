@@ -1,7 +1,7 @@
 """Reproducible Haar sampling on the unitary group via Ginibre matrices and phase-fixed QR.
 
 A stack of T = count * d^2 entries is sampled over tiles of ``_TILE_ENTRIES``
-stack entries on the package's worker threads (``workers.resolve_threads``).
+stack entries on the package's worker threads (``workers.parallel_map``).
 Entry e takes its radius uniform from position e of the stream and its phase
 uniform from position T + e, the layout of one sequential draw of all radius
 uniforms followed by all phase uniforms. Philox is counter-based, so each
@@ -15,6 +15,11 @@ never on the thread count, and a tile computes for its entries exactly what
 the whole-stack operation computes, so stacks are bit for bit the same for
 every thread count. A stack of one tile runs inline with no pool, and a call
 from inside another map's worker runs its tiles serially.
+
+The unitarity check and ``complex_standard_normal`` run on the calling
+thread: the check loops over the same tiles in order, which keeps its
+temporaries cache-sized, and the Box-Muller transform is one in-place pass;
+neither gains from worker threads.
 """
 
 from __future__ import annotations
@@ -95,15 +100,14 @@ def complex_standard_normal(gen: np.random.Generator, shape) -> np.ndarray:
 
     Complex Box-Muller: radius sqrt(-ln u1) and uniform phase give
     E|z|^2 = 1 exactly. u1 is shifted into (0, 1] to keep the log finite.
-    Both uniform arrays are drawn first, then transformed in place per tile,
-    bit for bit equal to
+    Both uniform arrays are drawn first, then transformed in one in-place
+    pass, bit for bit equal to
     ``np.sqrt(-np.log(1.0 - u1)) * np.exp(2j * np.pi * u2)`` with u1 drawn first.
     """
     u1 = gen.random(shape)
     u2 = gen.random(shape)
     z = np.empty(shape, dtype=complex)
-    radius, angle, out = u1.reshape(-1), u2.reshape(-1), z.reshape(-1)
-    map_tiles(lambda tile: _box_muller(radius[tile], angle[tile], out[tile]), z.size, _TILE_ENTRIES)
+    _box_muller(u1.reshape(-1), u2.reshape(-1), z.reshape(-1))
     return z
 
 
@@ -126,18 +130,6 @@ def _ginibre_at(stream: RngStream, radius_at: int, phase_at: int, out: np.ndarra
     _box_muller(_uniforms_at(stream, radius_at, size), _uniforms_at(stream, phase_at, size), out)
 
 
-def _require_dim(d: int) -> int:
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InvalidDimension(f"dimension must be a positive integer, got {d!r}")
-    return int(d)
-
-
-def sample_ginibre(d: int, rng, count: int) -> np.ndarray:
-    """Draw ``count`` matrices of iid complex standard Gaussians, shape ``(count, d, d)``."""
-    d = _require_dim(d)
-    return complex_standard_normal(as_generator(rng), (int(count), d, d))
-
-
 def sample_haar_unitaries(d: int, count: int, rng) -> np.ndarray:
     """Stack of ``count`` independent Haar unitaries, shape ``(count, d, d)``.
 
@@ -146,10 +138,11 @@ def sample_haar_unitaries(d: int, count: int, rng) -> np.ndarray:
     their stream positions and factors them in place; degenerate draws are
     redrawn serially (at most 10 times, then NumericalFailure).
     """
-    d = _require_dim(d)
+    if not isinstance(d, (int, np.integer)) or d < 1:
+        raise InvalidDimension(f"dimension must be a positive integer, got {d!r}")
     if count < 1:
         raise InvalidDimension(f"count must be a positive integer, got {count!r}")
-    count = int(count)
+    d, count = int(d), int(count)
     if isinstance(rng, (int, np.integer)):
         rng = RngStream(int(rng))
     if not isinstance(rng, RngStream):
@@ -164,7 +157,8 @@ def sample_haar_unitaries(d: int, count: int, rng) -> np.ndarray:
         _ginibre_at(rng, start, total + start, flat[start:stop])
         q[rows], degenerate[rows] = qr_positive_stacked(q[rows])
 
-    map_tiles(tile, count, max(1, _TILE_ENTRIES // (d * d)))
+    for _ in map_tiles(tile, count, max(1, _TILE_ENTRIES // (d * d))):
+        pass  # the tiles write into q and degenerate
     position = 2 * total
     for _ in range(_MAX_RESAMPLES):
         if not np.any(degenerate):
@@ -182,9 +176,9 @@ def sample_haar_unitaries(d: int, count: int, rng) -> np.ndarray:
 def unitarity_defect(u: np.ndarray) -> float:
     """max|U†U - I|, possibly over a stack of unitaries; 0.0 for an empty stack.
 
-    Batched ``matmul`` over tiles of at most ``_TILE_ENTRIES`` stack entries on
-    the worker threads, with the maximum reduced per tile; a NaN entry makes
-    the result NaN.
+    Batched ``matmul`` over tiles of at most ``_TILE_ENTRIES`` stack entries,
+    in order on the calling thread, with the maximum reduced per tile; a NaN
+    entry makes the result NaN.
     """
     u = np.asarray(u, dtype=complex)
     rows, d = u.shape[-2:]
@@ -192,10 +186,11 @@ def unitarity_defect(u: np.ndarray) -> float:
     if stack.size == 0:
         return 0.0
 
-    def peak(tile):
-        block = stack[tile]
+    def peak(start):
+        block = stack[start:start + per_tile]
         gram = np.matmul(np.conj(block.transpose(0, 2, 1)), block)
         gram.reshape(len(block), d * d)[:, ::d + 1] -= 1.0
         return np.max(np.abs(gram))
 
-    return float(np.max(map_tiles(peak, stack.shape[0], max(1, _TILE_ENTRIES // (rows * d)))))
+    per_tile = max(1, _TILE_ENTRIES // (rows * d))
+    return float(np.max([peak(start) for start in range(0, stack.shape[0], per_tile)]))

@@ -34,6 +34,7 @@ from .linalg import TOL, require_finite
 
 _SIZE_CEILING = 10_000_000  # desk-scale memory ceiling on materialized nets
 _CANDIDATE_BATCH = 512
+_AUDIT_CHUNK = 4096  # audit samples drawn and compared per step
 _TILE_ENTRIES = 1 << 17  # one 1 MB float block of overlaps, small enough to stay in L2
 
 
@@ -258,7 +259,7 @@ class CoverageReport:
         return self.failures == 0
 
 
-def audit_covering(net: PureStateNet, trials: int, rng, chunk: int = 4096) -> CoverageReport:
+def audit_covering(net: PureStateNet, trials: int, rng) -> CoverageReport:
     """Sample uniform pure states and measure the worst nearest-net distance.
 
     A failure is a sampled state farther than ``net.delta`` from every net
@@ -272,7 +273,7 @@ def audit_covering(net: PureStateNet, trials: int, rng, chunk: int = 4096) -> Co
     failures = 0
     remaining = int(trials)
     while remaining > 0:
-        k = min(chunk, remaining)
+        k = min(_AUDIT_CHUNK, remaining)
         sample = random_pure_states(net.dim, k, gen)
         best_ov2 = _max_overlap(_bloch_features(sample), net_feats)
         gaps = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - best_ov2))

@@ -1,10 +1,12 @@
 """Worker threads: how many to use, and the one order-preserving map that runs them.
 
-Sweeps and concentration grids map over cells; Haar sampling, the unitarity
-check and the channel's Gram product map over fixed-size tiles or blocks of
-a stack. A map called from inside a worker of another map runs serially, so
-pools never nest: a sweep cell that samples a channel draws its tiles on the
-cell's own thread.
+``RANDOMIZER_THREADS`` is the package's only thread setting; without it the
+cores this process may run on decide. Only maps whose items pay for a thread
+use one: sweep and concentration cells, Haar sampling tiles and the channel's
+Gram blocks. The unitarity check and the Box-Muller transform loop on the
+calling thread. A map called from inside a worker of another map runs
+serially, so pools never nest: a sweep cell that samples a channel draws its
+tiles on the cell's own thread.
 """
 
 from __future__ import annotations
@@ -18,12 +20,8 @@ from .errors import InvalidParameter
 _worker = threading.local()
 
 
-def resolve_threads(requested: int | None = None) -> int:
-    """--threads flag, RANDOMIZER_THREADS fallback, else the cores this process may run on."""
-    if requested is not None:
-        if requested < 1:
-            raise InvalidParameter(f"threads must be positive, got {requested}")
-        return int(requested)
+def resolve_threads() -> int:
+    """RANDOMIZER_THREADS if set, else the cores this process may run on."""
     env = os.environ.get("RANDOMIZER_THREADS")
     if env:
         try:
@@ -46,24 +44,27 @@ def _in_worker(fn, item):
         _worker.active = False
 
 
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Map preserving item order; the reduction order never depends on scheduling.
+def parallel_map(fn, items):
+    """Yield ``fn(item)`` in item order on ``resolve_threads()`` workers.
 
-    Runs inline for one thread, at most one item, or a call made from inside
-    another ``parallel_map`` worker.
+    Results are yielded as the map reaches them, so a caller that reduces
+    them in order holds only the few that finished ahead of it; consume the
+    whole iterator even when ``fn`` works only by side effect. Runs on the
+    calling thread for one thread, at most one item, or a call made from
+    inside another ``parallel_map`` worker.
     """
     items = list(items)
+    threads = resolve_threads()
     if threads <= 1 or len(items) <= 1 or getattr(_worker, "active", False):
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda item: _in_worker(fn, item), items))
+        yield from pool.map(lambda item: _in_worker(fn, item), items)
 
 
-def map_tiles(fn, count: int, per_tile: int) -> list:
-    """``fn(tile)`` over consecutive slices of ``per_tile`` items out of ``count``, in order.
+def map_tiles(fn, count: int, per_tile: int):
+    """``parallel_map`` of ``fn`` over consecutive slices of ``per_tile`` items out of ``count``.
 
-    The last slice may end past ``count``. A single tile runs inline; more run
-    on ``resolve_threads()`` workers.
+    The last slice may end past ``count``.
     """
-    tiles = [slice(start, start + per_tile) for start in range(0, count, per_tile)]
-    return parallel_map(fn, tiles, resolve_threads() if len(tiles) > 1 else 1)
+    return parallel_map(fn, [slice(start, start + per_tile) for start in range(0, count, per_tile)])

@@ -136,6 +136,27 @@ def test_peak_memory_is_the_stack(monkeypatch):
     assert peaks["build_random_channel"] <= 1.6, peaks
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_gram_partials_are_summed_as_they_arrive(threads, monkeypatch):
+    monkeypatch.setenv("RANDOMIZER_THREADS", threads)
+    d, n = 16, 4096
+    stack_bytes = n * d * d * 16
+    monkeypatch.setattr(channel, "_GRAM_BLOCK_ENTRIES", n * d * d // 16)  # 16 blocks
+    build_random_channel(d, 8, RngStream(1))  # warm every code path outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ch = build_random_channel(d, n, RngStream(2))
+        peak = (tracemalloc.get_traced_memory()[1] - before) / stack_bytes
+    finally:
+        tracemalloc.stop()
+    # each 2 MB partial is 1/8 of the stack: holding all 16 of them until the end gives 3.3x
+    assert peak <= 2.0, peak
+    monkeypatch.setattr(channel, "_GRAM_BLOCK_ENTRIES", 1 << 19)  # two blocks
+    assert np.max(np.abs(ch.gram - build_random_channel(d, n, RngStream(2)).gram)) <= 1e-14
+
+
 def test_build_dim_one():
     # every U(1) element is a phase, so C = mean |u|^2 = 1
     ch = build_random_channel(1, 5, RngStream(6))

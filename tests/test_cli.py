@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from randomizer import RngStream, build_random_channel, load_channel, load_net
-from randomizer import cli
+from randomizer import cli, workers
 from randomizer.cli import run
 
 
@@ -22,6 +22,71 @@ def test_unknown_subcommand_and_flag():
     assert run(["frobnicate"]) == 1
     assert run(["bounds", "--dim", "2", "--epsilon", "0.5", "--bogus"]) == 1
     assert run([]) == 1
+
+
+def test_removed_flags_are_usage_errors(tmp_path):
+    sweep = ["sweep", "--dims", "1", "--counts", "2", "--channels", "1", "--seed", "1"]
+    concentration = ["concentration", "--dim", "2", "--counts", "4", "--deltas", "0.4",
+                     "--trials", "10", "--seed", "1"]
+    verify = ["verify", "--channel", str(tmp_path / "ch.json"), "--epsilon", "0.5"]
+    for argv in (sweep + ["--threads", "1"], concentration + ["--threads", "1"],
+                 sweep + ["--tol", "1e-10"], verify + ["--tol", "1e-10"]):
+        assert run(argv) == 1, argv
+
+
+@pytest.mark.parametrize("value", ["0", "x"])
+def test_bad_thread_setting_exits_two(capsys, monkeypatch, value):
+    monkeypatch.setenv("RANDOMIZER_THREADS", value)
+    for argv in (["sweep", "--dims", "1,2", "--counts", "2", "--channels", "1", "--seed", "1"],
+                 ["concentration", "--dim", "2", "--counts", "4,8", "--deltas", "0.4",
+                  "--trials", "10", "--seed", "1"]):
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: RANDOMIZER_THREADS")
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_thread_pools_started_per_command(tmp_path, capsys, monkeypatch, threads):
+    monkeypatch.setenv("RANDOMIZER_THREADS", threads)
+    real = workers.ThreadPoolExecutor
+    pools = []
+
+    def counting(*args, **kwargs):
+        pools.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(workers, "ThreadPoolExecutor", counting)
+    ch2, ch16, net = (str(tmp_path / name) for name in ("ch2.json", "ch16.json", "net.json"))
+    argvs = {
+        "sample-channel d=2": ["sample-channel", "--dim", "2", "--count", "64", "--seed", "1",
+                               "--out", ch2],
+        # 2000 unitaries at d=16: 32 sampling tiles, one Gram block
+        "sample-channel d=16": ["sample-channel", "--dim", "16", "--count", "2000", "--seed", "2",
+                                "--out", ch16],
+        "net": ["net", "--dim", "2", "--delta", "0.45", "--seed", "3", "--out", net],
+        "audit-net": ["audit-net", "--net", net, "--trials", "5000", "--seed", "4"],
+        "verify": ["verify", "--channel", ch2, "--epsilon", "0.9", "--net", net, "--seed", "5"],
+        "concentration": ["concentration", "--dim", "2", "--counts", "4,8", "--deltas", "0.4",
+                          "--trials", "50", "--seed", "6"],
+        "sweep": ["sweep", "--dims", "1,2", "--counts", "2,300", "--channels", "1",
+                  "--restarts", "2", "--seed", "7"],
+        "bounds": ["bounds", "--dim", "2", "--epsilon", "0.5"],
+    }
+    started = {}
+    for name, argv in argvs.items():
+        pools.clear()
+        assert run(argv) == 0, name
+        started[name] = len(pools)
+    capsys.readouterr()
+    if threads == "1":
+        assert started == dict.fromkeys(argvs, 0)
+    else:
+        # the unitarity check in the Gram block and the samples of a sweep cell start no pool
+        want = dict.fromkeys(argvs, 0)
+        want.update({"sample-channel d=16": 1, "concentration": 1, "sweep": 1})
+        assert started == want
 
 
 def test_sample_channel_roundtrip(tmp_path, capsys):
@@ -138,20 +203,22 @@ def test_concentration_nonpositive_dim_exits_two(capsys):
             assert capsys.readouterr().err.startswith("error:")
 
 
-def test_concentration_csv_output(tmp_path):
+def test_concentration_csv_output(tmp_path, monkeypatch):
+    monkeypatch.setenv("RANDOMIZER_THREADS", "1")
     out = tmp_path / "conc.csv"
     code = run(["concentration", "--dim", "2", "--counts", "4,8", "--deltas", "0.4",
-                "--trials", "200", "--seed", "10", "--out", str(out), "--threads", "1"])
+                "--trials", "200", "--seed", "10", "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "d,N,delta,trials,empirical_tail,bound,vacuous,seed"
     assert len(lines) == 3
 
 
-def test_sweep_csv_output(tmp_path):
+def test_sweep_csv_output(tmp_path, monkeypatch):
+    monkeypatch.setenv("RANDOMIZER_THREADS", "1")
     out = tmp_path / "sweep.csv"
     code = run(["sweep", "--dims", "1,2", "--epsilons", "0.5", "--counts", "2",
-                "--channels", "2", "--seed", "11", "--out", str(out), "--threads", "1"])
+                "--channels", "2", "--seed", "11", "--out", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("d,epsilon,N,channels")

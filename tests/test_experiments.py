@@ -128,30 +128,31 @@ def test_sweep_skips_infeasible_cells():
     assert "ceiling" in cell.reason or "max_states" in cell.reason
 
 
-def test_sweep_reproducible_and_thread_invariant():
+def test_sweep_reproducible_and_thread_invariant(monkeypatch):
     config = SweepConfig(dims=(2,), epsilons=(0.3, 0.7), counts=(4, 16),
                          channels_per_cell=2, delta=0.35, restarts=4)
-    a = run_randomizing_sweep(config, RngStream(8), threads=1)
-    b = run_randomizing_sweep(config, RngStream(8), threads=4)
+    monkeypatch.setenv("RANDOMIZER_THREADS", "1")
+    a = run_randomizing_sweep(config, RngStream(8))
+    monkeypatch.setenv("RANDOMIZER_THREADS", "4")
+    b = run_randomizing_sweep(config, RngStream(8))
     assert a.cells == b.cells
 
 
-def test_parallel_map_orders_results():
+def test_parallel_map_orders_results(monkeypatch):
+    monkeypatch.setenv("RANDOMIZER_THREADS", "4")
     items = list(range(20))
-    assert parallel_map(lambda x: x * x, items, threads=4) == [x * x for x in items]
+    assert list(parallel_map(lambda x: x * x, items)) == [x * x for x in items]
 
 
 def test_resolve_threads(monkeypatch):
-    assert resolve_threads(3) == 3
     monkeypatch.setenv("RANDOMIZER_THREADS", "5")
     assert resolve_threads() == 5
-    monkeypatch.setenv("RANDOMIZER_THREADS", "zero")
-    with pytest.raises(InvalidParameter):
-        resolve_threads()
+    for bad in ("zero", "0"):
+        monkeypatch.setenv("RANDOMIZER_THREADS", bad)
+        with pytest.raises(InvalidParameter):
+            resolve_threads()
     monkeypatch.delenv("RANDOMIZER_THREADS")
     assert resolve_threads() >= 1
-    with pytest.raises(InvalidParameter):
-        resolve_threads(0)
     # the default counts the cores this process may run on, not the machine's
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)

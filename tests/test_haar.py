@@ -7,7 +7,6 @@ from randomizer import (
     InvalidMatrix,
     RngStream,
     channel_from_unitaries,
-    sample_ginibre,
     sample_haar_unitaries,
     unitarity_defect,
 )
@@ -54,14 +53,14 @@ def tiled_counts(d):
 
 
 def test_ginibre_shape_and_finiteness():
-    z = sample_ginibre(1, RngStream(1), count=1)
+    z = haar.complex_standard_normal(RngStream(1).generator(), (1, 1, 1))
     assert z.shape == (1, 1, 1)
     assert np.isfinite(z).all()
 
 
 def test_ginibre_moments():
     # Monte Carlo against the Gaussian law: zero mean, E|z|^2 = 1
-    zs = sample_ginibre(4, RngStream(2), count=100_000)
+    zs = haar.complex_standard_normal(RngStream(2).generator(), (100_000, 4, 4))
     mean = zs.mean()
     assert abs(mean) <= 0.02
     second = np.mean(np.abs(zs) ** 2)
@@ -73,7 +72,7 @@ def test_ginibre_moments():
 
 def test_invalid_dimension():
     with pytest.raises(InvalidDimension):
-        sample_ginibre(0, RngStream(0), count=1)
+        sample_haar_unitaries(2.0, 1, RngStream(0))
     with pytest.raises(InvalidDimension):
         sample_haar_unitaries(0, 1, RngStream(0))
     with pytest.raises(InvalidDimension):
@@ -242,10 +241,20 @@ def test_sampling_inside_a_worker_starts_no_pool(monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(workers, "ThreadPoolExecutor", single_pool)
-    got = parallel_map(lambda s: sample_haar_unitaries(16, count, RngStream(s)), (1, 2, 3),
-                       threads=2)
+    got = list(parallel_map(lambda s: sample_haar_unitaries(16, count, RngStream(s)), (1, 2, 3)))
     assert len(pools) == 1
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
     # outside a worker the same stack does start a pool, so the check above is not vacuous
     with pytest.raises(AssertionError, match="second thread pool"):
         sample_haar_unitaries(16, count, RngStream(1))
+
+
+def test_defect_and_gaussians_start_no_pool(monkeypatch):
+    monkeypatch.setenv("RANDOMIZER_THREADS", "2")
+    us = sample_haar_unitaries(16, 3 * haar._TILE_ENTRIES // 256 + 5, RngStream(4))
+    monkeypatch.setattr(workers, "ThreadPoolExecutor", None)  # starting a pool raises TypeError
+    assert unitarity_defect(us) == pytest.approx(einsum_defect(us), abs=1e-15)
+    gen, oracle = RngStream(5).generator(), RngStream(5).generator()
+    shape = (3 * haar._TILE_ENTRIES + 5,)
+    want = np.sqrt(-np.log(1.0 - oracle.random(shape))) * np.exp(2j * np.pi * oracle.random(shape))
+    assert np.array_equal(haar.complex_standard_normal(gen, shape), want)
