@@ -36,6 +36,8 @@ _SCAN_BUDGET = 1_000_000  # entries of the (chunk, net size) statistic block per
 _TIE_TOL = 1e-12  # extreme eigenvalues this close in magnitude count as a tie
 _PHASE_FLOOR = 1e-8  # witness entries below this magnitude never fix its global phase
 _ASCENT_TOL = 1e-10  # a restart stops once a full step gains less than this
+DEFAULT_RESTARTS = 32  # ascent restarts, for the library and the CLI alike
+DEFAULT_MAX_ITERS = 500  # iteration cap of each restart
 
 
 class Verdict(str, Enum):
@@ -173,8 +175,8 @@ def _canonical_phase(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = 32,
-                                max_iters: int = 500, rng=None) -> LowerBound:
+def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = DEFAULT_RESTARTS,
+                                max_iters: int = DEFAULT_MAX_ITERS, rng=None) -> LowerBound:
     """Best witnessed value of |pair statistic - 1/d| over random restarts.
 
     Returns a valid lower bound on the full supremum together with the state
@@ -231,7 +233,8 @@ class DeviationCertificate:
 
 
 def verdict(ch: RandomUnitaryChannel, epsilon: float, net: PureStateNet,
-            restarts: int = 32, max_iters: int = 500, rng=None) -> DeviationCertificate:
+            restarts: int = DEFAULT_RESTARTS, max_iters: int = DEFAULT_MAX_ITERS,
+            rng=None) -> DeviationCertificate:
     """Certify or refute the epsilon-randomizing property of a channel.
 
     CertifiedNotRandomizing when the witnessed lower bound already exceeds

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDimension, InvalidMatrix, InvalidParameter
-from .haar import RngStream, as_generator, complex_standard_normal, sample_haar_unitaries, unitarity_defect
+from .haar import as_generator, as_stream, complex_standard_normal, sample_haar_unitaries, unitarity_defect
 from .linalg import TOL, hermitian_eigenvalues, hermitian_part, max_abs, operator_norm, require_finite
 from .workers import map_tiles
 
@@ -48,14 +48,15 @@ def maximally_mixed(d: int) -> np.ndarray:
     return np.eye(d, dtype=complex) / d
 
 
-def require_pure_state(x: np.ndarray, tol: float = TOL.state_norm) -> np.ndarray:
-    """Validate a unit vector in C^d and return it as complex128."""
+def require_pure_state(x: np.ndarray) -> np.ndarray:
+    """Validate a unit vector in C^d, norm within ``TOL.state_norm`` of 1; return it as complex128."""
     vec = require_finite(np.asarray(x, dtype=complex), "state vector")
     if vec.ndim != 1 or vec.size == 0:
         raise InvalidParameter(f"pure state must be a nonempty vector, got shape {vec.shape}")
     norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > tol:
-        raise InvalidParameter(f"state vector norm {norm} deviates from 1 beyond {tol:.1e}")
+    if abs(norm - 1.0) > TOL.state_norm:
+        raise InvalidParameter(f"state vector norm {norm} deviates from 1 "
+                               f"beyond {TOL.state_norm:.1e}")
     return vec
 
 
@@ -65,26 +66,20 @@ def pure_projector(x: np.ndarray) -> np.ndarray:
     return np.outer(vec, np.conj(vec))
 
 
-def random_pure_state(d: int, rng) -> np.ndarray:
-    """Uniform (Haar) random pure state: normalized iid complex Gaussian vector."""
+def random_pure_states(d: int, count: int, rng) -> np.ndarray:
+    """Batch of uniform (Haar) pure states, shape ``(count, d)``: normalized complex Gaussian rows."""
     if d < 1:
         raise InvalidDimension(f"dimension must be positive, got {d}")
-    gen = as_generator(rng)
-    vec = complex_standard_normal(gen, (d,))
-    norm = float(np.linalg.norm(vec))
-    while norm == 0.0:  # probability zero, but the contract demands a unit vector
-        vec = complex_standard_normal(gen, (d,))
-        norm = float(np.linalg.norm(vec))
-    return vec / norm
-
-
-def random_pure_states(d: int, count: int, rng) -> np.ndarray:
-    """Batch of uniform pure states, shape ``(count, d)``."""
     gen = as_generator(rng)
     vecs = complex_standard_normal(gen, (int(count), d))
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     return vecs / norms
+
+
+def random_pure_state(d: int, rng) -> np.ndarray:
+    """One uniform pure state: the single row of ``random_pure_states(d, 1, rng)``."""
+    return random_pure_states(d, 1, rng)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,11 +160,11 @@ def channel_from_unitaries(unitaries: np.ndarray, provenance: dict | None = None
     return RandomUnitaryChannel(gram, {**(provenance or {}), "dim": d, "count": n})
 
 
-def build_random_channel(d: int, n: int, seed: RngStream) -> RandomUnitaryChannel:
-    """Channel from ``n`` independent Haar unitaries on U(d), reproducible per stream."""
+def build_random_channel(d: int, n: int, seed) -> RandomUnitaryChannel:
+    """Channel from ``n`` independent Haar unitaries on U(d), reproducible per stream or int seed."""
     if not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidDimension(f"count must be a positive integer, got {n!r}")
-    stream = seed if isinstance(seed, RngStream) else RngStream(int(seed))
+    stream = as_stream(seed)
     us = sample_haar_unitaries(d, int(n), stream)  # validates d
     return channel_from_unitaries(us, {"kind": "haar", "seed": stream.seed,
                                        "stream_id": stream.stream_id})

@@ -16,11 +16,13 @@ import sys
 import numpy as np
 
 from . import bounds as bounds_mod
-from .certify import default_net_delta, verdict
+from .certify import DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, default_net_delta, verdict
 from .channel import build_random_channel, random_pure_state
 from .errors import InvalidDimension, RandomizerError
 from .experiments import (
+    DEFAULT_CHANNELS_PER_CELL,
     SweepConfig,
+    _write_json,
     load_channel,
     load_net,
     run_concentration_trial,
@@ -57,11 +59,6 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
-def _optional(raw: dict, key: str, cast):
-    value = raw.get(key)
-    return None if value is None else cast(value)
-
-
 def _cmd_sample_channel(args) -> int:
     stream = _resolve_stream(args)
     ch = build_random_channel(args.dim, args.count, stream)
@@ -77,8 +74,7 @@ def _cmd_verify(args) -> int:
         net = load_net(args.net)
     else:
         delta = args.delta if args.delta is not None else default_net_delta(args.epsilon)
-        net = build_delta_net(ch.dim, delta, stream.child(0), stop_k=args.stop_k,
-                              max_states=args.max_net_states)
+        net = build_delta_net(ch.dim, delta, stream.child(0), max_states=args.max_net_states)
     cert = verdict(ch, args.epsilon, net, restarts=args.restarts, max_iters=args.max_iters,
                    rng=stream.child(1))
     if args.report is not None:
@@ -94,8 +90,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_net(args) -> int:
     stream = _resolve_stream(args)
-    net = build_delta_net(args.dim, args.delta, stream, stop_k=args.stop_k,
-                          max_states=args.max_states)
+    net = build_delta_net(args.dim, args.delta, stream, max_states=args.max_states)
     save_net(args.out, net)
     print(
         f"net: d={net.dim} delta={net.delta} size={net.size} "
@@ -109,11 +104,9 @@ def _cmd_audit_net(args) -> int:
     net = load_net(args.net)
     report = audit_covering(net, args.trials, stream)
     if args.report is not None:
-        payload = {"dim": report.dim, "delta": report.delta, "trials": report.trials,
-                   "max_gap": report.max_gap, "failures": report.failures,
-                   "seed": stream.seed}
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
+        _write_json(args.report, {"dim": report.dim, "delta": report.delta,
+                                  "trials": report.trials, "max_gap": report.max_gap,
+                                  "failures": report.failures, "seed": stream.seed})
     print(
         f"audit-net: size={net.size} delta={net.delta} trials={report.trials} "
         f"max_gap={report.max_gap:.6f} failures={report.failures} seed={stream.seed}"
@@ -153,38 +146,11 @@ def _cmd_concentration(args) -> int:
 
 def _cmd_sweep(args) -> int:
     stream = _resolve_stream(args)
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read sweep config: {exc}", file=sys.stderr)
-            return 2
-        try:
-            grid = SweepConfig(
-                dims=tuple(int(v) for v in raw["dims"]),
-                epsilons=tuple(float(v) for v in raw["epsilons"]),
-                counts=tuple(int(v) for v in raw["counts"]),
-                channels_per_cell=int(raw.get("channels_per_cell", 20)),
-                delta=_optional(raw, "delta", float),
-                stop_k=_optional(raw, "stop_k", int),
-                max_net_states=_optional(raw, "max_net_states", int),
-                restarts=int(raw.get("restarts", 32)),
-                max_iters=int(raw.get("max_iters", 500)),
-            )
-        except KeyError as exc:
-            print(f"error: sweep config lacks key {exc}", file=sys.stderr)
-            return 2
-        except (TypeError, ValueError) as exc:
-            print(f"error: malformed sweep config: {exc}", file=sys.stderr)
-            return 2
-    else:
-        grid = SweepConfig(
-            dims=tuple(args.dims), epsilons=tuple(args.epsilons), counts=tuple(args.counts),
-            channels_per_cell=args.channels, delta=args.delta, stop_k=args.stop_k,
-            max_net_states=args.max_net_states, restarts=args.restarts,
-            max_iters=args.max_iters,
-        )
+    grid = SweepConfig(
+        dims=tuple(args.dims), epsilons=tuple(args.epsilons), counts=tuple(args.counts),
+        channels_per_cell=args.channels, delta=args.delta,
+        max_net_states=args.max_net_states, restarts=args.restarts, max_iters=args.max_iters,
+    )
     report = run_randomizing_sweep(grid, stream)
     if args.out is not None:
         write_sweep_csv(args.out, report)
@@ -239,12 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float, default=None,
                    help="net radius (default: epsilon/(3+2 epsilon))")
     p.add_argument("--net", default=None, help="use a prebuilt net JSON instead of building one")
-    p.add_argument("--stop-k", dest="stop_k", type=int, default=None,
-                   help="stop after this many consecutive rejections when building the net")
     p.add_argument("--max-net-states", dest="max_net_states", type=int, default=None,
                    help="size budget for the net; waives the feasibility guard")
-    p.add_argument("--restarts", type=int, default=32, help="optimizer restarts")
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=500,
+    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS, help="optimizer restarts")
+    p.add_argument("--max-iters", dest="max_iters", type=int, default=DEFAULT_MAX_ITERS,
                    help="optimizer iteration cap")
     p.add_argument("--report", default=None, help="certificate JSON output path")
     add_seed(p)
@@ -253,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("net", help="build a delta-net of pure states")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--delta", type=float, required=True, help="covering radius in (0, 2)")
-    p.add_argument("--stop-k", dest="stop_k", type=int, default=None)
     p.add_argument("--max-states", dest="max_states", type=int, default=None,
                    help="size budget; waives the feasibility guard")
     p.add_argument("--out", required=True, help="output net JSON path")
@@ -281,18 +244,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_concentration)
 
     p = sub.add_parser("sweep", help="verdict fractions over a (d, epsilon, N) grid")
-    p.add_argument("--config", default=None, help="sweep grid JSON file (overrides grid flags)")
     p.add_argument("--dims", type=_int_list, default=[2], help="comma-separated dimensions")
     p.add_argument("--epsilons", type=_float_list, default=[0.5],
                    help="comma-separated epsilon values")
     p.add_argument("--counts", type=_int_list, default=[64], help="comma-separated N values")
-    p.add_argument("--channels", type=int, default=20, help="channels per cell")
+    p.add_argument("--channels", type=int, default=DEFAULT_CHANNELS_PER_CELL,
+                   help="channels per cell")
     p.add_argument("--delta", type=float, default=None,
                    help="net radius override (default: per-cell epsilon/(3+2 epsilon))")
-    p.add_argument("--stop-k", dest="stop_k", type=int, default=None)
     p.add_argument("--max-net-states", dest="max_net_states", type=int, default=None)
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--max-iters", dest="max_iters", type=int, default=500)
+    p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
+    p.add_argument("--max-iters", dest="max_iters", type=int, default=DEFAULT_MAX_ITERS)
     p.add_argument("--out", default=None, help="CSV output path")
     add_seed(p)
     p.set_defaults(func=_cmd_sweep)

@@ -11,19 +11,21 @@ from itertools import product
 import numpy as np
 
 from .bounds import BoundConstants, DEFAULT_CONSTANTS, concentration_tail_bound
-from .certify import DeviationCertificate, Verdict, default_net_delta, verdict
+from .certify import (DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, DeviationCertificate, Verdict,
+                      default_net_delta, verdict)
 from .channel import (RandomUnitaryChannel, build_random_channel, random_pure_states,
                       require_pure_state)
 from .errors import InvalidParameter, NetInfeasible, ParseError
-from .haar import RngStream, sample_haar_unitaries  # noqa: F401 (the benchmark wraps it here)
+from .haar import RngStream, as_stream
+from .haar import sample_haar_unitaries  # noqa: F401 (the benchmark wraps it here)
 from .netcover import PureStateNet, build_delta_net
 from .workers import parallel_map, resolve_threads  # noqa: F401 (the benchmark reads it here)
 
 _TRIAL_CHUNK = 2000
+DEFAULT_CHANNELS_PER_CELL = 20  # channels drawn per sweep cell, for the library and the CLI alike
 
 CHANNEL_SCHEMA = "ruc-2"
-NET_PROVENANCE = ("seed", "stream_id", "stop_k", "max_states", "candidates", "rejections",
-                  "stopped_by")
+NET_PROVENANCE = ("seed", "stream_id", "max_states", "candidates", "rejections", "stopped_by")
 CONCENTRATION_CSV_COLUMNS = ("d", "N", "delta", "trials", "empirical_tail",
                              "bound", "vacuous", "seed")
 SWEEP_CSV_COLUMNS = ("d", "epsilon", "N", "channels", "frac_certified", "frac_not",
@@ -71,7 +73,7 @@ def run_concentration_trial(d: int, n: int, delta: float, trials: int,
     psi = require_pure_state(psi)
     if phi.shape[0] != d or psi.shape[0] != d:
         raise InvalidParameter("state dimension does not match d")
-    stream = seed if isinstance(seed, RngStream) else RngStream(int(seed))
+    stream = as_stream(seed)
     gen = stream.generator()
 
     inv_d = 1.0 / d
@@ -116,12 +118,11 @@ class SweepConfig:
     dims: tuple[int, ...]
     epsilons: tuple[float, ...]
     counts: tuple[int, ...]
-    channels_per_cell: int = 20
+    channels_per_cell: int = DEFAULT_CHANNELS_PER_CELL
     delta: float | None = None  # None: delta = default_net_delta(epsilon) per cell
-    stop_k: int | None = None
     max_net_states: int | None = None
-    restarts: int = 32
-    max_iters: int = 500
+    restarts: int = DEFAULT_RESTARTS
+    max_iters: int = DEFAULT_MAX_ITERS
 
     def cells(self) -> list[tuple[int, float, int]]:
         return list(product(self.dims, self.epsilons, self.counts))
@@ -156,8 +157,7 @@ def _run_sweep_cell(config: SweepConfig, stream: RngStream, index: int,
     cell_stream = stream.child(index)
     delta = config.delta if config.delta is not None else default_net_delta(epsilon)
     try:
-        net = build_delta_net(d, delta, cell_stream.child(0), stop_k=config.stop_k,
-                              max_states=config.max_net_states)
+        net = build_delta_net(d, delta, cell_stream.child(0), max_states=config.max_net_states)
     except NetInfeasible as exc:
         return SweepCell(d, epsilon, n, 0, 0.0, 0.0, 0.0, math.nan, math.nan,
                          skipped=True, reason=str(exc))
@@ -192,7 +192,7 @@ def run_randomizing_sweep(config: SweepConfig, seed) -> SweepReport:
     """
     if config.channels_per_cell < 1:
         raise InvalidParameter("channels_per_cell must be positive")
-    stream = seed if isinstance(seed, RngStream) else RngStream(int(seed))
+    stream = as_stream(seed)
     cells = config.cells()
     results = parallel_map(lambda ic: _run_sweep_cell(config, stream, ic[0], ic[1]),
                            enumerate(cells))

@@ -72,14 +72,21 @@ class RngStream:
         return RngStream(self.seed, sid)
 
 
+def as_stream(rng) -> RngStream:
+    """Accept an RngStream or an int seed; anything else (a Generator, a float) raises TypeError."""
+    if isinstance(rng, RngStream):
+        return rng
+    if isinstance(rng, (int, np.integer)):
+        return RngStream(int(rng))
+    raise TypeError(f"expected RngStream or int seed, got {type(rng).__name__}")
+
+
 def as_generator(rng) -> np.random.Generator:
     """Accept an RngStream, a ready Generator, or a bare seed."""
     if isinstance(rng, np.random.Generator):
         return rng
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    if isinstance(rng, (int, np.integer)):
-        return RngStream(int(rng)).generator()
+    if isinstance(rng, (RngStream, int, np.integer)):
+        return as_stream(rng).generator()
     raise TypeError(f"expected RngStream, Generator or int, got {type(rng).__name__}")
 
 
@@ -143,10 +150,7 @@ def sample_haar_unitaries(d: int, count: int, rng) -> np.ndarray:
     if count < 1:
         raise InvalidDimension(f"count must be a positive integer, got {count!r}")
     d, count = int(d), int(count)
-    if isinstance(rng, (int, np.integer)):
-        rng = RngStream(int(rng))
-    if not isinstance(rng, RngStream):
-        raise TypeError(f"expected RngStream or int seed, got {type(rng).__name__}")
+    rng = as_stream(rng)
     total = count * d * d
     q = np.empty((count, d, d), dtype=complex)
     flat = q.reshape(-1)

@@ -46,14 +46,15 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return (a + np.conj(np.swapaxes(a, -2, -1))) / 2.0
 
 
-def require_hermitian(a: np.ndarray, tol: float = TOL.hermiticity) -> np.ndarray:
-    """Validate ``max|A - A†| <= tol`` and return the symmetrized matrix."""
+def require_hermitian(a: np.ndarray) -> np.ndarray:
+    """Validate ``max|A - A†| <= TOL.hermiticity`` and return the symmetrized matrix."""
     arr = require_finite(a, "hermitian matrix")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise InvalidMatrix(f"expected a square matrix, got shape {arr.shape}")
     drift = max_abs(arr - np.conj(arr.T))
-    if drift > tol:
-        raise InvalidMatrix(f"matrix is not Hermitian: max|H - H^dag| = {drift:.3e} > {tol:.1e}")
+    if drift > TOL.hermiticity:
+        raise InvalidMatrix(f"matrix is not Hermitian: max|H - H^dag| = {drift:.3e} "
+                            f"> {TOL.hermiticity:.1e}")
     return hermitian_part(arr)
 
 
@@ -73,20 +74,20 @@ def operator_norm(h: np.ndarray) -> float:
     return float(np.max(np.abs(values))) if values.size else 0.0
 
 
-def qr_positive_stacked(mats: np.ndarray, rank_tol: float = TOL.rank_deficiency):
+def qr_positive_stacked(mats: np.ndarray):
     """Phase-fixed QR of stacked square matrices ``(..., d, d)``.
 
     Returns ``(q, degenerate)`` where ``q`` is the unitary factor of the unique
     QR factorization with strictly positive real diagonal of R, and
     ``degenerate`` flags matrices whose R diagonal falls below
-    ``rank_tol * max|M|`` (those q slices are not trustworthy).
+    ``TOL.rank_deficiency * max|M|`` (those q slices are not trustworthy).
     """
     mats = np.asarray(mats, dtype=complex)
     q, r = np.linalg.qr(mats)
     diag = np.einsum("...ii->...i", r)
     mag = np.abs(diag)
     scale = np.max(np.abs(mats), axis=(-2, -1))
-    degenerate = np.any(mag <= rank_tol * scale[..., None], axis=-1)
+    degenerate = np.any(mag <= TOL.rank_deficiency * scale[..., None], axis=-1)
     # Naive QR leaves an arbitrary phase per column; dividing it out is what
     # makes the factor exactly Haar-distributed for Gaussian input.
     safe = np.where(mag > 0.0, mag, 1.0)

@@ -134,14 +134,13 @@ def _require_separated(states: np.ndarray, delta: float):
             )
 
 
-def build_delta_net(d: int, delta: float, rng, stop_k: int | None = None,
-                    max_states: int | None = None) -> PureStateNet:
+def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) -> PureStateNet:
     """Greedy maximal (delta/2)-separated set of uniform random pure states.
 
     Candidates are drawn uniformly; one is kept iff its trace distance to every
-    kept state is >= delta/2. The builder stops after ``stop_k`` consecutive
-    rejections (default: max(1000, 20 * current size), which tracks the set as
-    it grows), or once ``max_states`` are kept.
+    kept state is >= delta/2. The builder stops after max(1000, 20 * size)
+    consecutive rejections, where size is the number of states kept so far, so
+    the rule tracks the set as it grows; or once ``max_states`` are kept.
 
     Without an explicit ``max_states`` budget the covering-number bound guards
     against astronomically large requests (NetInfeasible); with a budget the
@@ -157,8 +156,6 @@ def build_delta_net(d: int, delta: float, rng, stop_k: int | None = None,
         raise InvalidDimension(f"dimension must be a positive integer, got {d!r}")
     if not 0.0 < delta < 2.0:
         raise InvalidParameter(f"delta must lie in (0, 2), got {delta}")
-    if stop_k is not None and stop_k < 1:
-        raise InvalidParameter(f"stop_k must be positive, got {stop_k}")
     if max_states is not None and max_states < 1:
         raise InvalidParameter(f"max_states must be positive, got {max_states}")
     if max_states is None and delta < 1.0:
@@ -202,7 +199,7 @@ def build_delta_net(d: int, delta: float, rng, stop_k: int | None = None,
         taken = 0
         prev = 0
         for pos in accepted + [_CANDIDATE_BATCH]:
-            stop = stop_k if stop_k is not None else max(1000, 20 * (size + taken))
+            stop = max(1000, 20 * (size + taken))
             run = pos - prev
             if consecutive + run >= stop:
                 candidates += stop - consecutive
@@ -235,7 +232,6 @@ def build_delta_net(d: int, delta: float, rng, stop_k: int | None = None,
     prov = {
         "seed": stream.seed if stream is not None else None,
         "stream_id": stream.stream_id if stream is not None else None,
-        "stop_k": stop_k,
         "max_states": max_states,
         "candidates": candidates,
         "rejections": rejections,

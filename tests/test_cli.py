@@ -29,9 +29,15 @@ def test_removed_flags_are_usage_errors(tmp_path):
     concentration = ["concentration", "--dim", "2", "--counts", "4", "--deltas", "0.4",
                      "--trials", "10", "--seed", "1"]
     verify = ["verify", "--channel", str(tmp_path / "ch.json"), "--epsilon", "0.5"]
+    net = ["net", "--dim", "2", "--delta", "0.5", "--out", str(tmp_path / "net.json")]
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps({"dims": [1], "epsilons": [0.5], "counts": [2]}))
     for argv in (sweep + ["--threads", "1"], concentration + ["--threads", "1"],
-                 sweep + ["--tol", "1e-10"], verify + ["--tol", "1e-10"]):
+                 sweep + ["--tol", "1e-10"], verify + ["--tol", "1e-10"],
+                 verify + ["--stop-k", "200"], net + ["--stop-k", "200"],
+                 sweep + ["--stop-k", "200"], sweep + ["--config", str(grid)]):
         assert run(argv) == 1, argv
+    assert not (tmp_path / "net.json").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "x"])
@@ -223,27 +229,6 @@ def test_sweep_csv_output(tmp_path, monkeypatch):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("d,epsilon,N,channels")
     assert len(lines) == 3
-
-
-def test_sweep_config_file(tmp_path):
-    grid = tmp_path / "grid.json"
-    grid.write_text(json.dumps({"dims": [1], "epsilons": [0.5], "counts": [2],
-                                "channels_per_cell": 2}))
-    out = tmp_path / "sweep.csv"
-    assert run(["sweep", "--config", str(grid), "--seed", "12", "--out", str(out)]) == 0
-    assert out.exists()
-
-
-def test_sweep_config_malformed_exits_two(tmp_path, capsys):
-    grid = tmp_path / "grid.json"
-    out = tmp_path / "sweep.csv"
-    for raw, hint in (({"dims": [2], "epsilons": [0.9]}, "counts"),
-                      ({"dims": 2, "epsilons": [0.9], "counts": [8]}, "malformed")):
-        grid.write_text(json.dumps(raw))
-        assert run(["sweep", "--config", str(grid), "--seed", "12", "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and hint in err
-    assert not out.exists()
 
 
 def test_bounds_json(capsys):

@@ -268,8 +268,12 @@ def test_net_round_trip(tmp_path):
     assert loaded.delta == net.delta
     assert loaded.provenance == net.provenance
     payload = json.loads(path.read_text())
-    assert set(payload) >= {"dim", "delta", "states", "seed", "stop_k", "max_states",
+    assert set(payload) == {"dim", "delta", "states", "seed", "stream_id", "max_states",
                             "candidates", "rejections", "stopped_by"}
+    path.write_text(json.dumps({**payload, "stop_k": 200}))  # written when stop_k was settable
+    legacy = load_net(path)
+    assert np.array_equal(legacy.states, net.states)
+    assert legacy.provenance == net.provenance
     budgeted = build_delta_net(2, 0.3, RngStream(15), max_states=7)
     save_net(path, budgeted)
     assert load_net(path).provenance == budgeted.provenance

@@ -6,7 +6,11 @@ from randomizer import (
     InvalidDimension,
     InvalidMatrix,
     RngStream,
+    SweepConfig,
+    build_random_channel,
     channel_from_unitaries,
+    run_concentration_trial,
+    run_randomizing_sweep,
     sample_haar_unitaries,
     unitarity_defect,
 )
@@ -77,6 +81,23 @@ def test_invalid_dimension():
         sample_haar_unitaries(0, 1, RngStream(0))
     with pytest.raises(InvalidDimension):
         sample_haar_unitaries(2, 0, RngStream(0))
+    with pytest.raises(InvalidDimension):
+        random_pure_states(0, 1, RngStream(0))
+
+
+def test_seeds_are_streams_or_ints():
+    assert haar.as_stream(RngStream(4, 2)) == RngStream(4, 2)
+    assert haar.as_stream(np.int64(4)) == haar.as_stream(4) == RngStream(4)
+    e1 = np.array([1.0, 0.0], dtype=complex)
+    grid = SweepConfig(dims=(1,), epsilons=(0.5,), counts=(1,), channels_per_cell=1)
+    for call in (lambda seed: sample_haar_unitaries(2, 1, seed),
+                 lambda seed: build_random_channel(2, 1, seed),
+                 lambda seed: run_concentration_trial(2, 1, 0.5, 1, e1, e1, seed),
+                 lambda seed: run_randomizing_sweep(grid, seed)):
+        with pytest.raises(TypeError):
+            call(2.7)  # not truncated to seed 2
+        with pytest.raises(TypeError):
+            call(RngStream(2).generator())
 
 
 def test_haar_dim_one_is_phase():

@@ -157,8 +157,6 @@ def test_invalid_parameters():
         build_delta_net(2, 0.0, RngStream(16))
     with pytest.raises(InvalidParameter):
         build_delta_net(2, 2.0, RngStream(16))
-    with pytest.raises(InvalidParameter):
-        build_delta_net(2, 0.5, RngStream(16), stop_k=0)
 
 
 def test_uniform_sampling_first_component():
@@ -185,7 +183,7 @@ def test_net_equality_is_identity():
 # the real overlap kernel against the candidate-by-candidate complex oracle
 # ---------------------------------------------------------------------------
 
-def _reference_build(d, delta, rng, stop_k=None, max_states=None):
+def _reference_build(d, delta, rng, max_states=None):
     """The builder as a plain sequential loop over candidates with complex overlaps.
 
     Returns the kept states and the provenance counters; draws the same
@@ -211,7 +209,7 @@ def _reference_build(d, delta, rng, stop_k=None, max_states=None):
             else:
                 rejections += 1
                 consecutive += 1
-                if consecutive >= (stop_k if stop_k is not None else max(1000, 20 * len(kept))):
+                if consecutive >= max(1000, 20 * len(kept)):
                     break
         else:
             continue
@@ -220,25 +218,24 @@ def _reference_build(d, delta, rng, stop_k=None, max_states=None):
     return kept, prov
 
 
-@pytest.mark.parametrize("d, delta, seed, stop_k, max_states", [
-    (1, 0.5, 26, None, None),     # one state, then the default stop rule
-    (2, 0.5, 25, None, None),     # the default stop rule tracks the growing net
-    (2, 1.9, 28, None, None),     # coarse radius, a handful of states
-    (3, 1.5, 21, None, None),
-    (2, 0.3, 24, 200, None),      # explicit stop_k, stops partway through a batch
-    (2, 0.5, 35, 1, None),        # tiny stop_k: the stop must fire even when an accept follows
-    (2, 0.5, 36, 3, None),
-    (5, 0.3, 23, None, 300),      # budget reached inside the first batch
-    (3, 0.6, 22, 500, 1000),      # budget reached partway through the third batch
-    (16, 0.5, 27, None, 64),      # the 64-state budgeted net at the top of desk scale
+@pytest.mark.parametrize("d, delta, seed, max_states", [
+    (1, 0.5, 26, None),     # one state, then the stop rule
+    (2, 0.5, 25, None),     # the stop rule tracks the growing net
+    (2, 1.9, 28, None),     # coarse radius, a handful of states
+    (3, 1.5, 21, None),
+    (2, 0.3, 24, None),     # stops at candidate 296 of its batch, with no accept after it
+    (2, 1.0, 41, None),     # stops at candidate 45 of a batch that accepts a later candidate
+    (2, 1.0, 46, None),     # stops at candidate 18 of a batch that accepts two later ones
+    (5, 0.3, 23, 300),      # budget reached inside the first batch
+    (3, 0.6, 22, 1000),     # budget reached partway through the third batch
+    (16, 0.5, 27, 64),      # the 64-state budgeted net at the top of desk scale
 ])
-def test_builder_matches_sequential_reference(d, delta, seed, stop_k, max_states):
-    net = build_delta_net(d, delta, RngStream(seed), stop_k=stop_k, max_states=max_states)
-    states, prov = _reference_build(d, delta, RngStream(seed), stop_k=stop_k,
-                                    max_states=max_states)
+def test_builder_matches_sequential_reference(d, delta, seed, max_states):
+    net = build_delta_net(d, delta, RngStream(seed), max_states=max_states)
+    states, prov = _reference_build(d, delta, RngStream(seed), max_states=max_states)
     assert np.array_equal(net.states, states)
     assert {key: net.provenance[key] for key in prov} == prov
-    assert net.provenance["stop_k"] == stop_k and net.provenance["max_states"] == max_states
+    assert net.provenance["max_states"] == max_states
     assert all(type(net.provenance[key]) is int for key in ("candidates", "rejections"))
     json.dumps(net.provenance)
 
