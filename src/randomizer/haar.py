@@ -1,25 +1,19 @@
 """Reproducible Haar sampling on the unitary group via Ginibre matrices and phase-fixed QR.
 
-A stack of T = count * d^2 entries is sampled over tiles of ``_TILE_ENTRIES``
-stack entries on the package's worker threads (``workers.parallel_map``).
-Entry e takes its radius uniform from position e of the stream and its phase
-uniform from position T + e, the layout of one sequential draw of all radius
-uniforms followed by all phase uniforms. Philox is counter-based, so each
-tile positions its own generator there and draws only its own uniforms: no
-uniform is drawn serially on the calling thread, and no whole-stack uniform
-or Ginibre array exists. A tile writes its Box-Muller Gaussians straight into
-its slice of the one preallocated output, then replaces them in place with
-their phase-fixed QR factors. Degenerate draws are refilled serially from
-position 2T onward. Tile boundaries depend only on the shape of the stack,
-never on the thread count, and a tile computes for its entries exactly what
-the whole-stack operation computes, so stacks are bit for bit the same for
-every thread count. A stack of one tile runs inline with no pool, and a call
-from inside another map's worker runs its tiles serially.
+A stack is sampled over tiles of ``_TILE_ENTRIES`` stack entries on the
+package's worker threads (``workers.parallel_map``). Tile k draws its Ginibre
+matrices from its own child stream ``rng.child(k)`` through
+``complex_standard_normal``, the package's one Gaussian path, and writes their
+phase-fixed QR factors into its slice of the one preallocated output. A tile
+holding a degenerate draw is redrawn whole from the same generator: iid draws
+conditioned on a product event stay iid, each conditioned on its own event.
+Tile boundaries depend only on the shape of the stack, never on the thread
+count, so stacks are bit for bit the same for every thread count. A stack of
+one tile runs inline with no pool, and a call from inside another map's
+worker runs its tiles serially.
 
-The unitarity check and ``complex_standard_normal`` run on the calling
-thread: the check loops over the same tiles in order, which keeps its
-temporaries cache-sized, and the Box-Muller transform is one in-place pass;
-neither gains from worker threads.
+The unitarity check loops over the same tiles in order on the calling thread,
+which keeps its temporaries cache-sized; it gains nothing from worker threads.
 """
 
 from __future__ import annotations
@@ -90,60 +84,34 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream, Generator or int, got {type(rng).__name__}")
 
 
-def _box_muller(radius: np.ndarray, angle: np.ndarray, out: np.ndarray) -> None:
-    """``out = sqrt(-ln(1 - radius)) * exp(2 pi i angle)`` on flat arrays; overwrites ``radius``."""
-    np.subtract(1.0, radius, out=radius)
-    np.log(radius, out=radius)
-    np.negative(radius, out=radius)
-    np.sqrt(radius, out=radius)
-    out.real = 0.0
-    np.multiply(angle, 2.0 * np.pi, out=out.imag)
-    np.exp(out, out=out)
-    out *= radius
-
-
 def complex_standard_normal(gen: np.random.Generator, shape) -> np.ndarray:
     """Complex Gaussians with mean 0 and variance 1/2 per real component.
 
     Complex Box-Muller: radius sqrt(-ln u1) and uniform phase give
     E|z|^2 = 1 exactly. u1 is shifted into (0, 1] to keep the log finite.
-    Both uniform arrays are drawn first, then transformed in one in-place
-    pass, bit for bit equal to
-    ``np.sqrt(-np.log(1.0 - u1)) * np.exp(2j * np.pi * u2)`` with u1 drawn first.
+    Both uniform arrays are drawn first, then transformed in place, bit for
+    bit equal to ``np.sqrt(-np.log(1.0 - u1)) * np.exp(2j * np.pi * u2)``
+    with u1 drawn first.
     """
-    u1 = gen.random(shape)
-    u2 = gen.random(shape)
+    radius = gen.random(shape)
     z = np.empty(shape, dtype=complex)
-    _box_muller(u1.reshape(-1), u2.reshape(-1), z.reshape(-1))
+    np.multiply(gen.random(shape), 2.0 * np.pi, out=z.imag)
+    z.real = 0.0
+    np.exp(z, out=z)
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    np.negative(radius, out=radius)
+    np.sqrt(radius, out=radius)
+    z *= radius
     return z
-
-
-def _uniforms_at(stream: RngStream, position: int, size: int) -> np.ndarray:
-    """``size`` uniforms from absolute ``position`` of the stream's one sequential draw.
-
-    Each Philox counter step yields 4 uint64 values and ``random()`` uses one
-    per double, so a fresh generator advanced ``position // 4`` steps, with
-    ``position % 4`` doubles discarded, stands at ``position``.
-    """
-    gen = stream.generator()
-    gen.bit_generator.advance(position // 4)
-    gen.random(position % 4)
-    return gen.random(size)
-
-
-def _ginibre_at(stream: RngStream, radius_at: int, phase_at: int, out: np.ndarray) -> None:
-    """Fill flat complex ``out`` with Gaussians drawn from the uniforms at the two positions."""
-    size = out.size
-    _box_muller(_uniforms_at(stream, radius_at, size), _uniforms_at(stream, phase_at, size), out)
 
 
 def sample_haar_unitaries(d: int, count: int, rng) -> np.ndarray:
     """Stack of ``count`` independent Haar unitaries, shape ``(count, d, d)``.
 
-    ``rng`` is an RngStream or an int seed; a ``Generator`` cannot be
-    positioned and raises TypeError. Each tile draws its Ginibre entries at
-    their stream positions and factors them in place; degenerate draws are
-    redrawn serially (at most 10 times, then NumericalFailure).
+    ``rng`` is an RngStream or an int seed; a ``Generator`` raises TypeError,
+    because each tile derives its own child stream. A tile with a degenerate
+    draw is redrawn whole, at most 10 times, then NumericalFailure.
     """
     if not isinstance(d, (int, np.integer)) or d < 1:
         raise InvalidDimension(f"dimension must be a positive integer, got {d!r}")
@@ -151,29 +119,19 @@ def sample_haar_unitaries(d: int, count: int, rng) -> np.ndarray:
         raise InvalidDimension(f"count must be a positive integer, got {count!r}")
     d, count = int(d), int(count)
     rng = as_stream(rng)
-    total = count * d * d
+    per_tile = max(1, _TILE_ENTRIES // (d * d))
     q = np.empty((count, d, d), dtype=complex)
-    flat = q.reshape(-1)
-    degenerate = np.empty(count, dtype=bool)
 
     def tile(rows):
-        start, stop = rows.start * d * d, min(rows.stop, count) * d * d
-        _ginibre_at(rng, start, total + start, flat[start:stop])
-        q[rows], degenerate[rows] = qr_positive_stacked(q[rows])
+        gen = rng.child(rows.start // per_tile).generator()
+        for _ in range(1 + _MAX_RESAMPLES):
+            q[rows], degenerate = qr_positive_stacked(complex_standard_normal(gen, q[rows].shape))
+            if not np.any(degenerate):
+                return
+        raise NumericalFailure("persistent degenerate Ginibre samples in a Haar tile")
 
-    for _ in map_tiles(tile, count, max(1, _TILE_ENTRIES // (d * d))):
-        pass  # the tiles write into q and degenerate
-    position = 2 * total
-    for _ in range(_MAX_RESAMPLES):
-        if not np.any(degenerate):
-            break
-        idx = np.flatnonzero(degenerate)
-        refill = np.empty((len(idx), d, d), dtype=complex)
-        _ginibre_at(rng, position, position + refill.size, refill.reshape(-1))
-        position += 2 * refill.size
-        q[idx], degenerate[idx] = qr_positive_stacked(refill)
-    else:
-        raise NumericalFailure("persistent degenerate Ginibre samples in batch draw")
+    for _ in map_tiles(tile, count, per_tile):
+        pass  # the tiles write into q
     return q
 
 

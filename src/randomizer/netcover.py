@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import random_pure_states
 from .errors import InvalidDimension, InvalidParameter, NetInfeasible
-from .haar import RngStream, as_generator
+from .haar import as_generator, as_stream
 from .linalg import TOL, require_finite
 
 _SIZE_CEILING = 10_000_000  # desk-scale memory ceiling on materialized nets
@@ -166,8 +166,8 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
                 f"at (d={d}, delta={delta}); pass max_states to build a budgeted net"
             )
 
-    stream = rng if isinstance(rng, RngStream) else None
-    gen = as_generator(rng)
+    stream = None if isinstance(rng, np.random.Generator) else as_stream(rng)
+    gen = rng if stream is None else stream.generator()
     threshold = _overlap_threshold(delta)
     ceiling = _SIZE_CEILING if max_states is None else int(max_states)
 

@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -238,6 +241,22 @@ def test_bounds_json(capsys):
     assert payload["min_N_for_success"] == 13304
     assert payload["failure_log_bound_at_required_N"] > 0
     assert payload["C"] == 150.0
+
+
+def test_module_form_runs_main():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        os.path.dirname(os.path.dirname(cli.__file__)), os.environ.get("PYTHONPATH")]))}
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "randomizer.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    bounds = module("bounds", "--dim", "2", "--epsilon", "0.5")
+    assert bounds.returncode == 0, bounds.stderr
+    assert json.loads(bounds.stdout)["required_N"] == 832
+    usage = module("verify", "--help")
+    assert usage.returncode == 0
+    assert usage.stdout.startswith("usage:") and "--channel" in usage.stdout
 
 
 def test_bounds_repeatable_output(capsys):

@@ -279,6 +279,21 @@ def test_net_round_trip(tmp_path):
     assert load_net(path).provenance == budgeted.provenance
 
 
+def test_int_seeded_net_records_its_stream(tmp_path):
+    net = build_delta_net(2, 0.8, 7)
+    assert (net.provenance["seed"], net.provenance["stream_id"]) == (7, 0)
+    streamed = build_delta_net(2, 0.8, RngStream(7))
+    assert np.array_equal(net.states, streamed.states)
+    assert net.provenance == streamed.provenance
+    path = tmp_path / "net.json"
+    save_net(path, net)
+    loaded = load_net(path)
+    assert (loaded.provenance["seed"], loaded.provenance["stream_id"]) == (7, 0)
+    unnamed = build_delta_net(2, 0.8, RngStream(7).generator())  # a Generator names no stream
+    assert (unnamed.provenance["seed"], unnamed.provenance["stream_id"]) == (None, None)
+    assert np.array_equal(unnamed.states, net.states)
+
+
 def test_certificate_schema(tmp_path):
     net = build_delta_net(2, 0.125, RngStream(13), max_states=300)
     cert = verdict(build_weyl_channel(2), 0.5, net, restarts=4, rng=RngStream(14))

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from randomizer import (
     sample_haar_unitaries,
     unitarity_defect,
 )
-from randomizer import as_generator, haar, workers
+from randomizer import haar, workers
 from randomizer.channel import random_pure_states
 from randomizer.linalg import qr_positive_stacked
 from randomizer.workers import parallel_map
@@ -26,28 +28,17 @@ def einsum_defect(u):
     return float(np.max(np.abs(gram - np.eye(u.shape[-1]))))
 
 
-def whole_stack_haar(d, count, rng, plant=None):
-    """Oracle: the untiled sampler, one Box-Muller formula and one QR call over the whole stack.
-
-    ``plant`` may edit the first Ginibre draw in place before it is factored.
-    """
-    gen = as_generator(rng)
-
-    def ginibre(k):
-        u1 = 1.0 - gen.random((k, d, d))
-        u2 = gen.random((k, d, d))
-        return np.sqrt(-np.log(u1)) * np.exp(2j * np.pi * u2)
-
-    mats = ginibre(count)
-    if plant is not None:
-        plant(mats)
-    q, degenerate = qr_positive_stacked(mats)
-    for _ in range(10):
-        if not np.any(degenerate):
-            return q
-        idx = np.flatnonzero(degenerate)
-        q[idx], degenerate[idx] = qr_positive_stacked(ginibre(len(idx)))
-    raise AssertionError("oracle kept drawing degenerate matrices")
+def per_tile_haar(d, count, rng):
+    """Oracle: tile k factors one Gaussian draw from ``rng.child(k)`` with one QR call."""
+    per_tile = haar._TILE_ENTRIES // (d * d)
+    tiles = []
+    for k, start in enumerate(range(0, count, per_tile)):
+        shape = (min(per_tile, count - start), d, d)
+        draw = haar.complex_standard_normal(rng.child(k).generator(), shape)
+        q, degenerate = qr_positive_stacked(draw)
+        assert not np.any(degenerate)
+        tiles.append(q)
+    return np.concatenate(tiles)
 
 
 def tiled_counts(d):
@@ -97,7 +88,9 @@ def test_seeds_are_streams_or_ints():
         with pytest.raises(TypeError):
             call(2.7)  # not truncated to seed 2
         with pytest.raises(TypeError):
-            call(RngStream(2).generator())
+            call(RngStream(2).generator())  # each tile derives a child stream
+    assert np.array_equal(sample_haar_unitaries(3, 3, 36),
+                          sample_haar_unitaries(3, 3, RngStream(36)))
 
 
 def test_haar_dim_one_is_phase():
@@ -186,66 +179,84 @@ def test_complex_standard_normal_matches_one_line_formula(shape):
 @pytest.mark.parametrize("d", [1, 2, 16])
 def test_stacks_do_not_depend_on_thread_count(d, monkeypatch):
     for count in tiled_counts(d):
-        want = whole_stack_haar(d, count, RngStream(30 + d, 4))
+        want = per_tile_haar(d, count, RngStream(30 + d, 4))
         for threads in ("1", "2", "3"):
             monkeypatch.setenv("RANDOMIZER_THREADS", threads)
             got = sample_haar_unitaries(d, count, RngStream(30 + d, 4))
             assert np.array_equal(got, want), (count, threads)
 
 
-def test_planted_degenerate_draw_refills_alike(monkeypatch):
-    d = 16
+@pytest.mark.parametrize("d", [1, 2, 16])
+def test_whole_tiles_are_prefixes_of_longer_stacks(d):
+    per_tile = haar._TILE_ENTRIES // (d * d)
+    longer = sample_haar_unitaries(d, 3 * per_tile + 5, RngStream(34, d))
+    for count in (per_tile, 2 * per_tile + 7):
+        whole = count // per_tile * per_tile
+        shorter = sample_haar_unitaries(d, count, RngStream(34, d))
+        assert np.array_equal(shorter[:whole], longer[:whole]), count
+
+
+def tile_index(gen, rng, tiles):
+    """The k < tiles whose child stream ``rng.child(k)`` seeded ``gen``."""
+    key = gen.bit_generator.state["state"]["key"]
+    keys = [rng.child(k).generator().bit_generator.state["state"]["key"] for k in range(tiles)]
+    return next(k for k in range(tiles) if np.array_equal(keys[k], key))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_planted_degenerate_tile_is_redrawn_whole(threads, monkeypatch):
+    monkeypatch.setenv("RANDOMIZER_THREADS", threads)
+    d, rng = 16, RngStream(35)
     per_tile = haar._TILE_ENTRIES // (d * d)
     count, index = 2 * per_tile + 7, per_tile + 5  # the singular matrix sits in the middle tile
-    total = count * d * d
-
-    def make_singular(mats, i=index):
-        mats[i, :, 1] = mats[i, :, 0]
-
-    want = whole_stack_haar(d, count, RngStream(35), plant=make_singular)
-    clean = whole_stack_haar(d, count, RngStream(35))
-    real = haar._ginibre_at
+    real = haar.complex_standard_normal
     draws = []
 
-    def planted(stream, radius_at, phase_at, out):
-        real(stream, radius_at, phase_at, out)
-        if radius_at <= index * d * d < min(radius_at + out.size, total):  # the tile holding it
-            make_singular(out.reshape(-1, d, d), index - radius_at // (d * d))
-        draws.append((radius_at, phase_at, out.size))
+    def planted(gen, shape):
+        z = real(gen, shape)
+        k = tile_index(gen, rng, 3)
+        if k == 1 and k not in [tile for tile, _ in draws]:  # the middle tile's first draw
+            z[index - per_tile, :, 1] = z[index - per_tile, :, 0]
+        draws.append((k, shape))
+        return z
 
-    monkeypatch.setattr(haar, "_ginibre_at", planted)
-    for threads in ("1", "2"):
-        draws.clear()
-        monkeypatch.setenv("RANDOMIZER_THREADS", threads)
-        got = sample_haar_unitaries(d, count, RngStream(35))
-        *tiles, refill = sorted(draws)
-        # each tile draws its radii at its entries and its phases T entries later
-        assert [t[0] for t in tiles] == list(range(0, total, per_tile * d * d))
-        assert all(phase == total + radius for radius, phase, _ in tiles)
-        assert sum(size for _, _, size in tiles) == total
-        # one refill, of the planted matrix only, continuing the stream at 2T
-        assert refill == (2 * total, 2 * total + d * d, d * d)
-        assert np.array_equal(got, want)
-    assert not np.array_equal(want[index], clean[index])
-    assert np.array_equal(np.delete(want, index, axis=0), np.delete(clean, index, axis=0))
-    assert unitarity_defect(want) <= 1e-10
+    monkeypatch.setattr(haar, "complex_standard_normal", planted)
+    got = sample_haar_unitaries(d, count, rng)
+    # every tile draws once at its full shape; the middle one draws a second time, whole
+    assert sorted(draws) == [(0, (per_tile, d, d)), (1, (per_tile, d, d)), (1, (per_tile, d, d)),
+                             (2, (7, d, d))]
+    clean = per_tile_haar(d, count, rng)
+    middle = slice(per_tile, 2 * per_tile)
+    assert np.array_equal(np.delete(got, middle, axis=0), np.delete(clean, middle, axis=0))
+    gen = rng.child(1).generator()
+    real(gen, (per_tile, d, d))  # the degenerate first draw
+    redraw, degenerate = qr_positive_stacked(real(gen, (per_tile, d, d)))
+    assert not np.any(degenerate)
+    assert np.array_equal(got[middle], redraw)
+    assert not np.array_equal(got[middle], clean[middle])
+    assert unitarity_defect(got) <= 1e-10
 
 
-@pytest.mark.parametrize("d, count", [(2, 1100), (3, 455)])
-def test_positioned_draws_equal_slices_of_one_sequential_draw(d, count):
-    stream = RngStream(36, 2)
-    total = count * d * d  # 4400 and 4095: the boundary T at both residues mod 4
-    gen = stream.generator()
-    # the parent layout: all radius uniforms in one call, then all phase uniforms in another
-    sequential = np.concatenate([gen.random(total), gen.random(total)])
-    for position, size in ((0, 7), (1, 7), (3, 1), (4, 9), (4097, 100), (total - 5, 11),
-                           (total - 1, 2), (2 * total - 3, 3)):
-        got = haar._uniforms_at(stream, position, size)
-        assert np.array_equal(got, sequential[position:position + size]), position
-    with pytest.raises(TypeError):
-        sample_haar_unitaries(d, count, stream.generator())  # a Generator cannot be positioned
-    assert np.array_equal(sample_haar_unitaries(d, 3, 36),
-                          sample_haar_unitaries(d, 3, RngStream(36)))
+def test_tiles_are_keyed_by_index_not_finishing_order(monkeypatch):
+    monkeypatch.setenv("RANDOMIZER_THREADS", "2")
+    d, rng = 16, RngStream(37)
+    per_tile = haar._TILE_ENTRIES // (d * d)
+    count = 3 * per_tile
+    real = haar.complex_standard_normal
+    last_tile_started = threading.Event()
+
+    def first_tile_last(gen, shape):
+        # tile 0 holds one of the two workers until tile 2 starts, so tile 1 finishes first
+        k = tile_index(gen, rng, 3)
+        if k == 0:
+            assert last_tile_started.wait(timeout=30)
+        elif k == 2:
+            last_tile_started.set()
+        return real(gen, shape)
+
+    monkeypatch.setattr(haar, "complex_standard_normal", first_tile_last)
+    got = sample_haar_unitaries(d, count, rng)
+    assert np.array_equal(got, per_tile_haar(d, count, rng))
 
 
 def test_sampling_inside_a_worker_starts_no_pool(monkeypatch):

@@ -131,13 +131,15 @@ def test_qr_rank_deficient_raises(monkeypatch):
     _, degenerate = qr_positive_stacked(singular)
     assert degenerate
 
-    def singular_draw(stream, radius_at, phase_at, out):
-        out.reshape(-1, 2, 2)[:] = singular
+    def singular_draw(gen, shape):
+        return np.broadcast_to(singular, shape).copy()
 
-    # the batched sampler redraws flagged matrices and gives up on persistent degeneracy
-    monkeypatch.setattr(randomizer.haar, "_ginibre_at", singular_draw)
-    with pytest.raises(NumericalFailure):
-        sample_haar_unitaries(2, 3, stream(42))
+    # the sampler redraws a tile holding a flagged matrix and gives up on persistent degeneracy
+    monkeypatch.setattr(randomizer.haar, "complex_standard_normal", singular_draw)
+    for threads in ("1", "2"):
+        monkeypatch.setenv("RANDOMIZER_THREADS", threads)
+        with pytest.raises(NumericalFailure):
+            sample_haar_unitaries(2, 3 * randomizer.haar._TILE_ENTRIES // 4 + 1, stream(42))
 
 
 def test_non_finite_rejected():
