@@ -8,21 +8,25 @@ the superoperator S = (1/N) sum_i U_i ⊗ conj(U_i), which maps the row-major
 vec of rho to the vec of R(rho) and drives ``apply_*``, the net scan and the
 ascent. The pair statistic is the form x†Cx with x = psi ⊗ conj(phi).
 
-A unitary stack lives only inside ``channel_from_unitaries``, which folds it
-in fixed blocks of ``_GRAM_BLOCK_ENTRIES`` stack entries (whole rows) on the
-package's worker threads. Each block runs the tiled unitarity check
-(``haar.unitarity_defect``, on the block's own thread) and its real product
+C is folded in fixed blocks of ``_GRAM_BLOCK_TILES`` sampling tiles (whole
+rows, ``haar.tile_rows``) on the package's worker threads, by one reducer for
+both sources of unitaries. ``build_random_channel`` samples each block's own
+tiles into a block-sized buffer (``sample_haar_unitaries`` from the block's
+first row), so no ``(N, d, d)`` stack is ever allocated;
+``channel_from_unitaries`` reads the blocks of a given stack. Each block runs
+the tiled unitarity check (``haar.unitarity_defect``) and its real product
 ``x.T @ x`` over the block viewed as ``(rows, 2 d^2)`` interleaved (Re, Im)
-reals; NumPy sends that to a symmetric rank-k update, with no copy of the
-stack. The partial products are summed in block order as the map yields
-them, so only the few blocks that finish ahead of the sum are held at once.
-Block boundaries depend only on the stack's shape, so C is bit for bit the
-same for every thread count, and C is exactly Hermitian whatever the number
-of blocks. The constructor validates C on every path, fresh or loaded: shape
-d^2 x d^2, finite, Hermitian, positive semidefinite, and both partial traces
-the identity (R preserves the trace and is unital). That is all any bound
-uses; it does not prove that C is a mixture of unitaries, which at d >= 3 a
-unital channel need not be.
+reals, both on the block's own thread; NumPy sends that product to a
+symmetric rank-k update, with no copy of the block. The partial products are
+summed in block order as the map yields them, so only the few blocks that
+finish ahead of the sum are held at once. Block boundaries depend only on d
+and N, so C is bit for bit the same for every thread count and for both
+sources, and C is exactly Hermitian whatever the number of blocks. The
+constructor validates C on every path, fresh or loaded: shape d^2 x d^2,
+finite, Hermitian, positive semidefinite, and both partial traces the
+identity (R preserves the trace and is unital). That is all any bound uses;
+it does not prove that C is a mixture of unitaries, which at d >= 3 a unital
+channel need not be.
 """
 
 from __future__ import annotations
@@ -33,14 +37,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDimension, InvalidMatrix, InvalidParameter
-from .haar import as_generator, as_stream, complex_standard_normal, sample_haar_unitaries, unitarity_defect
+from .haar import (as_generator, as_stream, complex_standard_normal, require_positive_int,
+                   sample_haar_unitaries, tile_rows, unitarity_defect)
 from .linalg import TOL, hermitian_eigenvalues, hermitian_part, max_abs, operator_norm, require_finite
 from .workers import map_tiles
 
-# Stack entries per Gram block: 2^19 (2048 unitaries at d = 16, 8 MB). Each
-# block's partial product is (2 d^2)^2 reals (2 MB at d = 16), so blocks are
-# large; a 16000-unitary stack at d = 16 still gives the worker threads eight.
-_GRAM_BLOCK_ENTRIES = 1 << 19
+# Sampling tiles per Gram block: 2^19 stack entries at d = 1, 2, 4, 8 and 16
+# (2048 unitaries, 8 MB, at d = 16). Each block's partial product is
+# (2 d^2)^2 reals (2 MB at d = 16), so blocks are large; a 16000-unitary
+# stack at d = 16 still gives the worker threads eight.
+_GRAM_BLOCK_TILES = 32
 
 
 def maximally_mixed(d: int) -> np.ndarray:
@@ -131,24 +137,22 @@ class RandomUnitaryChannel:
         return int(self.provenance["count"])
 
 
-def channel_from_unitaries(unitaries: np.ndarray, provenance: dict | None = None
-                           ) -> RandomUnitaryChannel:
-    """The channel of a stack ``(N, d, d)`` of unitaries; the stack is read, never copied or kept.
+def _fold_channel(d: int, n: int, block, provenance: dict) -> RandomUnitaryChannel:
+    """The channel of ``n`` unitaries on U(d); ``block(start, rows)`` gives ``start:start + rows``.
 
-    A non-finite entry or max|U†U - I| above ``TOL.unitarity`` raises InvalidMatrix.
+    Blocks hold ``_GRAM_BLOCK_TILES`` sampling tiles and are folded on the
+    worker threads; a non-finite entry or max|U†U - I| above
+    ``TOL.unitarity`` in any block raises InvalidMatrix.
     """
-    u = np.asarray(unitaries, dtype=complex)
-    if u.ndim != 3 or u.shape[1] != u.shape[2] or u.shape[0] < 1 or u.shape[1] < 1:
-        raise InvalidDimension(f"expected a nonempty stack (N, d, d), got shape {u.shape}")
-    n, d = u.shape[0], u.shape[1]
-    # gram[(i, j), (k, l)] = sum_n U_n[i, j] conj(U_n[k, l]).
-    # x interleaves (Re, Im) columns, so g = x^T x holds every real cross product.
-    x = u.reshape(n, d * d).view(np.float64)
 
     def fold(rows):
-        return unitarity_defect(u[rows]), x[rows].T @ x[rows]
+        u = block(rows.start, min(rows.stop, n) - rows.start)
+        # gram[(i, j), (k, l)] = sum_n U_n[i, j] conj(U_n[k, l]).
+        # x interleaves (Re, Im) columns, so g = x^T x holds every real cross product.
+        x = u.reshape(len(u), d * d).view(np.float64)
+        return unitarity_defect(u), x.T @ x
 
-    blocks = map_tiles(fold, n, max(1, _GRAM_BLOCK_ENTRIES // (d * d)))
+    blocks = map_tiles(fold, n, _GRAM_BLOCK_TILES * tile_rows(d))
     defect, g = next(blocks)
     for block_defect, partial in blocks:
         defect = np.maximum(defect, block_defect)  # keeps a NaN
@@ -157,16 +161,39 @@ def channel_from_unitaries(unitaries: np.ndarray, provenance: dict | None = None
         raise InvalidMatrix(f"stack contains a non-unitary matrix: max|U†U - I| = {defect:.3e}")
     gram = (g[0::2, 0::2] + g[1::2, 1::2]) + 1j * (g[1::2, 0::2] - g[0::2, 1::2])
     gram /= n
-    return RandomUnitaryChannel(gram, {**(provenance or {}), "dim": d, "count": n})
+    return RandomUnitaryChannel(gram, {**provenance, "dim": d, "count": n})
+
+
+def channel_from_unitaries(unitaries: np.ndarray, provenance: dict | None = None
+                           ) -> RandomUnitaryChannel:
+    """The channel of a stack ``(N, d, d)`` of unitaries; the stack is read, never kept.
+
+    A strided stack is copied one Gram block at a time, a contiguous one not
+    at all. A non-finite entry or max|U†U - I| above ``TOL.unitarity`` raises
+    InvalidMatrix.
+    """
+    u = np.asarray(unitaries, dtype=complex)
+    if u.ndim != 3 or u.shape[1] != u.shape[2] or u.shape[0] < 1 or u.shape[1] < 1:
+        raise InvalidDimension(f"expected a nonempty stack (N, d, d), got shape {u.shape}")
+    return _fold_channel(u.shape[1], u.shape[0],
+                         lambda start, rows: np.ascontiguousarray(u[start:start + rows]),
+                         provenance or {})
 
 
 def build_random_channel(d: int, n: int, seed) -> RandomUnitaryChannel:
-    """Channel from ``n`` independent Haar unitaries on U(d), reproducible per stream or int seed."""
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidDimension(f"count must be a positive integer, got {n!r}")
+    """Channel from ``n`` independent Haar unitaries on U(d), reproducible per stream or int seed.
+
+    Each Gram block samples only its own rows, so the stack is never held:
+    C equals ``channel_from_unitaries(sample_haar_unitaries(d, n, seed)).gram``
+    bit for bit.
+    """
+    d, n = require_positive_int(d, "dimension"), require_positive_int(n, "count")
     stream = as_stream(seed)
-    us = sample_haar_unitaries(d, int(n), stream)  # validates d
-    return channel_from_unitaries(us, {"kind": "haar", "seed": stream.seed,
+
+    def block(start, rows):
+        return sample_haar_unitaries(d, rows, stream, first=start)
+
+    return _fold_channel(d, n, block, {"kind": "haar", "seed": stream.seed,
                                        "stream_id": stream.stream_id})
 
 
@@ -176,9 +203,7 @@ def build_weyl_channel(d: int) -> RandomUnitaryChannel:
     X is the cyclic shift, Z = diag(1, w, ..., w^{d-1}) with w = exp(2 pi i / d).
     Global phases are not normalized; they cancel under conjugation.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InvalidDimension(f"dimension must be a positive integer, got {d!r}")
-    d = int(d)
+    d = require_positive_int(d, "dimension")
     shift = np.zeros((d, d), dtype=complex)
     shift[np.arange(d), (np.arange(d) - 1) % d] = 1.0  # X|j> = |j+1 mod d>
     omega = np.exp(2j * np.pi / d)

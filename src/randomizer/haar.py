@@ -10,10 +10,13 @@ conditioned on a product event stay iid, each conditioned on its own event.
 Tile boundaries depend only on the shape of the stack, never on the thread
 count, so stacks are bit for bit the same for every thread count. A stack of
 one tile runs inline with no pool, and a call from inside another map's
-worker runs its tiles serially.
+worker runs its tiles serially. A call may start at any whole tile
+(``first``), and tile k of a seed's stack is the same whichever call draws
+it, so the channel's Gram fold samples each block on its own.
 
-The unitarity check loops over the same tiles in order on the calling thread,
-which keeps its temporaries cache-sized; it gains nothing from worker threads.
+The unitarity check loops over the same tiles in order on the thread that
+calls it (a Gram block's worker thread when a channel is built), which keeps
+its temporaries cache-sized.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, NumericalFailure
+from .errors import InvalidDimension, InvalidParameter, NumericalFailure
 from .linalg import qr_positive_stacked
 from .workers import map_tiles
 
@@ -106,24 +109,38 @@ def complex_standard_normal(gen: np.random.Generator, shape) -> np.ndarray:
     return z
 
 
-def sample_haar_unitaries(d: int, count: int, rng) -> np.ndarray:
-    """Stack of ``count`` independent Haar unitaries, shape ``(count, d, d)``.
+def require_positive_int(value, name: str) -> int:
+    """``value`` (a dimension or a count) as an int; not a positive integer: InvalidDimension."""
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidDimension(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
-    ``rng`` is an RngStream or an int seed; a ``Generator`` raises TypeError,
-    because each tile derives its own child stream. A tile with a degenerate
-    draw is redrawn whole, at most 10 times, then NumericalFailure.
+
+def tile_rows(d: int) -> int:
+    """Unitaries per sampling tile on U(d): ``_TILE_ENTRIES // d^2``, at least 1."""
+    return max(1, _TILE_ENTRIES // (d * d))
+
+
+def sample_haar_unitaries(d: int, count: int, rng, first: int = 0) -> np.ndarray:
+    """``count`` independent Haar unitaries, shape ``(count, d, d)``, from row ``first`` on.
+
+    Tile k of the seed's stack draws from ``rng.child(k)`` whichever call
+    draws it, so whole tiles agree across calls. ``rng`` is an RngStream or an
+    int seed; a ``Generator`` raises TypeError, because each tile derives its
+    own child stream. ``first`` must be a whole number of tiles
+    (``tile_rows(d)``), else InvalidParameter. A tile with a degenerate draw
+    is redrawn whole, at most 10 times, then NumericalFailure.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InvalidDimension(f"dimension must be a positive integer, got {d!r}")
-    if count < 1:
-        raise InvalidDimension(f"count must be a positive integer, got {count!r}")
-    d, count = int(d), int(count)
+    d, count = require_positive_int(d, "dimension"), require_positive_int(count, "count")
+    per_tile = tile_rows(d)
+    if not isinstance(first, (int, np.integer)) or first < 0 or first % per_tile:
+        raise InvalidParameter(f"first row must be a non-negative multiple of the "
+                               f"{per_tile} unitaries in a tile, got {first!r}")
     rng = as_stream(rng)
-    per_tile = max(1, _TILE_ENTRIES // (d * d))
     q = np.empty((count, d, d), dtype=complex)
 
     def tile(rows):
-        gen = rng.child(rows.start // per_tile).generator()
+        gen = rng.child((first + rows.start) // per_tile).generator()
         for _ in range(1 + _MAX_RESAMPLES):
             q[rows], degenerate = qr_positive_stacked(complex_standard_normal(gen, q[rows].shape))
             if not np.any(degenerate):

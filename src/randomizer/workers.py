@@ -3,10 +3,11 @@
 ``RANDOMIZER_THREADS`` is the package's only thread setting; without it the
 cores this process may run on decide. Only maps whose items pay for a thread
 use one: sweep and concentration cells, Haar sampling tiles and the channel's
-Gram blocks. The unitarity check and the Gaussian draws of pure states run on
-the calling thread. A map called from inside a worker of another map runs
-serially, so pools never nest: a sweep cell that samples a channel draws its
-tiles on the cell's own thread.
+Gram blocks, each of which samples its tiles and runs its unitarity check on
+its own worker thread. The Gaussian draws of pure states run on the calling
+thread. A map called from inside a worker of another map runs serially, so
+pools never nest: a Gram block, or a sweep cell that samples a channel, draws
+its tiles on its own thread.
 """
 
 from __future__ import annotations

@@ -98,7 +98,7 @@ def test_channel_does_not_depend_on_thread_count(d, monkeypatch):
 
 @pytest.mark.parametrize("d", [3, 16])
 def test_gram_blocks_do_not_depend_on_thread_count(d, monkeypatch):
-    per_block = channel._GRAM_BLOCK_ENTRIES // (d * d)
+    per_block = channel._GRAM_BLOCK_TILES * haar.tile_rows(d)
     us = haar_stack(d, 3 * per_block + 5, 90 + d)  # three full Gram blocks and a partial one
     grams = []
     for threads in ("1", "2", "3"):
@@ -115,25 +115,50 @@ def test_gram_blocks_do_not_depend_on_thread_count(d, monkeypatch):
             channel_from_unitaries(bad)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 16])
+def test_sampled_blocks_fold_to_the_stack_channel(d, monkeypatch):
+    # three full Gram blocks and a partial one, each sampled on its own from its first row
+    n = 3 * channel._GRAM_BLOCK_TILES * haar.tile_rows(d) + 5
+    want = channel_from_unitaries(haar_stack(d, n, 40 + d)).gram
+    for threads in ("1", "2", "3") if d in (3, 16) else ("2",):
+        monkeypatch.setenv("RANDOMIZER_THREADS", threads)
+        assert np.array_equal(build_random_channel(d, n, RngStream(40 + d)).gram, want), threads
+
+
+def traced_peak(fn, *args):
+    """Peak traced bytes allocated by ``fn(*args)`` beyond what was live before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
 def test_peak_memory_is_the_stack(monkeypatch):
     monkeypatch.setenv("RANDOMIZER_THREADS", "2")
     d, n = 16, 4096
     stack_bytes = n * d * d * 16
     build_random_channel(d, 8, RngStream(1))  # warm every code path outside the trace
-    peaks = {}
-    tracemalloc.start()
-    try:
-        for fn in (sample_haar_unitaries, build_random_channel):
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            result = fn(d, n, RngStream(2))
-            peaks[fn.__name__] = (tracemalloc.get_traced_memory()[1] - before) / stack_bytes
-            del result
-    finally:
-        tracemalloc.stop()
+    peaks = {fn.__name__: traced_peak(fn, d, n, RngStream(2))[0] / stack_bytes
+             for fn in (sample_haar_unitaries, build_random_channel)}
     # no whole-stack uniform, Ginibre or second stack array lives next to the result
     assert peaks["sample_haar_unitaries"] <= 1.25, peaks
     assert peaks["build_random_channel"] <= 1.6, peaks
+
+
+def test_channel_build_never_holds_the_stack(monkeypatch):
+    monkeypatch.setenv("RANDOMIZER_THREADS", "2")
+    d, n = 16, 16000
+    stack_bytes = n * d * d * 16
+    build_random_channel(d, 8, RngStream(1))  # warm every code path outside the trace
+    peak = traced_peak(build_random_channel, d, n, RngStream(2))[0] / stack_bytes
+    # two 8 MB block buffers with their QR temporaries, the 2 MB partials and C: about 0.4x;
+    # the stack alone would be 1x
+    assert peak <= 0.5, peak
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -141,19 +166,12 @@ def test_gram_partials_are_summed_as_they_arrive(threads, monkeypatch):
     monkeypatch.setenv("RANDOMIZER_THREADS", threads)
     d, n = 16, 4096
     stack_bytes = n * d * d * 16
-    monkeypatch.setattr(channel, "_GRAM_BLOCK_ENTRIES", n * d * d // 16)  # 16 blocks
+    monkeypatch.setattr(channel, "_GRAM_BLOCK_TILES", 4)  # 16 blocks of 4 tiles
     build_random_channel(d, 8, RngStream(1))  # warm every code path outside the trace
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        ch = build_random_channel(d, n, RngStream(2))
-        peak = (tracemalloc.get_traced_memory()[1] - before) / stack_bytes
-    finally:
-        tracemalloc.stop()
-    # each 2 MB partial is 1/8 of the stack: holding all 16 of them until the end gives 3.3x
-    assert peak <= 2.0, peak
-    monkeypatch.setattr(channel, "_GRAM_BLOCK_ENTRIES", 1 << 19)  # two blocks
+    peak, ch = traced_peak(build_random_channel, d, n, RngStream(2))
+    # each 2 MB partial is 1/8 of the stack: holding all 16 of them until the end gives 2.06x
+    assert peak / stack_bytes <= 2.0, peak / stack_bytes
+    monkeypatch.setattr(channel, "_GRAM_BLOCK_TILES", 32)  # two blocks
     assert np.max(np.abs(ch.gram - build_random_channel(d, n, RngStream(2)).gram)) <= 1e-14
 
 
@@ -301,6 +319,10 @@ def test_channel_matrix_contract():
             RandomUnitaryChannel(bad, {"count": 1})
     with pytest.raises(InvalidMatrix):
         channel_from_unitaries(np.ones((2, 2, 2)))
+    # a strided view of a stack folds to the channel of its contiguous copy
+    wide = np.zeros((5, 3, 6), dtype=complex)
+    wide[:, :, ::2] = haar_stack(3, 5, 81)
+    assert np.array_equal(channel_from_unitaries(wide[:, :, ::2]).gram, ch.gram)
 
 
 def test_pure_output_matches_apply():

@@ -7,6 +7,7 @@ from conftest import two_sample_ks
 from randomizer import (
     InvalidDimension,
     InvalidMatrix,
+    InvalidParameter,
     RngStream,
     SweepConfig,
     build_random_channel,
@@ -72,6 +73,9 @@ def test_invalid_dimension():
         sample_haar_unitaries(0, 1, RngStream(0))
     with pytest.raises(InvalidDimension):
         sample_haar_unitaries(2, 0, RngStream(0))
+    for count in (2.5, 2.0, np.float64(3.0), "3"):  # a fractional count is not truncated
+        with pytest.raises(InvalidDimension):
+            sample_haar_unitaries(2, count, RngStream(0))
     with pytest.raises(InvalidDimension):
         random_pure_states(0, 1, RngStream(0))
 
@@ -194,6 +198,21 @@ def test_whole_tiles_are_prefixes_of_longer_stacks(d):
         whole = count // per_tile * per_tile
         shorter = sample_haar_unitaries(d, count, RngStream(34, d))
         assert np.array_equal(shorter[:whole], longer[:whole]), count
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 16])
+def test_first_row_offsets_draw_later_rows_of_the_same_stack(d):
+    per_tile = haar.tile_rows(d)
+    longer = sample_haar_unitaries(d, 3 * per_tile + 5, RngStream(36, d))
+    for k in (1, 2, 3):  # the rest of the stack from tile k on, the last tile partial
+        later = sample_haar_unitaries(d, len(longer) - k * per_tile, RngStream(36, d),
+                                      first=k * per_tile)
+        assert np.array_equal(later, longer[k * per_tile:]), k
+    middle = sample_haar_unitaries(d, per_tile, RngStream(36, d), first=per_tile)
+    assert np.array_equal(middle, longer[per_tile:2 * per_tile])  # one whole tile
+    for first in (-per_tile, per_tile // 2, 1.0 * per_tile, None):
+        with pytest.raises(InvalidParameter):
+            sample_haar_unitaries(d, 1, RngStream(36, d), first=first)
 
 
 def tile_index(gen, rng, tiles):
