@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidDimension, InvalidParameter
+from .errors import InvalidParameter, require_positive_int
 
 
 @dataclass(frozen=True)
@@ -29,12 +29,6 @@ class BoundConstants:
 DEFAULT_CONSTANTS = BoundConstants()
 
 
-def _require_dim(d: int) -> int:
-    if not isinstance(d, int) or d < 1:
-        raise InvalidDimension(f"dimension must be a positive integer, got {d!r}")
-    return d
-
-
 def _require_epsilon(epsilon: float) -> float:
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameter(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -47,7 +41,7 @@ def required_N(d: int, epsilon: float, consts: BoundConstants = DEFAULT_CONSTANT
     The log is natural: the constant c is expressed in natural-log units, and
     a different base only rescales C.
     """
-    d = _require_dim(d)
+    d = require_positive_int(d, "dimension")
     epsilon = _require_epsilon(epsilon)
     raw = consts.C * d / (epsilon * epsilon) * math.log(1.0 / epsilon)
     return max(1, math.ceil(raw))
@@ -73,7 +67,7 @@ def failure_log_bound(d: int, epsilon: float, n: int,
     Stays meaningful at dimensions where the bound itself would overflow.
     n = 0 is allowed and always gives a positive (vacuous) value.
     """
-    d = _require_dim(d)
+    d = require_positive_int(d, "dimension")
     epsilon = _require_epsilon(epsilon)
     if n < 0:
         raise InvalidParameter(f"n must be nonnegative, got {n}")
@@ -89,7 +83,7 @@ def min_N_for_success(d: int, epsilon: float,
     then nudged so minimality holds under the exact float evaluation of
     failure_log_bound.
     """
-    d = _require_dim(d)
+    d = require_positive_int(d, "dimension")
     epsilon = _require_epsilon(epsilon)
     threshold = 25.0 * (math.log(2.0) + 4.0 * d * math.log(25.0 / epsilon)) \
         / (consts.c * epsilon * epsilon)

@@ -8,7 +8,9 @@ a finite net of covering radius delta lifts to a bound on the full supremum A,
 valid whenever the net really covers at radius delta and delta < 1/2. The
 witnessed side runs an alternating eigenvector ascent on the bilinear
 objective and returns an explicit state pair, so it is a true lower bound
-unconditionally. A verdict compares both sides against epsilon / d.
+unconditionally. All restarts of the ascent advance together, one stacked
+iteration for every restart still running, and each ends exactly where it
+would alone. A verdict compares both sides against epsilon / d.
 """
 
 from __future__ import annotations
@@ -20,16 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (
-    RandomUnitaryChannel,
-    apply_adjoint,
-    apply_channel,
-    pair_statistic,
-    pure_projector,
-    random_pure_state,
-)
-from .errors import DimensionMismatch, InvalidParameter
+from .channel import RandomUnitaryChannel, pair_statistic, random_pure_states
+from .errors import DimensionMismatch, InvalidParameter, require_positive_int
 from .haar import RngStream, as_generator
+from .linalg import hermitian_part
 from .netcover import PureStateNet
 
 _SCAN_BUDGET = 1_000_000  # entries of the (chunk, net size) statistic block per B-scan step
@@ -127,43 +123,72 @@ class LowerBound(NamedTuple):
     psi: np.ndarray
 
 
-def _extreme_eigvec(h: np.ndarray):
-    """Eigenpair of largest magnitude; ties within _TIE_TOL go to the positive branch."""
+def _extreme_eigvecs(h: np.ndarray):
+    """Per matrix of the stack ``h``, its eigenpair of largest magnitude.
+
+    Ties within _TIE_TOL go to the positive branch.
+    """
     values, vectors = np.linalg.eigh(h)
-    if values[-1] >= -values[0] - _TIE_TOL:
-        return float(values[-1]), vectors[:, -1]
-    return float(values[0]), vectors[:, 0]
+    top, bottom = values[:, -1], values[:, 0]
+    positive = top >= -bottom - _TIE_TOL
+    return (np.where(positive, top, bottom),
+            np.where(positive[:, None], vectors[:, :, -1], vectors[:, :, 0]))
 
 
-def _ascend(ch: RandomUnitaryChannel, phi0: np.ndarray, tol: float, max_iters: int):
-    """Alternating eigenvector ascent from one start.
+def _projectors(x: np.ndarray) -> np.ndarray:
+    """|x><x| for every row of ``x``, by the broadcasting multiply ``np.outer`` runs."""
+    return x[:, :, None] * np.conj(x)[:, None, :]
+
+
+def _ascend(ch: RandomUnitaryChannel, starts: np.ndarray, tol: float, max_iters: int):
+    """Alternating eigenvector ascent from every row of ``starts`` at once.
 
     Fixing phi, the best psi is the extreme eigenvector of R(|phi><phi|) - I/d;
     fixing psi, the best phi is the extreme eigenvector of the adjoint image.
-    Each half step solves its subproblem exactly, so the objective sequence is
-    non-decreasing up to roundoff. Returns the best (value, phi, psi) triple
-    and the list of half-step objectives.
+    Each half step solves its subproblem exactly, so every restart's objective
+    sequence is non-decreasing up to roundoff. The restarts still running
+    advance together: a half step is one stacked matrix-vector product with S
+    (shape ``(R, d^2, 1)``, or ``(R, 1, d^2)`` for the adjoint) and one
+    stacked ``eigh``. Each restart keeps its own stop rule (a full step that
+    gains less than ``tol``, or ``max_iters`` steps) and its own best
+    (value, phi, psi) triple, replaced only on a strict gain, so it ends bit
+    for bit where it would alone. Returns the best values ``(R,)``, their
+    phis and psis ``(R, d)``, and the half-step objectives ``(2 steps, R)``,
+    NaN once a restart has stopped.
     """
-    shift = np.eye(ch.dim, dtype=complex) / ch.dim
-    phi = phi0
-    best = (-1.0, phi0, phi0)
-    objectives = []
-    previous = -np.inf
+    d = ch.dim
+    sup = ch.superoperator
+    shift = np.eye(d, dtype=complex) / d
+    count = starts.shape[0]
+    best = np.full(count, -1.0)
+    best_phi, best_psi = starts.copy(), starts.copy()
+    previous = np.full(count, -np.inf)
+    live = np.arange(count)
+    phi = starts
+    history = []
+
+    def keep(obj, phi, psi):
+        gain = obj > best[live]
+        rows = live[gain]
+        best[rows], best_phi[rows], best_psi[rows] = obj[gain], phi[gain], psi[gain]
+
     for _ in range(max_iters):
-        lam_psi, psi = _extreme_eigvec(apply_channel(ch, pure_projector(phi)) - shift)
-        obj = abs(lam_psi)
-        objectives.append(obj)
-        if obj > best[0]:
-            best = (obj, phi, psi)
-        lam_phi, phi = _extreme_eigvec(apply_adjoint(ch, pure_projector(psi)) - shift)
-        obj = abs(lam_phi)
-        objectives.append(obj)
-        if obj > best[0]:
-            best = (obj, phi, psi)
-        if obj - previous < tol:
+        step = np.full((2, count), np.nan)
+        image = (sup @ _projectors(phi).reshape(-1, d * d, 1)).reshape(-1, d, d)
+        lam, psi = _extreme_eigvecs(hermitian_part(image) - shift)
+        step[0, live] = obj = np.abs(lam)
+        keep(obj, phi, psi)
+        image = np.conj(np.conj(_projectors(psi).reshape(-1, 1, d * d)) @ sup)  # S† vec(sigma)
+        lam, phi = _extreme_eigvecs(hermitian_part(image.reshape(-1, d, d)) - shift)
+        step[1, live] = obj = np.abs(lam)
+        keep(obj, phi, psi)
+        history.append(step)
+        going = obj - previous[live] >= tol
+        previous[live] = obj
+        live, phi = live[going], phi[going]
+        if live.size == 0:
             break
-        previous = obj
-    return best, objectives
+    return best, best_phi, best_psi, np.concatenate(history)
 
 
 def _canonical_phase(x: np.ndarray) -> np.ndarray:
@@ -181,7 +206,13 @@ def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = DEFAUL
 
     Returns a valid lower bound on the full supremum together with the state
     pair achieving it; the value is re-evaluated through pair_statistic so the
-    witnesses reproduce it exactly.
+    witnesses reproduce it exactly. ``restarts`` and ``max_iters`` must be
+    positive integers, else InvalidDimension.
+
+    Every restart's start is drawn in one ``random_pure_states(d, restarts,
+    gen)`` call, which draws the same starts as one call per restart, and all
+    restarts run in one stacked ascent. The first restart with the best value
+    wins, as in a loop over the restarts that keeps a strict gain.
 
     Each witness is rotated so that its first entry above ``_PHASE_FLOOR`` in
     magnitude is real and positive: the eigensolver's arbitrary global phase,
@@ -189,17 +220,14 @@ def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = DEFAUL
     canonical: at d = 2 the optimum may be attained by two orthogonal pairs,
     and roundoff may swap one for the other.
     """
-    if restarts < 1 or max_iters < 1:
-        raise InvalidParameter("restarts and max_iters must be positive")
+    restarts = require_positive_int(restarts, "restarts")
+    max_iters = require_positive_int(max_iters, "max_iters")
     gen = as_generator(rng if rng is not None else RngStream(0))
     d = ch.dim
-    best: tuple[float, np.ndarray, np.ndarray] | None = None
-    for _ in range(restarts):
-        candidate, _ = _ascend(ch, random_pure_state(d, gen), _ASCENT_TOL, max_iters)
-        if best is None or candidate[0] > best[0]:
-            best = candidate
-    assert best is not None
-    phi, psi = _canonical_phase(best[1]), _canonical_phase(best[2])
+    values, phis, psis, _ = _ascend(ch, random_pure_states(d, restarts, gen), _ASCENT_TOL,
+                                    max_iters)
+    winner = int(np.argmax(values))  # the first maximum, as a strict-gain scan keeps it
+    phi, psi = _canonical_phase(phis[winner]), _canonical_phase(psis[winner])
     value = abs(pair_statistic(ch, phi, psi) - 1.0 / d)
     return LowerBound(value, phi, psi)
 

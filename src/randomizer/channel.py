@@ -36,9 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDimension, InvalidMatrix, InvalidParameter
-from .haar import (as_generator, as_stream, complex_standard_normal, require_positive_int,
-                   sample_haar_unitaries, tile_rows, unitarity_defect)
+from .errors import (DimensionMismatch, InvalidDimension, InvalidMatrix, InvalidParameter,
+                     require_positive_int)
+from .haar import (as_generator, as_stream, complex_standard_normal, sample_haar_unitaries,
+                   tile_rows, unitarity_defect)
 from .linalg import TOL, hermitian_eigenvalues, hermitian_part, max_abs, operator_norm, require_finite
 from .workers import map_tiles
 
@@ -73,14 +74,17 @@ def pure_projector(x: np.ndarray) -> np.ndarray:
 
 
 def random_pure_states(d: int, count: int, rng) -> np.ndarray:
-    """Batch of uniform (Haar) pure states, shape ``(count, d)``: normalized complex Gaussian rows."""
-    if d < 1:
-        raise InvalidDimension(f"dimension must be positive, got {d}")
-    gen = as_generator(rng)
-    vecs = complex_standard_normal(gen, (int(count), d))
+    """Batch of uniform (Haar) pure states, shape ``(count, d)``: complex Gaussian rows, normalized.
+
+    Row k depends only on the draws before it, so ``count`` states from one
+    generator equal ``count`` successive single-state calls on it, bit for bit.
+    """
+    d, count = require_positive_int(d, "dimension"), require_positive_int(count, "count")
+    vecs = complex_standard_normal(as_generator(rng), (count, d))
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
-    return vecs / norms
+    vecs /= norms
+    return vecs
 
 
 def random_pure_state(d: int, rng) -> np.ndarray:
@@ -107,9 +111,7 @@ class RandomUnitaryChannel:
         d = math.isqrt(c.shape[0]) if c.ndim == 2 else 0
         if d < 1 or c.shape != (d * d, d * d):
             raise InvalidDimension(f"channel matrix C must be d^2 x d^2, got shape {c.shape}")
-        count = self.provenance.get("count")
-        if not isinstance(count, (int, np.integer)) or count < 1:
-            raise InvalidParameter(f"provenance must record a positive count N, got {count!r}")
+        require_positive_int(self.provenance.get("count"), "provenance count N")
         lowest = hermitian_eigenvalues(c)[-1]  # also checks Hermiticity within TOL.hermiticity
         if lowest < -TOL.unitarity:
             raise InvalidMatrix(f"channel matrix C is not positive semidefinite: "

@@ -18,7 +18,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from .certify import DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, default_net_delta, verdict
 from .channel import build_random_channel, random_pure_state
-from .errors import InvalidDimension, RandomizerError
+from .errors import RandomizerError, require_positive_int
 from .experiments import (
     DEFAULT_CHANNELS_PER_CELL,
     SweepConfig,
@@ -116,9 +116,7 @@ def _cmd_audit_net(args) -> int:
 
 def _cmd_concentration(args) -> int:
     stream = _resolve_stream(args)
-    d = args.dim
-    if d < 1:
-        raise InvalidDimension(f"dimension must be a positive integer, got {d}")
+    d = require_positive_int(args.dim, "dimension")
     if args.random_pair:
         phi = random_pure_state(d, stream.child(10))
         psi = random_pure_state(d, stream.child(11))

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of integer counts."""
+
+import numbers
 
 
 class RandomizerError(Exception):
@@ -9,12 +11,12 @@ class InvalidMatrix(RandomizerError, ValueError):
     """Matrix input violates a structural contract (non-finite, not Hermitian, not unitary)."""
 
 
-class InvalidDimension(RandomizerError, ValueError):
-    """Dimension or count argument is not a positive integer."""
-
-
 class InvalidParameter(RandomizerError, ValueError):
     """Scalar parameter outside its documented domain."""
+
+
+class InvalidDimension(InvalidParameter):
+    """Dimension or count argument is not a positive integer."""
 
 
 class DimensionMismatch(RandomizerError, ValueError):
@@ -31,3 +33,13 @@ class NetInfeasible(InvalidParameter):
 
 class ParseError(RandomizerError, ValueError):
     """Persisted file is malformed or carries the wrong schema."""
+
+
+def require_positive_int(value, name: str) -> int:
+    """``value``, a dimension or a count, as an int; not a positive integer: InvalidDimension.
+
+    A bool, a float (even a whole one) and a string are refused, never truncated or cast.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidDimension(f"{name} must be a positive integer, got {value!r}")
+    return int(value)

@@ -15,7 +15,7 @@ from .certify import (DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, DeviationCertificate,
                       default_net_delta, verdict)
 from .channel import (RandomUnitaryChannel, build_random_channel, random_pure_states,
                       require_pure_state)
-from .errors import InvalidParameter, NetInfeasible, ParseError
+from .errors import InvalidParameter, NetInfeasible, ParseError, require_positive_int
 from .haar import RngStream, as_stream
 from .haar import sample_haar_unitaries  # noqa: F401 (the benchmark wraps it here)
 from .netcover import PureStateNet, build_delta_net
@@ -65,10 +65,10 @@ def run_concentration_trial(d: int, n: int, delta: float, trials: int,
     so a chunk of k trials draws k * N uniform pure states in one batch
     instead of k * N unitaries: the same law, without the QR.
     """
+    d, n = require_positive_int(d, "dimension"), require_positive_int(n, "count")
+    trials = require_positive_int(trials, "trials")
     if not 0.0 < delta < 1.0:
         raise InvalidParameter(f"delta must lie in (0, 1), got {delta}")
-    if trials < 1:
-        raise InvalidParameter(f"trials must be positive, got {trials}")
     phi = require_pure_state(phi)
     psi = require_pure_state(psi)
     if phi.shape[0] != d or psi.shape[0] != d:
@@ -83,7 +83,7 @@ def run_concentration_trial(d: int, n: int, delta: float, trials: int,
     total_sq = 0.0
     stat_min = math.inf
     stat_max = -math.inf
-    remaining = int(trials)
+    remaining = trials
     while remaining > 0:
         k = min(_TRIAL_CHUNK, remaining)
         amps = random_pure_states(d, k * n, gen) @ np.conj(psi)
@@ -99,7 +99,7 @@ def run_concentration_trial(d: int, n: int, delta: float, trials: int,
     variance = max(0.0, total_sq / trials - mean * mean)
     bound = concentration_tail_bound(delta, n, consts)
     return ConcentrationReport(
-        dim=int(d), count=int(n), delta=float(delta), trials=int(trials),
+        dim=d, count=n, delta=float(delta), trials=trials,
         empirical_tail=exceed / trials, bound=bound, vacuous=bound >= 1.0,
         stat_mean=mean, stat_std=math.sqrt(variance),
         stat_min=stat_min, stat_max=stat_max,
@@ -190,8 +190,7 @@ def run_randomizing_sweep(config: SweepConfig, seed) -> SweepReport:
     Cells are the parallel work items; each derives its own substreams for the
     net, the channels and the optimizer, so thread count never changes results.
     """
-    if config.channels_per_cell < 1:
-        raise InvalidParameter("channels_per_cell must be positive")
+    require_positive_int(config.channels_per_cell, "channels_per_cell")
     stream = as_stream(seed)
     cells = config.cells()
     results = parallel_map(lambda ic: _run_sweep_cell(config, stream, ic[0], ic[1]),

@@ -1,18 +1,26 @@
 """Reproducible Haar sampling on the unitary group via Ginibre matrices and phase-fixed QR.
 
+Every Gaussian in the package comes from ``complex_standard_normal``: NumPy's
+ziggurat normals (Marsaglia and Tsang 2000) on the keyed Philox stream, read as
+interleaved (Re, Im) pairs and scaled by sqrt(1/2) in place. The Haar law of
+QR-of-Ginibre depends only on the Gaussian law (Mezzadri 2007), not on how the
+normals are made. The ziggurat keeps no state between calls, so draws are
+prefix-stable: one draw of n + m values equals a draw of n followed by a draw
+of m from the same generator.
+
 A stack is sampled over tiles of ``_TILE_ENTRIES`` stack entries on the
 package's worker threads (``workers.parallel_map``). Tile k draws its Ginibre
-matrices from its own child stream ``rng.child(k)`` through
-``complex_standard_normal``, the package's one Gaussian path, and writes their
-phase-fixed QR factors into its slice of the one preallocated output. A tile
-holding a degenerate draw is redrawn whole from the same generator: iid draws
-conditioned on a product event stay iid, each conditioned on its own event.
-Tile boundaries depend only on the shape of the stack, never on the thread
-count, so stacks are bit for bit the same for every thread count. A stack of
-one tile runs inline with no pool, and a call from inside another map's
-worker runs its tiles serially. A call may start at any whole tile
-(``first``), and tile k of a seed's stack is the same whichever call draws
-it, so the channel's Gram fold samples each block on its own.
+matrices from its own child stream ``rng.child(k)`` straight into its slice of
+the one preallocated output, and overwrites them there with their phase-fixed
+QR factors, so no tile allocates an array of normals. A tile holding a
+degenerate draw is redrawn whole into the same slice from the same generator:
+iid draws conditioned on a product event stay iid, each conditioned on its own
+event. Tile boundaries depend only on the shape of the stack, never on the
+thread count, so stacks are bit for bit the same for every thread count. A
+stack of one tile runs inline with no pool, and a call from inside another
+map's worker runs its tiles serially. A call may start at any whole tile
+(``first``), and tile k of a seed's stack is the same whichever call draws it,
+so the channel's Gram fold samples each block on its own.
 
 The unitarity check loops over the same tiles in order on the thread that
 calls it (a Gram block's worker thread when a channel is built), which keeps
@@ -25,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDimension, InvalidParameter, NumericalFailure
+from .errors import InvalidParameter, NumericalFailure, require_positive_int
 from .linalg import qr_positive_stacked
 from .workers import map_tiles
 
@@ -87,33 +95,23 @@ def as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected RngStream, Generator or int, got {type(rng).__name__}")
 
 
-def complex_standard_normal(gen: np.random.Generator, shape) -> np.ndarray:
-    """Complex Gaussians with mean 0 and variance 1/2 per real component.
+def complex_standard_normal(gen: np.random.Generator, shape=None, out=None) -> np.ndarray:
+    """Standard complex Gaussians: a new array of ``shape``, or written into ``out`` and returned.
 
-    Complex Box-Muller: radius sqrt(-ln u1) and uniform phase give
-    E|z|^2 = 1 exactly. u1 is shifted into (0, 1] to keep the log finite.
-    Both uniform arrays are drawn first, then transformed in place, bit for
-    bit equal to ``np.sqrt(-np.log(1.0 - u1)) * np.exp(2j * np.pi * u2)``
-    with u1 drawn first.
+    ``out`` must be a C-contiguous complex128 array; ``shape`` is used only
+    without it. Mean 0 and variance 1/2 per real component, so E|z|^2 = 1.
+    The entries are ``gen.standard_normal`` ziggurat draws, read as
+    interleaved (Re, Im) pairs and scaled by sqrt(1/2) in place: bit for bit
+    ``(gen.standard_normal(2 * size) * np.sqrt(0.5)).view(complex)``. Draws
+    are prefix-stable, so n entries and then m entries from one generator
+    equal n + m entries drawn at once.
     """
-    radius = gen.random(shape)
-    z = np.empty(shape, dtype=complex)
-    np.multiply(gen.random(shape), 2.0 * np.pi, out=z.imag)
-    z.real = 0.0
-    np.exp(z, out=z)
-    np.subtract(1.0, radius, out=radius)
-    np.log(radius, out=radius)
-    np.negative(radius, out=radius)
-    np.sqrt(radius, out=radius)
-    z *= radius
-    return z
-
-
-def require_positive_int(value, name: str) -> int:
-    """``value`` (a dimension or a count) as an int; not a positive integer: InvalidDimension."""
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise InvalidDimension(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    reals = out.view(np.float64)
+    gen.standard_normal(out=reals)
+    reals *= np.sqrt(0.5)
+    return out
 
 
 def tile_rows(d: int) -> int:
@@ -127,13 +125,15 @@ def sample_haar_unitaries(d: int, count: int, rng, first: int = 0) -> np.ndarray
     Tile k of the seed's stack draws from ``rng.child(k)`` whichever call
     draws it, so whole tiles agree across calls. ``rng`` is an RngStream or an
     int seed; a ``Generator`` raises TypeError, because each tile derives its
-    own child stream. ``first`` must be a whole number of tiles
+    own child stream. ``count`` must be a positive integer, else
+    InvalidDimension; ``first`` must be a whole number of tiles
     (``tile_rows(d)``), else InvalidParameter. A tile with a degenerate draw
     is redrawn whole, at most 10 times, then NumericalFailure.
     """
     d, count = require_positive_int(d, "dimension"), require_positive_int(count, "count")
     per_tile = tile_rows(d)
-    if not isinstance(first, (int, np.integer)) or first < 0 or first % per_tile:
+    if (isinstance(first, bool) or not isinstance(first, (int, np.integer))
+            or first < 0 or first % per_tile):
         raise InvalidParameter(f"first row must be a non-negative multiple of the "
                                f"{per_tile} unitaries in a tile, got {first!r}")
     rng = as_stream(rng)
@@ -141,9 +141,11 @@ def sample_haar_unitaries(d: int, count: int, rng, first: int = 0) -> np.ndarray
 
     def tile(rows):
         gen = rng.child((first + rows.start) // per_tile).generator()
+        block = q[rows]
         for _ in range(1 + _MAX_RESAMPLES):
-            q[rows], degenerate = qr_positive_stacked(complex_standard_normal(gen, q[rows].shape))
+            factors, degenerate = qr_positive_stacked(complex_standard_normal(gen, out=block))
             if not np.any(degenerate):
+                block[...] = factors
                 return
         raise NumericalFailure("persistent degenerate Ginibre samples in a Haar tile")
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import random_pure_states
-from .errors import InvalidDimension, InvalidParameter, NetInfeasible
+from .errors import InvalidParameter, NetInfeasible, require_positive_int
 from .haar import as_generator, as_stream
 from .linalg import TOL, require_finite
 
@@ -40,8 +40,7 @@ _TILE_ENTRIES = 1 << 17  # one 1 MB float block of overlaps, small enough to sta
 
 def log_cardinality_bound(d: int, delta: float) -> float:
     """Natural log of the covering-number bound (5/delta)^(2d), kept in log domain."""
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InvalidDimension(f"dimension must be a positive integer, got {d!r}")
+    d = require_positive_int(d, "dimension")
     if not 0.0 < delta < 1.0:
         raise InvalidParameter(f"delta must lie in (0, 1), got {delta}")
     return 2.0 * d * math.log(5.0 / delta)
@@ -97,8 +96,7 @@ class PureStateNet:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise InvalidDimension(f"dimension must be positive, got {self.dim}")
+        require_positive_int(self.dim, "dimension")
         if not 0.0 < self.delta < 2.0:
             raise InvalidParameter(f"delta must lie in (0, 2), got {self.delta}")
         states = require_finite(np.asarray(self.states, dtype=complex), "net states")
@@ -152,14 +150,13 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
     only, and the counters and stop rule are replayed from the accept
     positions, so the result equals a candidate-by-candidate loop.
     """
-    if not isinstance(d, (int, np.integer)) or d < 1:
-        raise InvalidDimension(f"dimension must be a positive integer, got {d!r}")
+    d = require_positive_int(d, "dimension")
     if not 0.0 < delta < 2.0:
         raise InvalidParameter(f"delta must lie in (0, 2), got {delta}")
-    if max_states is not None and max_states < 1:
-        raise InvalidParameter(f"max_states must be positive, got {max_states}")
+    if max_states is not None:
+        max_states = require_positive_int(max_states, "max_states")
     if max_states is None and delta < 1.0:
-        log_bound = log_cardinality_bound(int(d), delta)
+        log_bound = log_cardinality_bound(d, delta)
         if log_bound > math.log(_SIZE_CEILING):
             raise NetInfeasible(
                 f"covering bound exp({log_bound:.1f}) exceeds the size ceiling {_SIZE_CEILING:.0e} "
@@ -169,10 +166,10 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
     stream = None if isinstance(rng, np.random.Generator) else as_stream(rng)
     gen = rng if stream is None else stream.generator()
     threshold = _overlap_threshold(delta)
-    ceiling = _SIZE_CEILING if max_states is None else int(max_states)
+    ceiling = _SIZE_CEILING if max_states is None else max_states
 
     kept: list[np.ndarray] = []
-    kept_feats = np.zeros((0, int(d) * int(d)))
+    kept_feats = np.zeros((0, d * d))
     consecutive = 0
     candidates = 0
     rejections = 0
@@ -180,7 +177,7 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
 
     done = False
     while not done:
-        batch = random_pure_states(int(d), _CANDIDATE_BATCH, gen)
+        batch = random_pure_states(d, _CANDIDATE_BATCH, gen)
         feats = _bloch_features(batch)
         survivors = np.flatnonzero(_max_overlap(feats, kept_feats) <= threshold)
         # greedy over the survivors: the first live one is kept and removes the later
@@ -237,7 +234,7 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
         "rejections": rejections,
         "stopped_by": stopped_by,
     }
-    return PureStateNet(int(d), float(delta), np.concatenate(kept), prov)
+    return PureStateNet(d, float(delta), np.concatenate(kept), prov)
 
 
 @dataclass(frozen=True)
@@ -261,13 +258,12 @@ def audit_covering(net: PureStateNet, trials: int, rng) -> CoverageReport:
     A failure is a sampled state farther than ``net.delta`` from every net
     state; for a truly covering net the failure count is zero.
     """
-    if trials < 1:
-        raise InvalidParameter(f"trials must be positive, got {trials}")
+    trials = require_positive_int(trials, "trials")
     gen = as_generator(rng)
     net_feats = _bloch_features(net.states)
     max_gap = 0.0
     failures = 0
-    remaining = int(trials)
+    remaining = trials
     while remaining > 0:
         k = min(_AUDIT_CHUNK, remaining)
         sample = random_pure_states(net.dim, k, gen)
@@ -276,4 +272,4 @@ def audit_covering(net: PureStateNet, trials: int, rng) -> CoverageReport:
         max_gap = max(max_gap, float(np.max(gaps)))
         failures += int(np.sum(gaps > net.delta))
         remaining -= k
-    return CoverageReport(net.dim, net.delta, int(trials), max_gap, failures)
+    return CoverageReport(net.dim, net.delta, trials, max_gap, failures)

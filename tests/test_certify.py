@@ -23,7 +23,8 @@ from randomizer import (
     sample_haar_unitaries,
     verdict,
 )
-from randomizer.certify import _ascend
+from randomizer.certify import _ASCENT_TOL, _TIE_TOL, _ascend, _canonical_phase
+from randomizer.channel import apply_adjoint, apply_channel, pure_projector
 from randomizer.netcover import _require_separated
 
 
@@ -155,12 +156,114 @@ def test_alternating_single_unitary(d):
     assert abs(abs(np.vdot(result.psi, transported)) - 1.0) <= 1e-9
 
 
+def sequential_extreme_eigvec(h):
+    """Oracle: the eigenpair of largest magnitude of one matrix; ties go to the positive branch."""
+    values, vectors = np.linalg.eigh(h)
+    if values[-1] >= -values[0] - _TIE_TOL:
+        return float(values[-1]), vectors[:, -1]
+    return float(values[0]), vectors[:, 0]
+
+
+def sequential_ascend(ch, phi0, tol, max_iters):
+    """Oracle: the alternating ascent from one start, one half step after another.
+
+    Returns the best (value, phi, psi) triple, replaced on a strict gain, and
+    the list of half-step objectives.
+    """
+    shift = np.eye(ch.dim, dtype=complex) / ch.dim
+    phi = phi0
+    best = (-1.0, phi0, phi0)
+    objectives = []
+    previous = -np.inf
+    for _ in range(max_iters):
+        lam_psi, psi = sequential_extreme_eigvec(apply_channel(ch, pure_projector(phi)) - shift)
+        obj = abs(lam_psi)
+        objectives.append(obj)
+        if obj > best[0]:
+            best = (obj, phi, psi)
+        lam_phi, phi = sequential_extreme_eigvec(apply_adjoint(ch, pure_projector(psi)) - shift)
+        obj = abs(lam_phi)
+        objectives.append(obj)
+        if obj > best[0]:
+            best = (obj, phi, psi)
+        if obj - previous < tol:
+            break
+        previous = obj
+    return best, objectives
+
+
+def sequential_lower_bound(ch, restarts, max_iters, rng):
+    """Oracle: one start drawn and ascended per restart in turn; the first strict best wins."""
+    gen = rng.generator()
+    best = None
+    for _ in range(restarts):
+        candidate, _ = sequential_ascend(ch, random_pure_state(ch.dim, gen), _ASCENT_TOL,
+                                         max_iters)
+        if best is None or candidate[0] > best[0]:
+            best = candidate
+    phi, psi = _canonical_phase(best[1]), _canonical_phase(best[2])
+    return abs(pair_statistic(ch, phi, psi) - 1.0 / ch.dim), phi, psi
+
+
+def restart_histories(history):
+    """Per restart, its half-step objectives: the column of ``history`` up to its first NaN."""
+    return [column[~np.isnan(column)] for column in history.T]
+
+
 def test_alternating_monotone_half_steps():
     ch = build_random_channel(4, 8, RngStream(12))
-    phi0 = random_pure_state(4, stream(13))
-    _, values = _ascend(ch, phi0, tol=1e-12, max_iters=200)
-    assert len(values) >= 2
-    assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+    starts = random_pure_states(4, 6, stream(13))
+    _, _, _, history = _ascend(ch, starts, tol=1e-12, max_iters=200)
+    for values in restart_histories(history):
+        assert len(values) >= 2
+        assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
+    # a restart's objectives stop for good once it stops: no NaN is followed by a value
+    assert all(np.all(np.isnan(column[np.argmax(np.isnan(column)):]))
+               for column in history.T if np.isnan(column).any())
+
+
+@pytest.mark.parametrize("d, n, restarts, max_iters", [
+    (2, 2000, 32, 20),   # the CLI flow's ascent
+    (2, 2000, 32, 5),    # some restarts stop early, the rest at the cap of 5 steps
+    (2, 40, 32, 500),    # every restart stops early, at different steps
+    (3, 60, 8, 500),
+    (3, 60, 1, 500),     # a single restart
+    (3, 60, 5, 1),       # one step each: every restart stops at the cap
+    (16, 300, 3, 25),
+    (16, 4000, 1, 2),
+    (2, 1, 4, 500),      # one unitary: the optimum 1 - 1/d is reached by every restart
+])
+def test_stacked_ascent_matches_sequential_oracle(d, n, restarts, max_iters):
+    ch = build_random_channel(d, n, stream(98, d, n))
+    rng = stream(99, d, restarts)
+    got = alternating_max_lower_bound(ch, restarts=restarts, max_iters=max_iters, rng=rng)
+    value, phi, psi = sequential_lower_bound(ch, restarts, max_iters, rng)
+    assert got.value == value
+    assert got.phi.tobytes() == phi.tobytes() and got.psi.tobytes() == psi.tobytes()
+    # and restart by restart: the same best triple and the same half-step objectives
+    starts = random_pure_states(d, restarts, rng)
+    values, phis, psis, history = _ascend(ch, starts, _ASCENT_TOL, max_iters)
+    stopped_early = 0
+    for r, objectives in enumerate(restart_histories(history)):
+        (want, want_phi, want_psi), want_objectives = sequential_ascend(
+            ch, starts[r], _ASCENT_TOL, max_iters)
+        assert values[r] == want
+        assert np.array_equal(phis[r], want_phi) and np.array_equal(psis[r], want_psi)
+        assert np.array_equal(objectives, want_objectives)
+        stopped_early += len(objectives) < 2 * max_iters
+    if (d, n, max_iters) == (2, 2000, 5):
+        assert 0 < stopped_early < restarts  # both stop rules fire in one stacked run
+    if max_iters == 1:
+        assert stopped_early == 0
+
+
+def test_stacked_ascent_matches_sequential_oracle_on_weyl_ties():
+    # every image is I/d, so every eigenvalue ties at 0 and the positive branch is taken
+    w = build_weyl_channel(3)
+    got = alternating_max_lower_bound(w, restarts=4, max_iters=500, rng=RngStream(9))
+    value, phi, psi = sequential_lower_bound(w, 4, 500, RngStream(9))
+    assert got.value == value <= 1e-12
+    assert got.phi.tobytes() == phi.tobytes() and got.psi.tobytes() == psi.tobytes()
 
 
 def test_witness_reproduces_value():

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from randomizer import (
+    InvalidDimension,
     InvalidMatrix,
     InvalidParameter,
     ParseError,
     RngStream,
     SweepConfig,
+    alternating_max_lower_bound,
+    audit_covering,
     build_delta_net,
     build_random_channel,
     build_weyl_channel,
@@ -24,6 +27,7 @@ from randomizer import (
     run_randomizing_sweep,
     save_certificate,
     save_channel,
+    sample_haar_unitaries,
     save_net,
     verdict,
     write_concentration_csv,
@@ -92,6 +96,47 @@ def test_concentration_random_pair_behaves_like_basis_pair():
     assert basis.empirical_tail <= basis.bound
     assert randomized.empirical_tail <= randomized.bound
     assert abs(basis.stat_mean - randomized.stat_mean) <= 0.01
+
+
+COUNT_CALLS = {
+    "trials": lambda k: run_concentration_trial(2, 8, 0.4, k, e_k(2), e_k(2), RngStream(5)),
+    "concentration N": lambda k: run_concentration_trial(2, k, 0.4, 3, e_k(2), e_k(2),
+                                                         RngStream(5)),
+    "audit trials": lambda k: audit_covering(build_delta_net(2, 1.0, RngStream(6)), k,
+                                             RngStream(7)),
+    "max_states": lambda k: build_delta_net(2, 0.5, RngStream(8), max_states=k),
+    "pure states": lambda k: random_pure_states(2, k, RngStream(9)),
+    "unitaries": lambda k: sample_haar_unitaries(2, k, 1),
+    "restarts": lambda k: alternating_max_lower_bound(build_weyl_channel(2), restarts=k,
+                                                      rng=RngStream(10)),
+    "max_iters": lambda k: alternating_max_lower_bound(build_weyl_channel(2), max_iters=k,
+                                                       rng=RngStream(10)),
+    "channels per cell": lambda k: run_randomizing_sweep(
+        SweepConfig(dims=(1,), epsilons=(0.5,), counts=(1,), channels_per_cell=k), 11),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_CALLS))
+@pytest.mark.parametrize("count", [2.5, 2.0, 1.5, True, np.True_, "2", 0, -1])
+def test_counts_are_positive_integers_never_truncated(name, count):
+    # a fractional or boolean count is refused, never truncated to 2 or read as 1
+    with pytest.raises(InvalidDimension):
+        COUNT_CALLS[name](count)
+
+
+def test_whole_counts_of_any_integer_type_run():
+    for name, call in COUNT_CALLS.items():
+        call(np.int64(2))
+        call(2)
+
+
+def test_concentration_divides_by_the_trials_it_ran():
+    report = run_concentration_trial(2, 8, 0.4, 3, e_k(2), e_k(2), RngStream(12))
+    stats = np.mean(np.abs(random_pure_states(2, 3 * 8, RngStream(12)) @ e_k(2)).reshape(3, 8)
+                    ** 2, axis=1)
+    assert report.trials == 3 and type(report.trials) is int
+    assert report.stat_mean == pytest.approx(np.mean(stats), abs=1e-15)
+    assert report.empirical_tail == np.mean(np.abs(stats - 0.5) >= 0.2)
 
 
 def test_concentration_validation():

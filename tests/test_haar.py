@@ -169,15 +169,56 @@ def test_unitarity_defect_matches_untiled_oracle(d):
             channel_from_unitaries(bad)
 
 
+def ziggurat_formula(gen, shape):
+    """Oracle: interleaved (Re, Im) ziggurat normals scaled by sqrt(1/2)."""
+    size = int(np.prod(shape))
+    return (gen.standard_normal(2 * size) * np.sqrt(0.5)).view(complex).reshape(shape)
+
+
 @pytest.mark.parametrize("shape", [(1,), (7,), (3, 5), (40, 4, 4), (2, 3, 1)])
 def test_complex_standard_normal_matches_one_line_formula(shape):
     for seed in (0, 1, 99):
         gen, oracle = RngStream(seed).generator(), RngStream(seed).generator()
-        u1 = 1.0 - oracle.random(shape)
-        u2 = oracle.random(shape)
-        want = np.sqrt(-np.log(u1)) * np.exp(2j * np.pi * u2)
+        want = ziggurat_formula(oracle, shape)
         assert np.array_equal(haar.complex_standard_normal(gen, shape), want)
         assert np.array_equal(gen.random(3), oracle.random(3))  # same draws consumed
+        # drawn in place into a slice of a larger array: the same values, the same array back
+        gen = RngStream(seed).generator()
+        host = np.zeros((3, *shape), dtype=complex)
+        middle = host[1]
+        assert haar.complex_standard_normal(gen, out=middle) is middle
+        assert np.array_equal(middle, want)
+        assert not np.any(host[0]) and not np.any(host[2])
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (3, 5), (1000, 7), (4096, 4096)])
+def test_gaussian_draws_are_prefix_stable(n, m):
+    whole = haar.complex_standard_normal(RngStream(38).generator(), (n + m,))
+    gen = RngStream(38).generator()
+    first = haar.complex_standard_normal(gen, (n,))
+    assert np.array_equal(np.concatenate([first, haar.complex_standard_normal(gen, (m,))]), whole)
+
+
+@pytest.mark.parametrize("d", [1, 2, 16])
+def test_state_batches_equal_single_draws_in_a_row(d):
+    # the ascent draws all its starts at once and must get the starts of one draw per restart
+    gen = RngStream(39, d).generator()
+    one_by_one = np.stack([random_pure_states(d, 1, gen)[0] for _ in range(5)])
+    assert np.array_equal(random_pure_states(d, 5, RngStream(39, d)), one_by_one)
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_haar_second_moments(d):
+    # stream-free law checks: E|U_ij|^2 = 1/d and E|tr U|^2 = 1 for Haar U on U(d)
+    n = 40_000
+    us = sample_haar_unitaries(d, n, RngStream(40, d))
+    entry_sq = np.abs(us) ** 2
+    # |U_ij|^2 is Beta(1, d - 1): variance (d - 1) / (d^2 (d + 1))
+    entry_se = np.sqrt((d - 1) / (d * d * (d + 1)) / n)
+    assert np.max(np.abs(entry_sq.mean(axis=0) - 1.0 / d)) <= 5.0 * entry_se
+    trace_sq = np.abs(np.trace(us, axis1=1, axis2=2)) ** 2
+    # |tr U|^2 has mean 1 and variance at most 1 (exactly 1 for d >= 2)
+    assert abs(trace_sq.mean() - 1.0) <= 5.0 / np.sqrt(n)
 
 
 @pytest.mark.parametrize("d", [1, 2, 16])
@@ -231,12 +272,12 @@ def test_planted_degenerate_tile_is_redrawn_whole(threads, monkeypatch):
     real = haar.complex_standard_normal
     draws = []
 
-    def planted(gen, shape):
-        z = real(gen, shape)
+    def planted(gen, shape=None, out=None):
+        z = real(gen, shape, out)
         k = tile_index(gen, rng, 3)
         if k == 1 and k not in [tile for tile, _ in draws]:  # the middle tile's first draw
             z[index - per_tile, :, 1] = z[index - per_tile, :, 0]
-        draws.append((k, shape))
+        draws.append((k, z.shape))
         return z
 
     monkeypatch.setattr(haar, "complex_standard_normal", planted)
@@ -264,14 +305,14 @@ def test_tiles_are_keyed_by_index_not_finishing_order(monkeypatch):
     real = haar.complex_standard_normal
     last_tile_started = threading.Event()
 
-    def first_tile_last(gen, shape):
+    def first_tile_last(gen, shape=None, out=None):
         # tile 0 holds one of the two workers until tile 2 starts, so tile 1 finishes first
         k = tile_index(gen, rng, 3)
         if k == 0:
             assert last_tile_started.wait(timeout=30)
         elif k == 2:
             last_tile_started.set()
-        return real(gen, shape)
+        return real(gen, shape, out)
 
     monkeypatch.setattr(haar, "complex_standard_normal", first_tile_last)
     got = sample_haar_unitaries(d, count, rng)
@@ -307,5 +348,4 @@ def test_defect_and_gaussians_start_no_pool(monkeypatch):
     assert unitarity_defect(us) == pytest.approx(einsum_defect(us), abs=1e-15)
     gen, oracle = RngStream(5).generator(), RngStream(5).generator()
     shape = (3 * haar._TILE_ENTRIES + 5,)
-    want = np.sqrt(-np.log(1.0 - oracle.random(shape))) * np.exp(2j * np.pi * oracle.random(shape))
-    assert np.array_equal(haar.complex_standard_normal(gen, shape), want)
+    assert np.array_equal(haar.complex_standard_normal(gen, shape), ziggurat_formula(oracle, shape))

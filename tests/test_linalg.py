@@ -10,7 +10,7 @@ from randomizer import (
     operator_norm,
     sample_haar_unitaries,
 )
-from randomizer.certify import _extreme_eigvec
+from randomizer.certify import _extreme_eigvecs
 from randomizer.linalg import hermitian_eigenvalues, qr_positive_stacked
 
 
@@ -27,7 +27,7 @@ def test_pauli_x_eigensystem():
     x = np.array([[0, 1], [1, 0]], dtype=complex)
     assert np.allclose(hermitian_eigenvalues(x), [1.0, -1.0], atol=1e-12)
     # +-1 tie exactly in magnitude: the extreme eigenpair takes the positive branch
-    value, vector = _extreme_eigvec(x)
+    (value,), (vector,) = _extreme_eigvecs(x[None])
     plus = np.array([1, 1]) / np.sqrt(2)
     assert value == pytest.approx(1.0, abs=1e-12)
     assert abs(abs(np.vdot(plus, vector)) - 1.0) < 1e-12
@@ -36,7 +36,7 @@ def test_pauli_x_eigensystem():
 def test_eigensystem_deterministic():
     h = random_hermitian(6, stream(3))
     assert np.array_equal(hermitian_eigenvalues(h), hermitian_eigenvalues(h))
-    first, second = _extreme_eigvec(h), _extreme_eigvec(h)
+    first, second = _extreme_eigvecs(h[None]), _extreme_eigvecs(h[None])
     assert first[0] == second[0]
     assert np.array_equal(first[1], second[1])
 
@@ -131,8 +131,9 @@ def test_qr_rank_deficient_raises(monkeypatch):
     _, degenerate = qr_positive_stacked(singular)
     assert degenerate
 
-    def singular_draw(gen, shape):
-        return np.broadcast_to(singular, shape).copy()
+    def singular_draw(gen, shape=None, out=None):
+        out[...] = singular
+        return out
 
     # the sampler redraws a tile holding a flagged matrix and gives up on persistent degeneracy
     monkeypatch.setattr(randomizer.haar, "complex_standard_normal", singular_draw)

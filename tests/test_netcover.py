@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -186,7 +187,10 @@ def test_net_equality_is_identity():
 def _reference_build(d, delta, rng, max_states=None):
     """The builder as a plain sequential loop over candidates with complex overlaps.
 
-    Returns the kept states and the provenance counters; draws the same
+    Returns the kept states, the provenance counters, and where the loop
+    stopped: the batch and the position in it of the last candidate counted,
+    and, after a rejection stop, how many later candidates of that batch a
+    greedy pass over the whole batch would still accept. Draws the same
     candidate batches from the same stream as ``build_delta_net``.
     """
     gen = as_generator(rng)
@@ -195,12 +199,15 @@ def _reference_build(d, delta, rng, max_states=None):
     kept = np.zeros((0, d), dtype=complex)
     consecutive = candidates = rejections = 0
     stopped_by = "rejections"
-    while True:
+
+    def accepts(states, x):
+        return not len(states) or float(np.max(np.abs(states @ np.conj(x)) ** 2)) <= threshold
+
+    for batch_index in itertools.count():
         batch = random_pure_states(d, _CANDIDATE_BATCH, gen)
-        for x in batch:
+        for pos, x in enumerate(batch):
             candidates += 1
-            worst = float(np.max(np.abs(kept @ np.conj(x)) ** 2)) if len(kept) else 0.0
-            if worst <= threshold:
+            if accepts(kept, x):
                 kept = np.vstack([kept, x])
                 consecutive = 0
                 if len(kept) >= ceiling:
@@ -214,30 +221,55 @@ def _reference_build(d, delta, rng, max_states=None):
         else:
             continue
         break
+    later = kept
+    for x in batch[pos + 1:] if stopped_by == "rejections" else ():
+        if accepts(later, x):
+            later = np.vstack([later, x])
     prov = {"candidates": candidates, "rejections": rejections, "stopped_by": stopped_by}
-    return kept, prov
+    stop = {"batch": batch_index, "position": pos, "later_accepts": len(later) - len(kept)}
+    return kept, prov, stop
 
 
-@pytest.mark.parametrize("d, delta, seed, max_states", [
-    (1, 0.5, 26, None),     # one state, then the stop rule
-    (2, 0.5, 25, None),     # the stop rule tracks the growing net
-    (2, 1.9, 28, None),     # coarse radius, a handful of states
-    (3, 1.5, 21, None),
-    (2, 0.3, 24, None),     # stops at candidate 296 of its batch, with no accept after it
-    (2, 1.0, 41, None),     # stops at candidate 45 of a batch that accepts a later candidate
-    (2, 1.0, 46, None),     # stops at candidate 18 of a batch that accepts two later ones
-    (5, 0.3, 23, 300),      # budget reached inside the first batch
-    (3, 0.6, 22, 1000),     # budget reached partway through the third batch
-    (16, 0.5, 27, 64),      # the 64-state budgeted net at the top of desk scale
-])
+# (d, delta, seed, max_states) -> the stop branch the case exercises
+BUILDER_CASES = {
+    # one state, then the stop rule
+    (1, 0.5, 26, None): {"size": 1, "stopped_by": "rejections"},
+    # the stop rule tracks the growing net: the stopping run is 20 * size > 1000
+    (2, 0.5, 25, None): {"stopped_by": "rejections", "growing": True},
+    # coarse radius, a handful of states
+    (2, 1.9, 28, None): {"stopped_by": "rejections", "handful": True},
+    (3, 1.5, 21, None): {"stopped_by": "rejections"},
+    # stops at candidate 351 (counting from 0) of its batch, with no accept after it
+    (2, 0.3, 24, None): {"stopped_by": "rejections", "position": 351, "later_accepts": 0},
+    # stops at candidate 75 of a batch that accepts a later candidate
+    (2, 1.0, 67, None): {"stopped_by": "rejections", "position": 75, "later_accepts": 1},
+    # stops at candidate 81 of a batch that accepts two later ones
+    (2, 1.0, 50, None): {"stopped_by": "rejections", "position": 81, "later_accepts": 2},
+    # budget reached inside the first batch
+    (5, 0.3, 23, 300): {"stopped_by": "budget", "batch": 0},
+    # budget reached partway through the third batch
+    (3, 0.6, 22, 1000): {"stopped_by": "budget", "batch": 2},
+    # the 64-state budgeted net at the top of desk scale
+    (16, 0.5, 27, 64): {"size": 64, "stopped_by": "budget"},
+}
+
+
+@pytest.mark.parametrize("d, delta, seed, max_states", list(BUILDER_CASES))
 def test_builder_matches_sequential_reference(d, delta, seed, max_states):
+    branch = BUILDER_CASES[d, delta, seed, max_states]
     net = build_delta_net(d, delta, RngStream(seed), max_states=max_states)
-    states, prov = _reference_build(d, delta, RngStream(seed), max_states=max_states)
+    states, prov, stop = _reference_build(d, delta, RngStream(seed), max_states=max_states)
     assert np.array_equal(net.states, states)
     assert {key: net.provenance[key] for key in prov} == prov
     assert net.provenance["max_states"] == max_states
     assert all(type(net.provenance[key]) is int for key in ("candidates", "rejections"))
     json.dumps(net.provenance)
+    # the case exercises the branch its comment names
+    facts = {"size": net.size, "stopped_by": prov["stopped_by"], **stop,
+             "growing": 20 * net.size > 1000, "handful": net.size <= 10}
+    assert {key: facts[key] for key in branch} == branch, facts
+    if "position" in branch or "batch" in branch:
+        assert 0 < stop["position"] < _CANDIDATE_BATCH - 1  # inside the batch, not at an edge
 
 
 def _reference_audit(net, trials, rng, chunk=4096):
