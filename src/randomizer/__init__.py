@@ -1,8 +1,8 @@
 """Random unitary mixing channels, nets of pure states, and randomizing certification."""
 
 from .bounds import (
-    BoundConstants,
-    DEFAULT_CONSTANTS,
+    CONCENTRATION_EXPONENT,
+    SAMPLE_SIZE_PREFACTOR,
     concentration_tail_bound,
     failure_log_bound,
     min_N_for_success,
@@ -62,7 +62,6 @@ from .experiments import (
 )
 from .haar import (
     RngStream,
-    as_generator,
     sample_haar_unitaries,
     unitarity_defect,
 )

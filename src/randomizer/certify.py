@@ -22,10 +22,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import RandomUnitaryChannel, pair_statistic, random_pure_states
+from .channel import (RandomUnitaryChannel, apply_adjoint, apply_channel, maximally_mixed,
+                      pair_statistic, pure_projector, random_pure_states)
 from .errors import DimensionMismatch, InvalidParameter, require_positive_int
-from .haar import RngStream, as_generator
-from .linalg import hermitian_part
+from .haar import RngStream, as_stream
 from .netcover import PureStateNet
 
 _SCAN_BUDGET = 1_000_000  # entries of the (chunk, net size) statistic block per B-scan step
@@ -81,9 +81,10 @@ def net_supremum_B(ch: RandomUnitaryChannel, net: PureStateNet) -> NetSupremum:
 
     The statistic is not symmetric in (phi, psi), so all size^2 ordered pairs
     are scanned. With P the (size, d^2) matrix whose rows are vec|x><x|, the
-    statistics of all pairs form the sandwich P S^T P†, evaluated in chunks of
-    phi rows so that one (chunk, size) block is the largest temporary. The
-    value returned is ``pair_statistic`` (the form x†Cx) at the maximizing pair.
+    statistics of all pairs are the stacked ``apply_channel`` images times P†,
+    evaluated in chunks of phi rows so that one (chunk, size) block is the
+    largest temporary. The value returned is ``pair_statistic`` (the form
+    x†Cx) at the maximizing pair.
     """
     if net.dim != ch.dim:
         raise DimensionMismatch(f"net dimension {net.dim} != channel dimension {ch.dim}")
@@ -92,15 +93,15 @@ def net_supremum_B(ch: RandomUnitaryChannel, net: PureStateNet) -> NetSupremum:
     if m < 1:
         raise InvalidParameter("net is empty")
     inv_d = 1.0 / d
-    proj = np.einsum("mi,mj->mij", states, np.conj(states)).reshape(m, d * d)  # rows vec|x><x|
-    proj_h = np.conj(proj.T)
-    sup_t = ch.superoperator.T
+    proj = pure_projector(states)
+    proj_h = np.conj(proj.reshape(m, d * d).T)
 
     chunk = max(1, _SCAN_BUDGET // max(m, d * d))
     best = -1.0
     best_i = best_j = 0
     for start in range(0, m, chunk):
-        stats = ((proj[start:start + chunk] @ sup_t) @ proj_h).real  # (k, m): row phi, column psi
+        images = apply_channel(ch, proj[start:start + chunk]).reshape(-1, d * d)
+        stats = (images @ proj_h).real  # (k, m): row phi, column psi
         dev = np.abs(stats - inv_d)
         flat = int(np.argmax(dev))
         k_i, j = divmod(flat, m)
@@ -135,11 +136,6 @@ def _extreme_eigvecs(h: np.ndarray):
             np.where(positive[:, None], vectors[:, :, -1], vectors[:, :, 0]))
 
 
-def _projectors(x: np.ndarray) -> np.ndarray:
-    """|x><x| for every row of ``x``, by the broadcasting multiply ``np.outer`` runs."""
-    return x[:, :, None] * np.conj(x)[:, None, :]
-
-
 def _ascend(ch: RandomUnitaryChannel, starts: np.ndarray, tol: float, max_iters: int):
     """Alternating eigenvector ascent from every row of ``starts`` at once.
 
@@ -147,18 +143,16 @@ def _ascend(ch: RandomUnitaryChannel, starts: np.ndarray, tol: float, max_iters:
     fixing psi, the best phi is the extreme eigenvector of the adjoint image.
     Each half step solves its subproblem exactly, so every restart's objective
     sequence is non-decreasing up to roundoff. The restarts still running
-    advance together: a half step is one stacked matrix-vector product with S
-    (shape ``(R, d^2, 1)``, or ``(R, 1, d^2)`` for the adjoint) and one
-    stacked ``eigh``. Each restart keeps its own stop rule (a full step that
-    gains less than ``tol``, or ``max_iters`` steps) and its own best
-    (value, phi, psi) triple, replaced only on a strict gain, so it ends bit
-    for bit where it would alone. Returns the best values ``(R,)``, their
+    advance together: a half step is one stacked ``apply_channel`` (or
+    ``apply_adjoint``) of their projectors and one stacked ``eigh``. Each
+    restart keeps its own stop rule (a full step that gains less than
+    ``tol``, or ``max_iters`` steps) and its own best (value, phi, psi)
+    triple, replaced only on a strict gain, so it ends bit for bit where it
+    would alone. Returns the best values ``(R,)``, their
     phis and psis ``(R, d)``, and the half-step objectives ``(2 steps, R)``,
     NaN once a restart has stopped.
     """
-    d = ch.dim
-    sup = ch.superoperator
-    shift = np.eye(d, dtype=complex) / d
+    shift = maximally_mixed(ch.dim)
     count = starts.shape[0]
     best = np.full(count, -1.0)
     best_phi, best_psi = starts.copy(), starts.copy()
@@ -174,12 +168,10 @@ def _ascend(ch: RandomUnitaryChannel, starts: np.ndarray, tol: float, max_iters:
 
     for _ in range(max_iters):
         step = np.full((2, count), np.nan)
-        image = (sup @ _projectors(phi).reshape(-1, d * d, 1)).reshape(-1, d, d)
-        lam, psi = _extreme_eigvecs(hermitian_part(image) - shift)
+        lam, psi = _extreme_eigvecs(apply_channel(ch, pure_projector(phi)) - shift)
         step[0, live] = obj = np.abs(lam)
         keep(obj, phi, psi)
-        image = np.conj(np.conj(_projectors(psi).reshape(-1, 1, d * d)) @ sup)  # S† vec(sigma)
-        lam, phi = _extreme_eigvecs(hermitian_part(image.reshape(-1, d, d)) - shift)
+        lam, phi = _extreme_eigvecs(apply_adjoint(ch, pure_projector(psi)) - shift)
         step[1, live] = obj = np.abs(lam)
         keep(obj, phi, psi)
         history.append(step)
@@ -207,11 +199,12 @@ def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = DEFAUL
     Returns a valid lower bound on the full supremum together with the state
     pair achieving it; the value is re-evaluated through pair_statistic so the
     witnesses reproduce it exactly. ``restarts`` and ``max_iters`` must be
-    positive integers, else InvalidDimension.
+    positive integers, else InvalidDimension. ``rng`` is an RngStream or an
+    int seed; None means ``RngStream(0)``.
 
     Every restart's start is drawn in one ``random_pure_states(d, restarts,
-    gen)`` call, which draws the same starts as one call per restart, and all
-    restarts run in one stacked ascent. The first restart with the best value
+    rng)`` call, the same starts as one call per restart on one generator,
+    and all restarts run in one stacked ascent. The first restart with the best value
     wins, as in a loop over the restarts that keeps a strict gain.
 
     Each witness is rotated so that its first entry above ``_PHASE_FLOOR`` in
@@ -222,9 +215,9 @@ def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = DEFAUL
     """
     restarts = require_positive_int(restarts, "restarts")
     max_iters = require_positive_int(max_iters, "max_iters")
-    gen = as_generator(rng if rng is not None else RngStream(0))
+    rng = as_stream(rng if rng is not None else RngStream(0))
     d = ch.dim
-    values, phis, psis, _ = _ascend(ch, random_pure_states(d, restarts, gen), _ASCENT_TOL,
+    values, phis, psis, _ = _ascend(ch, random_pure_states(d, restarts, rng), _ASCENT_TOL,
                                     max_iters)
     winner = int(np.argmax(values))  # the first maximum, as a strict-gain scan keeps it
     phi, psi = _canonical_phase(phis[winner]), _canonical_phase(psis[winner])

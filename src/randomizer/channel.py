@@ -38,8 +38,8 @@ import numpy as np
 
 from .errors import (DimensionMismatch, InvalidDimension, InvalidMatrix, InvalidParameter,
                      require_positive_int)
-from .haar import (as_generator, as_stream, complex_standard_normal, sample_haar_unitaries,
-                   tile_rows, unitarity_defect)
+from .haar import (as_stream, complex_standard_normal, sample_haar_unitaries, tile_rows,
+                   unitarity_defect)
 from .linalg import TOL, hermitian_eigenvalues, hermitian_part, max_abs, operator_norm, require_finite
 from .workers import map_tiles
 
@@ -68,19 +68,25 @@ def require_pure_state(x: np.ndarray) -> np.ndarray:
 
 
 def pure_projector(x: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |x><x|."""
+    """Rank-1 projector |x><x| of a vector, or of each vector of a stack ``(..., d)``.
+
+    Bit for bit ``np.outer``, whose broadcasting multiply it runs.
+    """
     vec = np.asarray(x, dtype=complex)
-    return np.outer(vec, np.conj(vec))
+    return vec[..., :, None] * np.conj(vec)[..., None, :]
 
 
 def random_pure_states(d: int, count: int, rng) -> np.ndarray:
     """Batch of uniform (Haar) pure states, shape ``(count, d)``: complex Gaussian rows, normalized.
 
-    Row k depends only on the draws before it, so ``count`` states from one
-    generator equal ``count`` successive single-state calls on it, bit for bit.
+    ``rng`` is an RngStream, an int seed, or a ``Generator`` that a loop
+    draws batch after batch from. Row k depends only on the draws before it,
+    so ``count`` states from one generator equal ``count`` successive
+    single-state calls on it, bit for bit.
     """
     d, count = require_positive_int(d, "dimension"), require_positive_int(count, "count")
-    vecs = complex_standard_normal(as_generator(rng), (count, d))
+    gen = rng if isinstance(rng, np.random.Generator) else as_stream(rng).generator()
+    vecs = complex_standard_normal(gen, (count, d))
     norms = np.linalg.norm(vecs, axis=1, keepdims=True)
     norms[norms == 0.0] = 1.0
     vecs /= norms
@@ -228,22 +234,27 @@ def _check_dim(ch: RandomUnitaryChannel, dim: int):
 
 def _require_square(ch: RandomUnitaryChannel, a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    _check_dim(ch, a.shape[0])
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
+        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {a.shape}")
+    _check_dim(ch, a.shape[-1])
     return a
 
 
 def apply_channel(ch: RandomUnitaryChannel, rho: np.ndarray) -> np.ndarray:
-    """(1/N) sum_i U_i rho U_i† as S vec(rho), symmetrized to kill Hermiticity drift."""
+    """(1/N) sum_i U_i rho U_i† as S vec(rho), symmetrized to kill Hermiticity drift.
+
+    ``rho`` may be a stack ``(..., d, d)``: one stacked product, each item bit for bit its own call.
+    """
     rho = _require_square(ch, rho)
-    return hermitian_part((ch.superoperator @ rho.reshape(-1)).reshape(rho.shape))
+    image = ch.superoperator @ rho.reshape(*rho.shape[:-2], -1, 1)
+    return hermitian_part(image.reshape(rho.shape))
 
 
 def apply_adjoint(ch: RandomUnitaryChannel, sigma: np.ndarray) -> np.ndarray:
-    """Adjoint map (1/N) sum_i U_i† sigma U_i as S† vec(sigma)."""
+    """Adjoint map (1/N) sum_i U_i† sigma U_i as S† vec(sigma); stacks as ``apply_channel``."""
     sigma = _require_square(ch, sigma)
-    out = np.conj(np.conj(sigma.reshape(-1)) @ ch.superoperator)  # conj(S^T conj(v)) = S† v
+    rows = np.conj(sigma.reshape(*sigma.shape[:-2], 1, -1))
+    out = np.conj(rows @ ch.superoperator)  # conj(S^T conj(v)) = S† v
     return hermitian_part(out.reshape(sigma.shape))
 
 

@@ -162,18 +162,17 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    consts = bounds_mod.BoundConstants(c=args.constant_c, C=args.constant_big_c)
-    required = bounds_mod.required_N(args.dim, args.epsilon, consts)
-    minimal = bounds_mod.min_N_for_success(args.dim, args.epsilon, consts)
+    required = bounds_mod.required_N(args.dim, args.epsilon)
+    minimal = bounds_mod.min_N_for_success(args.dim, args.epsilon)
     payload = {
         "d": args.dim,
         "epsilon": args.epsilon,
-        "c": consts.c,
-        "C": consts.C,
+        "c": bounds_mod.CONCENTRATION_EXPONENT,
+        "C": bounds_mod.SAMPLE_SIZE_PREFACTOR,
         "required_N": required,
         "min_N_for_success": minimal,
         "failure_log_bound_at_required_N": bounds_mod.failure_log_bound(
-            args.dim, args.epsilon, required, consts),
+            args.dim, args.epsilon, required),
     }
     print(json.dumps(payload, separators=(",", ":"), sort_keys=True))
     return 0
@@ -260,12 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="closed-form sample-size and failure-probability numbers")
     p.add_argument("--dim", type=int, required=True)
     p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--constant-c", dest="constant_c", type=float,
-                   default=bounds_mod.DEFAULT_CONSTANTS.c,
-                   help="concentration exponent constant c")
-    p.add_argument("--constant-C", dest="constant_big_c", type=float,
-                   default=bounds_mod.DEFAULT_CONSTANTS.C,
-                   help="sample-size prefactor constant C")
     p.set_defaults(func=_cmd_bounds)
 
     return parser

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one check of integer counts."""
+"""Exception types shared across the package, and the checks of integer counts."""
 
 import numbers
 
@@ -16,7 +16,7 @@ class InvalidParameter(RandomizerError, ValueError):
 
 
 class InvalidDimension(InvalidParameter):
-    """Dimension or count argument is not a positive integer."""
+    """Dimension or count argument is not a positive integer (non-negative where 0 is allowed)."""
 
 
 class DimensionMismatch(RandomizerError, ValueError):
@@ -35,11 +35,20 @@ class ParseError(RandomizerError, ValueError):
     """Persisted file is malformed or carries the wrong schema."""
 
 
+def _require_int(value, name: str, least: int, kind: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidDimension(f"{name} must be {kind}, got {value!r}")
+    return int(value)
+
+
 def require_positive_int(value, name: str) -> int:
     """``value``, a dimension or a count, as an int; not a positive integer: InvalidDimension.
 
     A bool, a float (even a whole one) and a string are refused, never truncated or cast.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise InvalidDimension(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
+    return _require_int(value, name, 1, "a positive integer")
+
+
+def require_nonnegative_int(value, name: str) -> int:
+    """``value``, a count that may be 0, as an int; refused as ``require_positive_int`` refuses."""
+    return _require_int(value, name, 0, "a non-negative integer")

@@ -10,7 +10,7 @@ from itertools import product
 
 import numpy as np
 
-from .bounds import BoundConstants, DEFAULT_CONSTANTS, concentration_tail_bound
+from .bounds import concentration_tail_bound
 from .certify import (DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, DeviationCertificate, Verdict,
                       default_net_delta, verdict)
 from .channel import (RandomUnitaryChannel, build_random_channel, random_pure_states,
@@ -48,16 +48,12 @@ class ConcentrationReport:
     bound: float
     vacuous: bool
     stat_mean: float
-    stat_std: float
-    stat_min: float
-    stat_max: float
     seed: int
     stream_id: int
 
 
 def run_concentration_trial(d: int, n: int, delta: float, trials: int,
-                            phi: np.ndarray, psi: np.ndarray, seed,
-                            consts: BoundConstants = DEFAULT_CONSTANTS) -> ConcentrationReport:
+                            phi: np.ndarray, psi: np.ndarray, seed) -> ConcentrationReport:
     """Draw ``trials`` independent channels and count tail events at radius delta/d.
 
     A tail event is |(1/N) sum_i |<psi|U_i|phi>|^2 - 1/d| >= delta/d. Only
@@ -80,9 +76,6 @@ def run_concentration_trial(d: int, n: int, delta: float, trials: int,
     threshold = delta / d
     exceed = 0
     total = 0.0
-    total_sq = 0.0
-    stat_min = math.inf
-    stat_max = -math.inf
     remaining = trials
     while remaining > 0:
         k = min(_TRIAL_CHUNK, remaining)
@@ -90,20 +83,13 @@ def run_concentration_trial(d: int, n: int, delta: float, trials: int,
         stats = np.mean(np.abs(amps.reshape(k, n)) ** 2, axis=1)
         exceed += int(np.sum(np.abs(stats - inv_d) >= threshold))
         total += float(np.sum(stats))
-        total_sq += float(np.sum(stats * stats))
-        stat_min = min(stat_min, float(np.min(stats)))
-        stat_max = max(stat_max, float(np.max(stats)))
         remaining -= k
 
-    mean = total / trials
-    variance = max(0.0, total_sq / trials - mean * mean)
-    bound = concentration_tail_bound(delta, n, consts)
+    bound = concentration_tail_bound(delta, n)
     return ConcentrationReport(
         dim=d, count=n, delta=float(delta), trials=trials,
         empirical_tail=exceed / trials, bound=bound, vacuous=bound >= 1.0,
-        stat_mean=mean, stat_std=math.sqrt(variance),
-        stat_min=stat_min, stat_max=stat_max,
-        seed=stream.seed, stream_id=stream.stream_id,
+        stat_mean=total / trials, seed=stream.seed, stream_id=stream.stream_id,
     )
 
 
@@ -245,6 +231,27 @@ def _write_json(path: str, payload: dict) -> None:
         handle.write(json.dumps(payload, separators=(",", ":"), sort_keys=True) + "\n")
 
 
+def _read_json(path: str, required_keys, schema: str | None = None) -> dict:
+    """The JSON object in the file at ``path``, holding every key of ``required_keys``.
+
+    A file that is not UTF-8 JSON, not an object, of another ``schema`` (when
+    one is given) or without a required key raises ParseError.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"{path}: not valid UTF-8 JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise ParseError(f"{path}: expected a JSON object")
+    if schema is not None and payload.get("schema") != schema:
+        raise ParseError(f"{path}: missing or unsupported schema (want {schema!r})")
+    for key in required_keys:
+        if key not in payload:
+            raise ParseError(f"{path}: missing key {key!r}")
+    return payload
+
+
 def save_channel(path: str, ch: RandomUnitaryChannel) -> None:
     payload = {
         "schema": CHANNEL_SCHEMA,
@@ -260,16 +267,7 @@ def save_channel(path: str, ch: RandomUnitaryChannel) -> None:
 
 def load_channel(path: str) -> RandomUnitaryChannel:
     """Load a channel and re-validate its matrix C; a C that is no channel raises InvalidMatrix."""
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict) or payload.get("schema") != CHANNEL_SCHEMA:
-        raise ParseError(f"{path}: missing or unsupported schema (want {CHANNEL_SCHEMA!r})")
-    for key in ("dim", "count", "gram"):
-        if key not in payload:
-            raise ParseError(f"{path}: missing key {key!r}")
+    payload = _read_json(path, ("dim", "count", "gram"), CHANNEL_SCHEMA)
     gram = _pairs_to_complex(payload["gram"], 2, f"{path}: gram")
     d, n = _integer(payload, "dim", path), _integer(payload, "count", path)
     if d < 1 or gram.shape != (d * d, d * d):
@@ -290,16 +288,7 @@ def save_net(path: str, net: PureStateNet) -> None:
 
 
 def load_net(path: str) -> PureStateNet:
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise ParseError(f"{path}: expected a JSON object")
-    for key in ("dim", "delta", "states"):
-        if key not in payload:
-            raise ParseError(f"{path}: missing key {key!r}")
+    payload = _read_json(path, ("dim", "delta", "states"))
     states = _pairs_to_complex(payload["states"], 2, f"{path}: states")
     prov = {key: payload.get(key) for key in NET_PROVENANCE}
     return PureStateNet(_integer(payload, "dim", path), _number(payload, "delta", path),

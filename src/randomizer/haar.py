@@ -86,15 +86,6 @@ def as_stream(rng) -> RngStream:
     raise TypeError(f"expected RngStream or int seed, got {type(rng).__name__}")
 
 
-def as_generator(rng) -> np.random.Generator:
-    """Accept an RngStream, a ready Generator, or a bare seed."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, (RngStream, int, np.integer)):
-        return as_stream(rng).generator()
-    raise TypeError(f"expected RngStream, Generator or int, got {type(rng).__name__}")
-
-
 def complex_standard_normal(gen: np.random.Generator, shape=None, out=None) -> np.ndarray:
     """Standard complex Gaussians: a new array of ``shape``, or written into ``out`` and returned.
 

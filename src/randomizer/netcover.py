@@ -29,7 +29,7 @@ import numpy as np
 
 from .channel import random_pure_states
 from .errors import InvalidParameter, NetInfeasible, require_positive_int
-from .haar import as_generator, as_stream
+from .haar import as_stream
 from .linalg import TOL, require_finite
 
 _SIZE_CEILING = 10_000_000  # desk-scale memory ceiling on materialized nets
@@ -139,6 +139,8 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
     kept state is >= delta/2. The builder stops after max(1000, 20 * size)
     consecutive rejections, where size is the number of states kept so far, so
     the rule tracks the set as it grows; or once ``max_states`` are kept.
+    ``rng`` is an RngStream or an int seed; the provenance records its seed
+    and stream id.
 
     Without an explicit ``max_states`` budget the covering-number bound guards
     against astronomically large requests (NetInfeasible); with a budget the
@@ -163,8 +165,8 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
                 f"at (d={d}, delta={delta}); pass max_states to build a budgeted net"
             )
 
-    stream = None if isinstance(rng, np.random.Generator) else as_stream(rng)
-    gen = rng if stream is None else stream.generator()
+    stream = as_stream(rng)
+    gen = stream.generator()
     threshold = _overlap_threshold(delta)
     ceiling = _SIZE_CEILING if max_states is None else max_states
 
@@ -227,8 +229,8 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
         )
 
     prov = {
-        "seed": stream.seed if stream is not None else None,
-        "stream_id": stream.stream_id if stream is not None else None,
+        "seed": stream.seed,
+        "stream_id": stream.stream_id,
         "max_states": max_states,
         "candidates": candidates,
         "rejections": rejections,
@@ -247,19 +249,16 @@ class CoverageReport:
     max_gap: float
     failures: int
 
-    @property
-    def passed(self) -> bool:
-        return self.failures == 0
-
 
 def audit_covering(net: PureStateNet, trials: int, rng) -> CoverageReport:
     """Sample uniform pure states and measure the worst nearest-net distance.
 
     A failure is a sampled state farther than ``net.delta`` from every net
-    state; for a truly covering net the failure count is zero.
+    state; for a truly covering net the failure count is zero. ``rng`` is an
+    RngStream or an int seed.
     """
     trials = require_positive_int(trials, "trials")
-    gen = as_generator(rng)
+    gen = as_stream(rng).generator()
     net_feats = _bloch_features(net.states)
     max_gap = 0.0
     failures = 0

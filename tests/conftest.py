@@ -4,27 +4,27 @@ from __future__ import annotations
 
 import numpy as np
 
-from randomizer import RngStream, as_generator
+from randomizer import RngStream
 from randomizer.haar import complex_standard_normal
 from randomizer.linalg import hermitian_eigenvalues
 
 
 def random_hermitian(d: int, rng, scale: float = 1.0) -> np.ndarray:
-    gen = as_generator(rng)
+    gen = rng.generator()
     a = complex_standard_normal(gen, (d, d)) * scale
     return (a + np.conj(a.T)) / 2.0
 
 
 def random_density(d: int, rng, rank: int | None = None) -> np.ndarray:
     """Random mixed state G G† / tr(G G†) with G Ginibre of the given rank."""
-    gen = as_generator(rng)
+    gen = rng.generator()
     g = complex_standard_normal(gen, (d, rank if rank is not None else d))
     rho = g @ np.conj(g.T)
     return rho / np.trace(rho).real
 
 
 def random_unit_vector(d: int, rng) -> np.ndarray:
-    gen = as_generator(rng)
+    gen = rng.generator()
     v = complex_standard_normal(gen, (d,))
     return v / np.linalg.norm(v)
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import random_hermitian
 from randomizer import (
-    DEFAULT_CONSTANTS,
+    CONCENTRATION_EXPONENT,
     RngStream,
     SweepConfig,
     Verdict,
@@ -134,7 +134,7 @@ def test_criterion_5_sandwich_and_gap_shrinkage():
 
 def test_criterion_6_bound_calculators():
     # independent re-derivation of both reference numbers from the formulas
-    c = DEFAULT_CONSTANTS.c
+    c = CONCENTRATION_EXPONENT
     required_oracle = math.ceil(150.0 * 2 / 0.25 * math.log(2.0))
     threshold = 25.0 * (math.log(2.0) + 8.0 * math.log(50.0)) / (c * 0.25)
     minimal_oracle = math.floor(threshold) + 1

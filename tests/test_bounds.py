@@ -3,8 +3,8 @@ import math
 import pytest
 
 from randomizer import (
-    BoundConstants,
-    DEFAULT_CONSTANTS,
+    CONCENTRATION_EXPONENT,
+    SAMPLE_SIZE_PREFACTOR,
     InvalidDimension,
     InvalidParameter,
     concentration_tail_bound,
@@ -19,14 +19,10 @@ def success_constant_ratio(d: int, epsilon: float) -> float:
     return min_N_for_success(d, epsilon) / (d / (epsilon * epsilon) * math.log(1.0 / epsilon))
 
 
-def test_default_constants():
-    assert DEFAULT_CONSTANTS.c == 1.0 / (6.0 * math.log(2.0))
-    assert DEFAULT_CONSTANTS.c == pytest.approx(0.2404491, abs=1e-7)
-    assert DEFAULT_CONSTANTS.C == 150.0
-    with pytest.raises(InvalidParameter):
-        BoundConstants(c=0.0)
-    with pytest.raises(InvalidParameter):
-        BoundConstants(C=-1.0)
+def test_fixed_constants():
+    assert CONCENTRATION_EXPONENT == 1.0 / (6.0 * math.log(2.0))
+    assert CONCENTRATION_EXPONENT == pytest.approx(0.2404491, abs=1e-7)
+    assert SAMPLE_SIZE_PREFACTOR == 150.0
 
 
 def test_required_n_reference_value():
@@ -41,12 +37,6 @@ def test_required_n_near_one_epsilon():
     assert required_N(1, 0.999) >= 1
 
 
-def test_required_n_scales_with_constant():
-    doubled = BoundConstants(C=300.0)
-    raw = 300.0 * 3 / (0.36) * math.log(1 / 0.6)
-    assert required_N(3, 0.6, doubled) == math.ceil(raw)
-
-
 def test_required_n_validation():
     with pytest.raises(InvalidParameter):
         required_N(2, 0.0)
@@ -56,9 +46,27 @@ def test_required_n_validation():
         required_N(0, 0.5)
 
 
+@pytest.mark.parametrize("epsilon", [1e-300, 1e-160])
+def test_non_finite_sample_sizes_raise(epsilon):
+    # epsilon^2 underflows to 0 at 1e-300 and to a subnormal at 1e-160, where
+    # both sample sizes overflow
+    for calculator in (required_N, min_N_for_success):
+        with pytest.raises(InvalidParameter, match="not a finite number"):
+            calculator(2, epsilon)
+
+
+@pytest.mark.parametrize("epsilon", [1e-20, 1e-100])
+def test_min_n_is_minimal_beyond_exact_floats(epsilon):
+    # N lies far beyond 2^53, where consecutive integers share a float value
+    n = min_N_for_success(2, epsilon)
+    assert n > 2 ** 53
+    assert failure_log_bound(2, epsilon, n) < 0.0
+    assert failure_log_bound(2, epsilon, n - 1) >= 0.0
+
+
 def test_concentration_tail_values():
     assert concentration_tail_bound(0.5, 0) == pytest.approx(2.0, abs=1e-15)
-    direct = 2.0 * math.exp(-DEFAULT_CONSTANTS.c * 0.25 * 100)
+    direct = 2.0 * math.exp(-CONCENTRATION_EXPONENT * 0.25 * 100)
     assert concentration_tail_bound(0.5, 100) == pytest.approx(direct, rel=1e-12)
     assert concentration_tail_bound(0.5, 100) == pytest.approx(4.90e-3, rel=1e-2)
 
@@ -70,13 +78,21 @@ def test_concentration_tail_monotone():
         assert concentration_tail_bound(d2, 50) < concentration_tail_bound(d1, 50)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True, "3", -1, None])
+def test_sample_count_must_be_a_non_negative_integer(n):
+    with pytest.raises(InvalidDimension):
+        concentration_tail_bound(0.5, n)
+    with pytest.raises(InvalidDimension):
+        failure_log_bound(2, 0.5, n)
+
+
 def test_failure_log_bound_vacuous_at_zero():
     for d in (1, 2, 50, 10_000):
         assert failure_log_bound(d, 0.5, 0) > 0.0
 
 
 def test_failure_log_bound_linear_in_n():
-    c = DEFAULT_CONSTANTS.c
+    c = CONCENTRATION_EXPONENT
     a = failure_log_bound(3, 0.4, 100)
     b = failure_log_bound(3, 0.4, 5100)
     assert a - b == pytest.approx(c * 0.16 * 5000 / 25.0, rel=1e-12)
@@ -90,7 +106,7 @@ def test_failure_log_bound_survives_huge_dimension():
 
 def test_min_n_reference_value():
     # direct solve: n > 25 (ln 2 + 8 ln 50) / (c / 4)
-    threshold = 25.0 * (math.log(2.0) + 8.0 * math.log(50.0)) / (DEFAULT_CONSTANTS.c * 0.25)
+    threshold = 25.0 * (math.log(2.0) + 8.0 * math.log(50.0)) / (CONCENTRATION_EXPONENT * 0.25)
     assert min_N_for_success(2, 0.5) == math.floor(threshold) + 1 == 13304
 
 
@@ -122,10 +138,10 @@ def test_success_constant_ratio_reported():
 def test_ratio_limit_matches_default_prefactor():
     # the epsilon -> 0 prefactor of the un-relaxed chain is 36 * 6 ln 2 < 150,
     # which is what makes 150 a safe default constant asymptotically
-    c = DEFAULT_CONSTANTS.c
+    c = CONCENTRATION_EXPONENT
     limit = 36.0 / c
     assert limit == pytest.approx(149.72, abs=0.01)
-    assert limit < DEFAULT_CONSTANTS.C
+    assert limit < SAMPLE_SIZE_PREFACTOR
 
     def tight_prefactor(eps):
         delta = eps / (3.0 + 2.0 * eps)

@@ -266,6 +266,18 @@ def test_stacked_ascent_matches_sequential_oracle_on_weyl_ties():
     assert got.phi.tobytes() == phi.tobytes() and got.psi.tobytes() == psi.tobytes()
 
 
+def test_ascent_takes_a_stream_or_an_int_seed():
+    ch = build_random_channel(2, 16, RngStream(20))
+    by_int = alternating_max_lower_bound(ch, restarts=3, rng=5)
+    by_stream = alternating_max_lower_bound(ch, restarts=3, rng=RngStream(5))
+    assert by_int.value == by_stream.value and by_int.phi.tobytes() == by_stream.phi.tobytes()
+    default = alternating_max_lower_bound(ch, restarts=3)  # no rng: RngStream(0)
+    zero = alternating_max_lower_bound(ch, restarts=3, rng=RngStream(0))
+    assert default.value == zero.value and default.phi.tobytes() == zero.phi.tobytes()
+    with pytest.raises(TypeError):
+        alternating_max_lower_bound(ch, restarts=3, rng=RngStream(5).generator())
+
+
 def test_witness_reproduces_value():
     ch = build_random_channel(3, 16, RngStream(14))
     result = alternating_max_lower_bound(ch, restarts=8, rng=RngStream(15))

@@ -24,6 +24,7 @@ from randomizer import (
     pair_statistic,
     pure_projector,
     random_pure_state,
+    random_pure_states,
     sample_haar_unitaries,
 )
 from randomizer import channel, haar
@@ -395,12 +396,29 @@ def test_haar_one_design():
         assert abs(pair_statistic(ch, phi, psi) - values[k]) <= 1e-13
 
 
+@pytest.mark.parametrize("d", [1, 2, 16])
+def test_stacked_channel_action_equals_per_item_calls_bitwise(d):
+    ch = build_random_channel(d, 40, stream(58, d))
+    states = random_pure_states(d, 6, stream(59, d)).reshape(2, 3, d)
+    projectors = pure_projector(states)
+    assert projectors.shape == (2, 3, d, d)
+    images, adjoints = apply_channel(ch, projectors), apply_adjoint(ch, projectors)
+    for i, j in np.ndindex(2, 3):
+        one = pure_projector(states[i, j])
+        assert one.tobytes() == np.outer(states[i, j], np.conj(states[i, j])).tobytes()
+        assert projectors[i, j].tobytes() == one.tobytes()
+        assert images[i, j].tobytes() == apply_channel(ch, one).tobytes()
+        assert adjoints[i, j].tobytes() == apply_adjoint(ch, one).tobytes()
+
+
 def test_dimension_mismatch():
     ch = build_random_channel(3, 2, RngStream(77))
     with pytest.raises(DimensionMismatch):
         apply_channel(ch, np.eye(2, dtype=complex) / 2)
     with pytest.raises(DimensionMismatch):
         apply_adjoint(ch, np.ones(3, dtype=complex))
+    with pytest.raises(DimensionMismatch):
+        apply_channel(ch, np.ones((4, 3, 2), dtype=complex))
     with pytest.raises(DimensionMismatch):
         pair_statistic(ch, basis_state(3), basis_state(2))
     with pytest.raises(DimensionMismatch):

@@ -38,7 +38,9 @@ def test_removed_flags_are_usage_errors(tmp_path):
     for argv in (sweep + ["--threads", "1"], concentration + ["--threads", "1"],
                  sweep + ["--tol", "1e-10"], verify + ["--tol", "1e-10"],
                  verify + ["--stop-k", "200"], net + ["--stop-k", "200"],
-                 sweep + ["--stop-k", "200"], sweep + ["--config", str(grid)]):
+                 sweep + ["--stop-k", "200"], sweep + ["--config", str(grid)],
+                 ["bounds", "--dim", "2", "--epsilon", "0.5", "--constant-c", "0.3"],
+                 ["bounds", "--dim", "2", "--epsilon", "0.5", "--constant-C", "300"]):
         assert run(argv) == 1, argv
     assert not (tmp_path / "net.json").exists()
 
@@ -114,14 +116,37 @@ def test_parser_is_shared_and_commands_do_not_leak(tmp_path, capsys):
     assert cli._parser() is cli._parser()
     assert run(["sample-channel", "--dim", "2", "--count", "3", "--seed", "7",
                 "--out", str(tmp_path / "ch.json")]) == 0
-    assert run(["bounds", "--dim", "3", "--epsilon", "0.5", "--constant-C", "300"]) == 0
+    assert run(["net", "--dim", "2", "--delta", "1.5", "--max-states", "1", "--seed", "8",
+                "--out", str(tmp_path / "budgeted.json")]) == 0
     capsys.readouterr()
-    # neither the seed of sample-channel nor the constant of the first bounds call carries over
+    # neither the seeds of the earlier calls nor the budget of the first net call carries over
     assert run(["net", "--dim", "2", "--delta", "1.5", "--out", str(tmp_path / "net.json")]) == 0
-    assert "seed=7 " not in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "seed=7 " not in out and "seed=8 " not in out
+    assert load_net(tmp_path / "budgeted.json").provenance["max_states"] == 1
+    assert load_net(tmp_path / "net.json").provenance["max_states"] is None
     assert run(["bounds", "--dim", "2", "--epsilon", "0.5"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["d"] == 2 and payload["C"] == 150.0 and payload["required_N"] == 832
+
+
+@pytest.mark.parametrize("epsilon", ["1e-300", "1e-160"])
+def test_bounds_with_non_finite_sample_size_exits_two(capsys, epsilon):
+    assert run(["bounds", "--dim", "2", "--epsilon", epsilon]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "not a finite number" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [["verify", "--epsilon", "0.5", "--channel"],
+                                  ["audit-net", "--net"]])
+def test_file_that_is_not_utf8_exits_two(tmp_path, capsys, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff{}")
+    assert run(argv + [str(path), "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not valid UTF-8 JSON" in err
+    assert "Traceback" not in err
 
 
 def test_verify_ruc1_channel_exits_two(tmp_path, capsys):

@@ -334,9 +334,8 @@ def test_int_seeded_net_records_its_stream(tmp_path):
     save_net(path, net)
     loaded = load_net(path)
     assert (loaded.provenance["seed"], loaded.provenance["stream_id"]) == (7, 0)
-    unnamed = build_delta_net(2, 0.8, RngStream(7).generator())  # a Generator names no stream
-    assert (unnamed.provenance["seed"], unnamed.provenance["stream_id"]) == (None, None)
-    assert np.array_equal(unnamed.states, net.states)
+    with pytest.raises(TypeError):  # a Generator would name no stream
+        build_delta_net(2, 0.8, RngStream(7).generator())
 
 
 def test_certificate_schema(tmp_path):

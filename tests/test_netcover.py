@@ -22,7 +22,6 @@ from randomizer import (
     random_pure_states,
     pure_projector,
 )
-from randomizer.haar import as_generator
 from randomizer.netcover import _CANDIDATE_BATCH, _bloch_features, _overlap_threshold
 
 
@@ -131,6 +130,13 @@ def test_audit_passes_on_built_net():
     assert report.max_gap <= net.delta
 
 
+def test_audit_takes_a_stream_or_an_int_seed():
+    net = build_delta_net(2, 0.5, RngStream(10))
+    assert audit_covering(net, 5000, 11) == audit_covering(net, 5000, RngStream(11))
+    with pytest.raises(TypeError):
+        audit_covering(net, 5000, RngStream(11).generator())
+
+
 def test_audit_catches_undersized_net():
     single = PureStateNet(2, 0.1, random_pure_state(2, RngStream(12))[None, :])
     report = audit_covering(single, 10_000, RngStream(13))
@@ -193,7 +199,7 @@ def _reference_build(d, delta, rng, max_states=None):
     greedy pass over the whole batch would still accept. Draws the same
     candidate batches from the same stream as ``build_delta_net``.
     """
-    gen = as_generator(rng)
+    gen = rng.generator()
     threshold = _overlap_threshold(delta)
     ceiling = math.inf if max_states is None else max_states
     kept = np.zeros((0, d), dtype=complex)
@@ -273,7 +279,7 @@ def test_builder_matches_sequential_reference(d, delta, seed, max_states):
 
 
 def _reference_audit(net, trials, rng, chunk=4096):
-    gen = as_generator(rng)
+    gen = rng.generator()
     gaps = []
     remaining = trials
     while remaining > 0:
