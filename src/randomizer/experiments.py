@@ -22,6 +22,7 @@ from .netcover import PureStateNet, build_delta_net
 from .workers import parallel_map, resolve_threads  # noqa: F401 (the benchmark reads it here)
 
 _TRIAL_CHUNK = 2000
+_DRAW_ENTRIES = 1 << 24  # complex state entries drawn at once, 256 MB; one trial must fit
 DEFAULT_CHANNELS_PER_CELL = 20  # channels drawn per sweep cell, for the library and the CLI alike
 
 CHANNEL_SCHEMA = "ruc-2"
@@ -59,7 +60,9 @@ def run_concentration_trial(d: int, n: int, delta: float, trials: int,
     A tail event is |(1/N) sum_i |<psi|U_i|phi>|^2 - 1/d| >= delta/d. Only
     the states U_i phi enter, and for Haar U_i each is a uniform pure state,
     so a chunk of k trials draws k * N uniform pure states in one batch
-    instead of k * N unitaries: the same law, without the QR.
+    instead of k * N unitaries: the same law, without the QR. A chunk holds at
+    most 2000 trials and at most 2^24 state entries; a count whose single trial
+    needs more is refused (InvalidParameter).
     """
     d, n = require_positive_int(d, "dimension"), require_positive_int(n, "count")
     trials = require_positive_int(trials, "trials")
@@ -69,16 +72,22 @@ def run_concentration_trial(d: int, n: int, delta: float, trials: int,
     psi = require_pure_state(psi)
     if phi.shape[0] != d or psi.shape[0] != d:
         raise InvalidParameter("state dimension does not match d")
+    if n * d > _DRAW_ENTRIES:
+        raise InvalidParameter(
+            f"one trial draws N*d = {n * d} state entries, beyond the desk-scale ceiling "
+            f"{_DRAW_ENTRIES}"
+        )
     stream = as_stream(seed)
     gen = stream.generator()
 
+    per_chunk = min(_TRIAL_CHUNK, _DRAW_ENTRIES // (n * d))
     inv_d = 1.0 / d
     threshold = delta / d
     exceed = 0
     total = 0.0
     remaining = trials
     while remaining > 0:
-        k = min(_TRIAL_CHUNK, remaining)
+        k = min(per_chunk, remaining)
         amps = random_pure_states(d, k * n, gen) @ np.conj(psi)
         stats = np.mean(np.abs(amps.reshape(k, n)) ** 2, axis=1)
         exceed += int(np.sum(np.abs(stats - inv_d) >= threshold))

@@ -1,9 +1,10 @@
 """Finite nets of pure states under the trace-norm metric, built by greedy random packing.
 
 A maximal (delta/2)-separated set of pure states is a (delta/2)-net and hence
-a delta-net with margin. Maximality is only probabilistic here: the builder
-stops after a run of consecutive rejections, and ``audit_covering`` measures
-how well the result actually covers.
+a delta-net with margin (Hayden, Leung, Shor and Winter, CMP 250, 2004).
+Maximality is only probabilistic here: the builder stops after a run of
+consecutive rejections, and ``audit_covering`` measures how well the result
+actually covers.
 
 Every pure-state overlap in this module (the builder's screening, the
 separation certificate and the audit) goes through one real kernel. A state x
@@ -12,12 +13,43 @@ maps to the real vector F(x) of length d^2 that lists the coordinates of
 Hilbert-Schmidt inner product: |x_j|^2, and for j < k, sqrt(2) Re(x_j conj(x_k))
 and sqrt(2) Im(x_j conj(x_k)). Then F(x) . F(y) = tr(|x><x| |y><y|) = |<x|y>|^2
 is an identity, not an approximation, so one real matrix product yields the
-squared overlaps of whole blocks of states directly. At d = 2 that replaces a
-complex product with inner dimension 2 followed by two passes over a block of
-complex entries; the products are reduced to their row maxima in tiles that
-stay in cache. The price grows with d: a feature row holds d^2 reals where a
-state holds 2d, so at d = 16 the real product does four times the arithmetic
-of the complex one.
+squared overlaps of whole blocks of states directly. The price grows with d: a
+feature row holds d^2 reals where a state holds 2d, so at d = 16 the real
+product does four times the arithmetic of the complex one.
+
+Both scans look only at the net states that can matter. For unit vectors x
+and y, with P = |0><0|,
+
+    | |x_0|^2 - |y_0|^2 | = |tr(P(|x><x| - |y><y|))| <= || |x><x| - |y><y| ||_1 / 2
+                          = sqrt(1 - |<x|y>|^2),
+
+so two states whose squared overlap exceeds 1 - r^2 have first features
+F_0 = |x_0|^2 within r of each other. The net's feature rows are kept sorted
+by F_0, and ``_window_max`` compares each query row only with the contiguous
+window of net rows whose F_0 lies within a reach r of its own, padded by
+``_ROUNDOFF``. Query rows are sorted by F_0 too and scanned in groups that
+share the union of their windows, one product per group.
+
+- The builder calls a candidate close to a state when their squared overlap
+  exceeds t = 1 - delta^2/16, so a window of reach delta/4 holds every state
+  that can reject it: the window maximum exceeds t exactly when the maximum
+  over the whole net does.
+- The audit takes reach delta/2. A sample within trace distance delta of some
+  net state finds its nearest state inside its window, so its window maximum
+  is its true maximum whenever that is at least 1 - delta^2/4. Every other row,
+  a failure or a row with an empty window, is rescanned against the whole net,
+  so ``max_gap`` and ``failures`` are those of a full scan.
+
+The builder draws candidates in blocks of whole 512-candidate batches. Draws
+are prefix-stable, so a block holds exactly the batches a batch-by-batch loop
+draws, and a block is never longer than the candidates that must still pass
+before either stop rule can fire, so it draws no batch that loop would not.
+Each block is screened at once against the kept set as it stood when the
+block began; each batch's survivors are then screened against the states
+accepted earlier in the same block, and the greedy pass and the counters run
+batch by batch. The maximum over a union is the maximum of the maxima, so
+every decision, and hence every net, equals that of a candidate-by-candidate
+loop.
 """
 
 from __future__ import annotations
@@ -34,8 +66,13 @@ from .linalg import TOL, require_finite
 
 _SIZE_CEILING = 10_000_000  # desk-scale memory ceiling on materialized nets
 _CANDIDATE_BATCH = 512
-_AUDIT_CHUNK = 4096  # audit samples drawn and compared per step
+_BLOCK_ENTRIES = 1 << 14  # candidate feature entries per block: 8 batches at d = 2, 1 from d = 5
+_AUDIT_ENTRIES = 1 << 17  # sample feature entries per audit chunk: 2^15 samples at d = 2
 _TILE_ENTRIES = 1 << 17  # one 1 MB float block of overlaps, small enough to stay in L2
+_WINDOW_ROWS = 256  # sorted query rows that share one window of the net
+# pads a window's reach; covers rounding in the features and products and the 1e-12 norm
+# tolerance of net states, whose effect on F_0 and on the overlaps is of order 1e-11
+_ROUNDOFF = 1e-9
 
 
 def log_cardinality_bound(d: int, delta: float) -> float:
@@ -69,17 +106,56 @@ def _tile_rows(m: int) -> int:
 
 
 def _max_overlap(feats: np.ndarray, net_feats: np.ndarray) -> np.ndarray:
-    """Largest squared overlap of each feature row with the net, computed in cache-sized tiles."""
+    """Largest squared overlap of each feature row with the net, computed in cache-sized tiles.
+
+    Each tile holds the overlaps of a run of rows with every net state, one row
+    per net state, so the maximum runs down the columns, a reduction numpy
+    vectorizes across rows.
+    """
     n, m = feats.shape[0], net_feats.shape[0]
-    best = np.zeros(n)
     if m == 0:
-        return best
+        return np.zeros(n)
     step = _tile_rows(m)
-    block = np.empty((min(step, n), m))
+    best = np.empty(n)
     for start in range(0, n, step):
-        tile = block[:min(step, n - start)]
-        np.matmul(feats[start:start + step], net_feats.T, out=tile)
-        np.max(tile, axis=1, out=best[start:start + tile.shape[0]])
+        np.max(net_feats @ feats[start:start + step].T, axis=0, out=best[start:start + step])
+    return best
+
+
+def _window_reach(gap2: float) -> float:
+    """Reach in F_0 that holds every state y with 1 - |<x|y>|^2 <= ``gap2``, padded for rounding."""
+    return math.sqrt(gap2 + _ROUNDOFF) + _ROUNDOFF
+
+
+def _sorted_by_key(feats: np.ndarray) -> np.ndarray:
+    """Feature rows sorted by their first column F_0 = |x_0|^2."""
+    return feats[np.argsort(feats[:, 0])]
+
+
+def _window_max(feats: np.ndarray, net_sorted: np.ndarray, reach: float) -> np.ndarray:
+    """Largest squared overlap of each feature row with the net rows whose F_0 lies within ``reach``.
+
+    ``net_sorted`` holds the net's feature rows sorted by F_0. The query rows are
+    scanned in F_0 order in groups of ``_WINDOW_ROWS``, each against the union of
+    its rows' windows, so a row may also see states beyond its own reach. A row
+    whose window is empty gets 0.
+    """
+    n = feats.shape[0]
+    if net_sorted.shape[0] == 0:
+        return np.zeros(n)
+    order = np.argsort(feats[:, 0])
+    rows = feats[order]
+    keys = net_sorted[:, 0]
+    starts = np.arange(0, n, _WINDOW_ROWS)
+    ends = np.minimum(starts + _WINDOW_ROWS, n)
+    lo = np.searchsorted(keys, rows[starts, 0] - reach, "left").tolist()
+    hi = np.searchsorted(keys, rows[ends - 1, 0] + reach, "right").tolist()
+    sorted_best = np.zeros(n)
+    for start, end, a, b in zip(starts.tolist(), ends.tolist(), lo, hi):
+        if a < b:
+            sorted_best[start:end] = _max_overlap(rows[start:end], net_sorted[a:b])
+    best = np.empty(n)
+    best[order] = sorted_best
     return best
 
 
@@ -147,10 +223,11 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
     guard is waived and the result may knowingly undercover, which the
     provenance records as ``stopped_by="budget"``.
 
-    Candidates come in batches of 512 and are screened against the kept set by
-    one product per tile; the greedy pass then runs over the batch's survivors
-    only, and the counters and stop rule are replayed from the accept
-    positions, so the result equals a candidate-by-candidate loop.
+    Candidates come in batches of 512, drawn and screened in blocks of whole
+    batches against the kept set through the F_0 window (see the module
+    docstring); the greedy pass then runs over each batch's survivors only, and
+    the counters and stop rule are replayed from the accept positions, so the
+    result equals a candidate-by-candidate loop.
     """
     d = require_positive_int(d, "dimension")
     if not 0.0 < delta < 2.0:
@@ -168,10 +245,13 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
     stream = as_stream(rng)
     gen = stream.generator()
     threshold = _overlap_threshold(delta)
+    reach = _window_reach(1.0 - threshold)
     ceiling = _SIZE_CEILING if max_states is None else max_states
+    block_cap = max(1, _BLOCK_ENTRIES // (_CANDIDATE_BATCH * d * d))
 
     kept: list[np.ndarray] = []
     kept_feats = np.zeros((0, d * d))
+    kept_sorted = kept_feats
     consecutive = 0
     candidates = 0
     rejections = 0
@@ -179,49 +259,64 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
 
     done = False
     while not done:
-        batch = random_pure_states(d, _CANDIDATE_BATCH, gen)
-        feats = _bloch_features(batch)
-        survivors = np.flatnonzero(_max_overlap(feats, kept_feats) <= threshold)
-        # greedy over the survivors: the first live one is kept and removes the later
-        # survivors too close to it
-        fresh = feats[survivors]
-        close = (fresh @ fresh.T) > threshold
-        live = np.ones(survivors.size, dtype=bool)
-        accepted = []
-        for k, pos in enumerate(survivors.tolist()):
-            if live[k]:
-                accepted.append(pos)
-                live[k + 1:] &= ~close[k, k + 1:]
+        # neither stop can fire before this many more candidates: a run of rejections
+        # must reach the stop rule, and each accept is one candidate
+        block_start = kept_feats.shape[0]
+        safe = min(max(1000, 20 * block_start) - consecutive, ceiling - block_start)
+        batches = max(1, min(block_cap, safe // _CANDIDATE_BATCH))
+        block = random_pure_states(d, batches * _CANDIDATE_BATCH, gen)
+        block_feats = _bloch_features(block)
+        clear = _window_max(block_feats, kept_sorted, reach) <= threshold
+        for first in range(0, block.shape[0], _CANDIDATE_BATCH):
+            feats = block_feats[first:first + _CANDIDATE_BATCH]
+            survivors = np.flatnonzero(clear[first:first + _CANDIDATE_BATCH])
+            if kept_feats.shape[0] > block_start and survivors.size:
+                # the states accepted earlier in this block
+                later = _max_overlap(feats[survivors], kept_feats[block_start:])
+                survivors = survivors[later <= threshold]
+            # greedy over the survivors: the first live one is kept and removes the later
+            # survivors too close to it
+            fresh = feats[survivors]
+            close = (fresh @ fresh.T) > threshold
+            live = np.ones(survivors.size, dtype=bool)
+            accepted = []
+            for k, pos in enumerate(survivors.tolist()):
+                if live[k]:
+                    accepted.append(pos)
+                    live[k + 1:] &= ~close[k, k + 1:]
 
-        # replay the sequential counters: each accept ends a run of rejections
-        size = kept_feats.shape[0]
-        taken = 0
-        prev = 0
-        for pos in accepted + [_CANDIDATE_BATCH]:
-            stop = max(1000, 20 * (size + taken))
-            run = pos - prev
-            if consecutive + run >= stop:
-                candidates += stop - consecutive
-                rejections += stop - consecutive
-                done = True
+            # replay the sequential counters: each accept ends a run of rejections
+            size = kept_feats.shape[0]
+            taken = 0
+            prev = 0
+            for pos in accepted + [_CANDIDATE_BATCH]:
+                stop = max(1000, 20 * (size + taken))
+                run = pos - prev
+                if consecutive + run >= stop:
+                    candidates += stop - consecutive
+                    rejections += stop - consecutive
+                    done = True
+                    break
+                candidates += run
+                rejections += run
+                consecutive += run
+                if pos == _CANDIDATE_BATCH:
+                    break
+                candidates += 1
+                taken += 1
+                consecutive = 0
+                prev = pos + 1
+                if size + taken >= ceiling:
+                    stopped_by = "budget" if max_states is not None else "ceiling"
+                    done = True
+                    break
+            if taken:
+                rows = first + np.asarray(accepted[:taken])
+                kept.append(block[rows])
+                kept_feats = np.concatenate([kept_feats, block_feats[rows]])
+            if done:
                 break
-            candidates += run
-            rejections += run
-            consecutive += run
-            if pos == _CANDIDATE_BATCH:
-                break
-            candidates += 1
-            taken += 1
-            consecutive = 0
-            prev = pos + 1
-            if size + taken >= ceiling:
-                stopped_by = "budget" if max_states is not None else "ceiling"
-                done = True
-                break
-        if taken:
-            rows = np.asarray(accepted[:taken])
-            kept.append(batch[rows])
-            kept_feats = np.concatenate([kept_feats, feats[rows]])
+        kept_sorted = _sorted_by_key(kept_feats)
 
     if stopped_by == "ceiling":
         raise NetInfeasible(
@@ -250,6 +345,23 @@ class CoverageReport:
     failures: int
 
 
+def _nearest_overlap(feats: np.ndarray, net_feats: np.ndarray, net_sorted: np.ndarray,
+                     delta: float) -> np.ndarray:
+    """Largest squared overlap of each feature row with the net, as ``_max_overlap`` gives it.
+
+    A net state within trace distance ``delta`` of a row lies within delta/2 of it
+    in F_0, so the window of that reach holds the nearest state of every row whose
+    maximum is at least 1 - delta^2/4. The other rows, those beyond ``delta`` and
+    those with an empty window, are rescanned against the whole net.
+    """
+    gap2 = delta * delta / 4.0
+    best = _window_max(feats, net_sorted, _window_reach(gap2))
+    far = np.flatnonzero(best < 1.0 - gap2)
+    if far.size:
+        best[far] = _max_overlap(feats[far], net_feats)
+    return best
+
+
 def audit_covering(net: PureStateNet, trials: int, rng) -> CoverageReport:
     """Sample uniform pure states and measure the worst nearest-net distance.
 
@@ -260,13 +372,15 @@ def audit_covering(net: PureStateNet, trials: int, rng) -> CoverageReport:
     trials = require_positive_int(trials, "trials")
     gen = as_stream(rng).generator()
     net_feats = _bloch_features(net.states)
+    net_sorted = _sorted_by_key(net_feats)
+    chunk = max(1, _AUDIT_ENTRIES // (net.dim * net.dim))
     max_gap = 0.0
     failures = 0
     remaining = trials
     while remaining > 0:
-        k = min(_AUDIT_CHUNK, remaining)
-        sample = random_pure_states(net.dim, k, gen)
-        best_ov2 = _max_overlap(_bloch_features(sample), net_feats)
+        k = min(chunk, remaining)
+        feats = _bloch_features(random_pure_states(net.dim, k, gen))
+        best_ov2 = _nearest_overlap(feats, net_feats, net_sorted, net.delta)
         gaps = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - best_ov2))
         max_gap = max(max_gap, float(np.max(gaps)))
         failures += int(np.sum(gaps > net.delta))

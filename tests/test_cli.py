@@ -237,6 +237,13 @@ def test_concentration_nonpositive_dim_exits_two(capsys):
             assert capsys.readouterr().err.startswith("error:")
 
 
+def test_concentration_count_beyond_desk_scale_exits_two(capsys):
+    # one trial at this N would draw 2e20 state entries at once
+    assert run(["concentration", "--dim", "2", "--counts", "100000000000000000000",
+                "--deltas", "0.5", "--trials", "1", "--seed", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
 def test_concentration_csv_output(tmp_path, monkeypatch):
     monkeypatch.setenv("RANDOMIZER_THREADS", "1")
     out = tmp_path / "conc.csv"

@@ -33,6 +33,7 @@ from randomizer import (
     write_concentration_csv,
     write_sweep_csv,
 )
+import randomizer.experiments as experiments
 from randomizer.experiments import parallel_map, resolve_threads
 
 
@@ -139,7 +140,20 @@ def test_concentration_divides_by_the_trials_it_ran():
     assert report.empirical_tail == np.mean(np.abs(stats - 0.5) >= 0.2)
 
 
+def test_concentration_chunks_by_drawn_states(monkeypatch):
+    whole = run_concentration_trial(2, 8, 0.4, 50, e_k(2), e_k(2), RngStream(13))
+    # chunks of 6 trials (96 state entries): draws are prefix-stable, so the counts agree
+    monkeypatch.setattr(experiments, "_DRAW_ENTRIES", 100)
+    chunked = run_concentration_trial(2, 8, 0.4, 50, e_k(2), e_k(2), RngStream(13))
+    assert chunked.empirical_tail == whole.empirical_tail
+    assert chunked.stat_mean == pytest.approx(whole.stat_mean, abs=1e-15)
+    with pytest.raises(InvalidParameter, match="ceiling"):
+        run_concentration_trial(2, 51, 0.4, 1, e_k(2), e_k(2), RngStream(13))
+
+
 def test_concentration_validation():
+    with pytest.raises(InvalidParameter, match="ceiling"):
+        run_concentration_trial(2, 10 ** 20, 0.4, 1, e_k(2), e_k(2), RngStream(5))
     with pytest.raises(InvalidParameter):
         run_concentration_trial(2, 8, 1.5, 10, e_k(2), e_k(2), RngStream(5))
     with pytest.raises(InvalidParameter):

@@ -22,7 +22,18 @@ from randomizer import (
     random_pure_states,
     pure_projector,
 )
-from randomizer.netcover import _CANDIDATE_BATCH, _bloch_features, _overlap_threshold
+import randomizer.netcover as netcover
+from randomizer.netcover import (
+    _AUDIT_ENTRIES,
+    _CANDIDATE_BATCH,
+    _bloch_features,
+    _max_overlap,
+    _nearest_overlap,
+    _overlap_threshold,
+    _sorted_by_key,
+    _window_max,
+    _window_reach,
+)
 
 
 def trace_distance_pure(x: np.ndarray, y: np.ndarray) -> float:
@@ -257,6 +268,8 @@ BUILDER_CASES = {
     (3, 0.6, 22, 1000): {"stopped_by": "budget", "batch": 2},
     # the 64-state budgeted net at the top of desk scale
     (16, 0.5, 27, 64): {"size": 64, "stopped_by": "budget"},
+    # the README flow's radius: hundreds of states, screened in blocks of several batches
+    (2, 0.25, 38, None): {"stopped_by": "rejections", "growing": True, "batch": 154},
 }
 
 
@@ -292,21 +305,79 @@ def _reference_audit(net, trials, rng, chunk=4096):
     return float(np.max(gaps)), int(np.sum(gaps > net.delta))
 
 
-@pytest.mark.parametrize("make_net", [
-    lambda: PureStateNet(1, 0.5, np.ones((1, 1), dtype=complex)),
-    lambda: PureStateNet(2, 0.1, random_pure_state(2, RngStream(12))[None, :]),
-    lambda: build_delta_net(2, 0.25, RngStream(31)),
-    lambda: build_delta_net(3, 0.6, RngStream(32), max_states=400),
-    lambda: build_delta_net(16, 0.5, RngStream(33), max_states=64),
-], ids=["d1", "d2-single", "d2-net", "d3-budget", "d16-budget"])
-def test_audit_matches_complex_reference(make_net):
+def test_budgeted_d16_net_draws_one_batch(monkeypatch):
+    drawn = []
+
+    def counting(d, count, rng):
+        drawn.append(count)
+        return random_pure_states(d, count, rng)
+
+    monkeypatch.setattr(netcover, "random_pure_states", counting)
+    net = build_delta_net(16, 0.5, RngStream(27), max_states=64)
+    assert net.size == 64
+    assert drawn == [_CANDIDATE_BATCH]
+
+
+@pytest.mark.parametrize("make_net, trials", [
+    (lambda: PureStateNet(1, 0.5, np.ones((1, 1), dtype=complex)), 10_001),
+    (lambda: PureStateNet(2, 0.1, random_pure_state(2, RngStream(12))[None, :]), 10_001),
+    (lambda: build_delta_net(2, 0.25, RngStream(31)), 10_001),
+    # two full audit chunks at d=2 and a partial one
+    (lambda: build_delta_net(2, 0.25, RngStream(31)), 2 * _AUDIT_ENTRIES // 4 + 1),
+    (lambda: build_delta_net(3, 0.6, RngStream(32), max_states=400), 10_001),
+    (lambda: build_delta_net(16, 0.5, RngStream(33), max_states=64), 10_001),
+], ids=["d1", "d2-single", "d2-net", "d2-net-chunks", "d3-budget", "d16-budget"])
+def test_audit_matches_complex_reference(make_net, trials):
     net = make_net()
-    trials = 10_001  # two full draws and a partial one
     report = audit_covering(net, trials, RngStream(34))
     max_gap, failures = _reference_audit(net, trials, RngStream(34))
     assert report.failures == failures
     # at d=1 the gap is sqrt(roundoff), about 1e-8; elsewhere the two agree to 1e-15
     assert abs(report.max_gap - max_gap) <= 1e-7
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(1, 8), data=st.data())
+def test_first_feature_moves_at_most_the_half_trace_distance(d, data):
+    # | |x_0|^2 - |y_0|^2 | = |tr(P(rho - sigma))| <= ||rho - sigma||_1 / 2 for P = |0><0|
+    parts = data.draw(hnp.arrays(np.float64, (2, d, 2),
+                                 elements=st.floats(-1.0, 1.0, allow_nan=False)))
+    states = parts[..., 0] + 1j * parts[..., 1]
+    norms = np.linalg.norm(states, axis=1)
+    assume(np.all(norms > 1e-3))
+    x, y = states / norms[:, None]
+    half_distance = trace_distance_pure(x, y) / 2.0
+    assert abs(abs(x[0]) ** 2 - abs(y[0]) ** 2) <= half_distance + 1e-14
+
+
+@pytest.mark.parametrize("d, net_size, radius", [
+    (1, 3, 0.1), (2, 20, 0.5), (2, 200, 0.2), (3, 50, 0.6), (4, 100, 0.7), (16, 40, 0.99),
+])
+def test_window_max_equals_full_scan_within_reach(d, net_size, radius):
+    gen = RngStream(40 + d).generator()
+    net_feats = _bloch_features(random_pure_states(d, net_size, gen))
+    feats = _bloch_features(random_pure_states(d, 20_000, gen))
+    net_sorted = _sorted_by_key(net_feats)
+    assert np.all(np.diff(net_sorted[:, 0]) >= 0.0)
+    full = _max_overlap(feats, net_feats)
+    window = _window_max(feats, net_sorted, _window_reach(radius * radius))
+    # the window is part of the net, and holds the nearest state of every row within reach
+    assert np.all(window <= full + 1e-15)
+    within = full >= 1.0 - radius * radius
+    assert np.count_nonzero(within) > 100
+    assert np.max(np.abs(window[within] - full[within])) <= 1e-15
+
+
+@pytest.mark.parametrize("d, net_size, delta", [(2, 200, 0.25), (2, 40, 0.6), (3, 100, 0.9)])
+def test_audit_overlap_equals_full_scan_on_every_row(d, net_size, delta):
+    gen = RngStream(50 + d).generator()
+    net_feats = _bloch_features(random_pure_states(d, net_size, gen))
+    feats = _bloch_features(random_pure_states(d, 20_000, gen))
+    full = _max_overlap(feats, net_feats)
+    best = _nearest_overlap(feats, net_feats, _sorted_by_key(net_feats), delta)
+    # rows beyond delta are rescanned in full, so they count as failures as they would
+    assert 0 < np.count_nonzero(full < 1.0 - delta * delta / 4.0) < full.size
+    assert np.max(np.abs(best - full)) <= 1e-15
 
 
 @settings(max_examples=300, deadline=None)
