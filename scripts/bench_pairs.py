@@ -8,7 +8,7 @@ workload and every seed, the script runs ``perfbench/run.py`` once in each
 checkout, one after the other, alternating which side runs first, and parses
 the JSON object on the last line of each run's standard output. The run length
 is ``run_seconds`` from ``BENCHMARK.json`` in the change checkout, the same on
-both sides, unless ``--seconds`` overrides it.
+both sides.
 
 The output file records every run (side, seed, order, end-to-end metrics and
 the ``attempted`` / ``failed`` counts), and for each workload, each side's
@@ -83,14 +83,12 @@ def main(argv=None) -> int:
     parser.add_argument("--change", required=True, help="change source checkout")
     parser.add_argument("--workloads", required=True, help="comma-separated workload names")
     parser.add_argument("--seeds", required=True, help="comma-separated seeds, one pair each")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length; default run_seconds of BENCHMARK.json")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
     with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
         bench = json.load(handle)
-    seconds = args.seconds if args.seconds is not None else float(bench["run_seconds"])
+    seconds = float(bench["run_seconds"])
     checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     names = [m["name"] for m in bench["end_to_end"]]
     seeds = [int(s) for s in args.seeds.split(",")]

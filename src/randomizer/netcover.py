@@ -208,6 +208,15 @@ def _require_separated(states: np.ndarray, delta: float):
             )
 
 
+def _stop_run(size: int) -> int:
+    """Consecutive rejections that stop the builder while ``size`` states are kept.
+
+    The block sizing and the counter replay both read the rule here: a block
+    drawn past the stop would move the stream and change later nets.
+    """
+    return max(1000, 20 * size)
+
+
 def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) -> PureStateNet:
     """Greedy maximal (delta/2)-separated set of uniform random pure states.
 
@@ -262,7 +271,7 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
         # neither stop can fire before this many more candidates: a run of rejections
         # must reach the stop rule, and each accept is one candidate
         block_start = kept_feats.shape[0]
-        safe = min(max(1000, 20 * block_start) - consecutive, ceiling - block_start)
+        safe = min(_stop_run(block_start) - consecutive, ceiling - block_start)
         batches = max(1, min(block_cap, safe // _CANDIDATE_BATCH))
         block = random_pure_states(d, batches * _CANDIDATE_BATCH, gen)
         block_feats = _bloch_features(block)
@@ -290,7 +299,7 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
             taken = 0
             prev = 0
             for pos in accepted + [_CANDIDATE_BATCH]:
-                stop = max(1000, 20 * (size + taken))
+                stop = _stop_run(size + taken)
                 run = pos - prev
                 if consecutive + run >= stop:
                     candidates += stop - consecutive
