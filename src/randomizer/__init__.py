@@ -30,9 +30,7 @@ from .channel import (
     maximally_mixed,
     pair_statistic,
     pure_projector,
-    random_pure_state,
     random_pure_states,
-    require_pure_state,
 )
 from .errors import (
     DimensionMismatch,

@@ -81,10 +81,10 @@ def net_supremum_B(ch: RandomUnitaryChannel, net: PureStateNet) -> NetSupremum:
 
     The statistic is not symmetric in (phi, psi), so all size^2 ordered pairs
     are scanned. With P the (size, d^2) matrix whose rows are vec|x><x|, the
-    statistics of all pairs are the stacked ``apply_channel`` images times P†,
-    evaluated in chunks of phi rows so that one (chunk, size) block is the
-    largest temporary. The value returned is ``pair_statistic`` (the form
-    x†Cx) at the maximizing pair.
+    statistics of all pairs are P S^T P†, evaluated in chunks of phi rows, two
+    GEMMs per chunk, so that one (chunk, size) block is the largest temporary.
+    The value returned is ``pair_statistic`` (the form x†Cx) at the
+    maximizing pair.
     """
     if net.dim != ch.dim:
         raise DimensionMismatch(f"net dimension {net.dim} != channel dimension {ch.dim}")
@@ -93,14 +93,14 @@ def net_supremum_B(ch: RandomUnitaryChannel, net: PureStateNet) -> NetSupremum:
     if m < 1:
         raise InvalidParameter("net is empty")
     inv_d = 1.0 / d
-    proj = pure_projector(states)
-    proj_h = np.conj(proj.reshape(m, d * d).T)
+    vecs = pure_projector(states).reshape(m, d * d)
+    proj_h = np.conj(vecs.T)
 
     chunk = max(1, _SCAN_BUDGET // max(m, d * d))
     best = -1.0
     best_i = best_j = 0
     for start in range(0, m, chunk):
-        images = apply_channel(ch, proj[start:start + chunk]).reshape(-1, d * d)
+        images = vecs[start:start + chunk] @ ch.superoperator.T  # row k: vec R(|x_k><x_k|)
         stats = (images @ proj_h).real  # (k, m): row phi, column psi
         dev = np.abs(stats - inv_d)
         flat = int(np.argmax(dev))

@@ -36,8 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (DimensionMismatch, InvalidDimension, InvalidMatrix, InvalidParameter,
-                     require_positive_int)
+from .errors import DimensionMismatch, InvalidDimension, InvalidMatrix, require_positive_int
 from .haar import (as_stream, complex_standard_normal, sample_haar_unitaries, tile_rows,
                    unitarity_defect)
 from .linalg import TOL, hermitian_eigenvalues, hermitian_part, max_abs, operator_norm, require_finite
@@ -53,18 +52,6 @@ _GRAM_BLOCK_TILES = 32
 def maximally_mixed(d: int) -> np.ndarray:
     """The state I/d."""
     return np.eye(d, dtype=complex) / d
-
-
-def require_pure_state(x: np.ndarray) -> np.ndarray:
-    """Validate a unit vector in C^d, norm within ``TOL.state_norm`` of 1; return it as complex128."""
-    vec = require_finite(np.asarray(x, dtype=complex), "state vector")
-    if vec.ndim != 1 or vec.size == 0:
-        raise InvalidParameter(f"pure state must be a nonempty vector, got shape {vec.shape}")
-    norm = float(np.linalg.norm(vec))
-    if abs(norm - 1.0) > TOL.state_norm:
-        raise InvalidParameter(f"state vector norm {norm} deviates from 1 "
-                               f"beyond {TOL.state_norm:.1e}")
-    return vec
 
 
 def pure_projector(x: np.ndarray) -> np.ndarray:
@@ -91,11 +78,6 @@ def random_pure_states(d: int, count: int, rng) -> np.ndarray:
     norms[norms == 0.0] = 1.0
     vecs /= norms
     return vecs
-
-
-def random_pure_state(d: int, rng) -> np.ndarray:
-    """One uniform pure state: the single row of ``random_pure_states(d, 1, rng)``."""
-    return random_pure_states(d, 1, rng)[0]
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,12 +13,10 @@ import json
 import secrets
 import sys
 
-import numpy as np
-
 from . import bounds as bounds_mod
 from .certify import DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, default_net_delta, verdict
-from .channel import build_random_channel, random_pure_state
-from .errors import RandomizerError, require_positive_int
+from .channel import build_random_channel
+from .errors import RandomizerError
 from .experiments import (
     DEFAULT_CHANNELS_PER_CELL,
     SweepConfig,
@@ -45,18 +43,23 @@ def _resolve_stream(args) -> RngStream:
     return RngStream(int(seed))
 
 
-def _int_list(text: str) -> list[int]:
+def _comma_list(text: str, cast, what: str) -> list:
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+        items = [cast(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        items = []
+    if not items:
+        raise argparse.ArgumentTypeError(
+            f"expected a nonempty comma-separated list of {what}, got {text!r}")
+    return items
+
+
+def _int_list(text: str) -> list[int]:
+    return _comma_list(text, int, "integers")
 
 
 def _float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+    return _comma_list(text, float, "numbers")
 
 
 def _cmd_sample_channel(args) -> int:
@@ -68,6 +71,10 @@ def _cmd_sample_channel(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.net is not None and (args.delta is not None or args.max_net_states is not None):
+        print("error: --net takes a prebuilt net; --delta and --max-net-states build one",
+              file=sys.stderr)
+        return 1
     stream = _resolve_stream(args)
     ch = load_channel(args.channel)
     if args.net is not None:
@@ -116,18 +123,10 @@ def _cmd_audit_net(args) -> int:
 
 def _cmd_concentration(args) -> int:
     stream = _resolve_stream(args)
-    d = require_positive_int(args.dim, "dimension")
-    if args.random_pair:
-        phi = random_pure_state(d, stream.child(10))
-        psi = random_pure_state(d, stream.child(11))
-    else:
-        phi = np.zeros(d, dtype=complex)
-        phi[0] = 1.0
-        psi = phi.copy()
     cells = [(n, delta) for n in args.counts for delta in args.deltas]
     reports = list(parallel_map(
-        lambda ic: run_concentration_trial(d, ic[1][0], ic[1][1], args.trials,
-                                           phi, psi, stream.child(ic[0])),
+        lambda ic: run_concentration_trial(args.dim, ic[1][0], ic[1][1], args.trials,
+                                           stream.child(ic[0])),
         enumerate(cells),
     ))
     if args.out is not None:
@@ -136,7 +135,7 @@ def _cmd_concentration(args) -> int:
     vacuous = sum(1 for r in reports if r.vacuous)
     destination = f" -> {args.out}" if args.out is not None else ""
     print(
-        f"concentration: d={d} cells={len(reports)} trials={args.trials} "
+        f"concentration: d={args.dim} cells={len(reports)} trials={args.trials} "
         f"max(tail-bound)={worst:.3e} vacuous={vacuous} seed={stream.seed}{destination}"
     )
     return 0
@@ -234,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--deltas", type=_float_list, required=True,
                    help="comma-separated delta values in (0, 1)")
     p.add_argument("--trials", type=int, default=10_000, help="channels per cell")
-    p.add_argument("--random-pair", dest="random_pair", action="store_true",
-                   help="use one Haar-random state pair instead of (e1, e1)")
     p.add_argument("--out", default=None, help="CSV output path")
     add_seed(p)
     p.set_defaults(func=_cmd_concentration)

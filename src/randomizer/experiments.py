@@ -13,8 +13,7 @@ import numpy as np
 from .bounds import concentration_tail_bound
 from .certify import (DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, DeviationCertificate, Verdict,
                       default_net_delta, verdict)
-from .channel import (RandomUnitaryChannel, build_random_channel, random_pure_states,
-                      require_pure_state)
+from .channel import RandomUnitaryChannel, build_random_channel, random_pure_states
 from .errors import InvalidParameter, NetInfeasible, ParseError, require_positive_int
 from .haar import RngStream, as_stream
 from .haar import sample_haar_unitaries  # noqa: F401 (the benchmark wraps it here)
@@ -54,24 +53,22 @@ class ConcentrationReport:
 
 
 def run_concentration_trial(d: int, n: int, delta: float, trials: int,
-                            phi: np.ndarray, psi: np.ndarray, seed) -> ConcentrationReport:
+                            seed) -> ConcentrationReport:
     """Draw ``trials`` independent channels and count tail events at radius delta/d.
 
-    A tail event is |(1/N) sum_i |<psi|U_i|phi>|^2 - 1/d| >= delta/d. Only
-    the states U_i phi enter, and for Haar U_i each is a uniform pure state,
-    so a chunk of k trials draws k * N uniform pure states in one batch
-    instead of k * N unitaries: the same law, without the QR. A chunk holds at
-    most 2000 trials and at most 2^24 state entries; a count whose single trial
-    needs more is refused (InvalidParameter).
+    A tail event is |(1/N) sum_i |<psi|U_i|phi>|^2 - 1/d| >= delta/d at the
+    pair (phi, psi) = (e_1, e_1). For Haar U_i each U_i phi is a uniform pure
+    state, so the statistic has the same law at every unit pair, and (e_1, e_1)
+    stands for all of them. Only the states U_i e_1 enter, so a chunk of k
+    trials draws k * N uniform pure states in one batch instead of k * N
+    unitaries and reads their first amplitudes: the same law, without the QR.
+    A chunk holds at most 2000 trials and at most 2^24 state entries; a count
+    whose single trial needs more is refused (InvalidParameter).
     """
     d, n = require_positive_int(d, "dimension"), require_positive_int(n, "count")
     trials = require_positive_int(trials, "trials")
     if not 0.0 < delta < 1.0:
         raise InvalidParameter(f"delta must lie in (0, 1), got {delta}")
-    phi = require_pure_state(phi)
-    psi = require_pure_state(psi)
-    if phi.shape[0] != d or psi.shape[0] != d:
-        raise InvalidParameter("state dimension does not match d")
     if n * d > _DRAW_ENTRIES:
         raise InvalidParameter(
             f"one trial draws N*d = {n * d} state entries, beyond the desk-scale ceiling "
@@ -88,7 +85,7 @@ def run_concentration_trial(d: int, n: int, delta: float, trials: int,
     remaining = trials
     while remaining > 0:
         k = min(per_chunk, remaining)
-        amps = random_pure_states(d, k * n, gen) @ np.conj(psi)
+        amps = random_pure_states(d, k * n, gen)[:, 0]
         stats = np.mean(np.abs(amps.reshape(k, n)) ** 2, axis=1)
         exceed += int(np.sum(np.abs(stats - inv_d) >= threshold))
         total += float(np.sum(stats))

@@ -27,7 +27,7 @@ from randomizer import (
     failure_log_bound,
     min_N_for_success,
     operator_norm,
-    random_pure_state,
+    random_pure_states,
     required_N,
     run_concentration_trial,
     run_randomizing_sweep,
@@ -50,7 +50,8 @@ def test_criterion_1_exact_randomizer_oracle():
     for d in (2, 3, 4, 5):
         ch = build_weyl_channel(d)
         for trial in range(100):
-            worst_dev = max(worst_dev, deviation(ch, random_pure_state(d, RngStream(100).child(d, trial))))
+            phi = random_pure_states(d, 1, RngStream(100).child(d, trial))[0]
+            worst_dev = max(worst_dev, deviation(ch, phi))
         net = build_delta_net(d, delta, RngStream(101).child(d), max_states=96)
         cert = verdict(ch, epsilon, net, restarts=8, rng=RngStream(102).child(d))
         verdicts[d] = cert.verdict
@@ -84,13 +85,10 @@ def test_criterion_2_single_unitary_analytic_case():
 def test_criterion_3_concentration_grid():
     start = time.perf_counter()
     d, trials = 4, 10_000
-    phi = np.zeros(d, dtype=complex)
-    phi[0] = 1.0
     rows = []
     ok = True
     for index, (n, delta) in enumerate((n, dl) for n in (50, 100, 200) for dl in (0.3, 0.5)):
-        rep = run_concentration_trial(d, n, delta, trials, phi, phi,
-                                      RngStream(300).child(index))
+        rep = run_concentration_trial(d, n, delta, trials, RngStream(300).child(index))
         slack = 3.0 * math.sqrt(max(rep.empirical_tail * (1 - rep.empirical_tail), 1e-12) / trials)
         cell_ok = rep.vacuous or rep.empirical_tail <= rep.bound + slack
         ok = ok and cell_ok

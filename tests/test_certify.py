@@ -18,7 +18,6 @@ from randomizer import (
     default_net_delta,
     net_supremum_B,
     pair_statistic,
-    random_pure_state,
     random_pure_states,
     sample_haar_unitaries,
     verdict,
@@ -86,7 +85,7 @@ def test_lift_consistency_fixed_point():
 
 def test_net_supremum_singleton():
     ch = build_random_channel(3, 4, RngStream(1))
-    phi = random_pure_state(3, stream(2))
+    phi = random_pure_states(3, 1, stream(2))[0]
     net = PureStateNet(3, 0.4, phi[None, :])
     result = net_supremum_B(ch, net)
     assert result.value == pytest.approx(abs(pair_statistic(ch, phi, phi) - 1.0 / 3.0), abs=1e-14)
@@ -197,7 +196,7 @@ def sequential_lower_bound(ch, restarts, max_iters, rng):
     gen = rng.generator()
     best = None
     for _ in range(restarts):
-        candidate, _ = sequential_ascend(ch, random_pure_state(ch.dim, gen), _ASCENT_TOL,
+        candidate, _ = sequential_ascend(ch, random_pure_states(ch.dim, 1, gen)[0], _ASCENT_TOL,
                                          max_iters)
         if best is None or candidate[0] > best[0]:
             best = candidate

@@ -23,7 +23,6 @@ from randomizer import (
     operator_norm,
     pair_statistic,
     pure_projector,
-    random_pure_state,
     random_pure_states,
     sample_haar_unitaries,
 )
@@ -278,16 +277,16 @@ def test_pair_statistic_trivia():
 def test_pair_statistic_weyl_is_flat():
     w = build_weyl_channel(2)
     for trial in range(10):
-        phi = random_pure_state(2, stream(58, trial))
-        psi = random_pure_state(2, stream(59, trial))
+        phi = random_pure_states(2, 1, stream(58, trial))[0]
+        psi = random_pure_states(2, 1, stream(59, trial))[0]
         assert abs(pair_statistic(w, phi, psi) - 0.5) <= 1e-12
 
 
 def test_pair_statistic_equals_trace_path():
     ch = build_random_channel(4, 6, RngStream(60))
     for trial in range(50):
-        phi = random_pure_state(4, stream(61, trial))
-        psi = random_pure_state(4, stream(62, trial))
+        phi = random_pure_states(4, 1, stream(61, trial))[0]
+        psi = random_pure_states(4, 1, stream(62, trial))[0]
         via_trace = np.trace(apply_channel(ch, pure_projector(phi)) @ pure_projector(psi)).real
         assert abs(pair_statistic(ch, phi, psi) - via_trace) <= 1e-11
 
@@ -299,8 +298,8 @@ def test_pair_statistic_matches_stack_oracle(d, n, seed):
     ch = build_random_channel(d, n, RngStream(seed))
     us = haar_stack(d, n, seed)
     for trial in range(3):
-        phi = random_pure_state(d, stream(seed, 1, trial))
-        psi = random_pure_state(d, stream(seed, 2, trial))
+        phi = random_pure_states(d, 1, stream(seed, 1, trial))[0]
+        psi = random_pure_states(d, 1, stream(seed, 2, trial))[0]
         want = float(np.mean(np.abs((us @ phi) @ np.conj(psi)) ** 2))
         assert abs(pair_statistic(ch, phi, psi) - want) <= 1e-13
 
@@ -329,7 +328,7 @@ def test_channel_matrix_contract():
 def test_pure_output_matches_apply():
     # on a pure input R(|phi><phi|) is (1/N) sum_i |U_i phi><U_i phi|
     ch = build_random_channel(5, 4, RngStream(63))
-    phi = random_pure_state(5, stream(64))
+    phi = random_pure_states(5, 1, stream(64))[0]
     w = haar_stack(5, 4, 63) @ phi
     via_vectors = w.T @ np.conj(w) / ch.count
     assert np.max(np.abs(via_vectors - apply_channel(ch, pure_projector(phi)))) <= 1e-13
@@ -339,14 +338,14 @@ def test_pure_output_matches_apply():
 def test_weyl_deviation_vanishes(d):
     w = build_weyl_channel(d)
     for trial in range(10):
-        assert deviation(w, random_pure_state(d, stream(65, d, trial))) <= 1e-10
+        assert deviation(w, random_pure_states(d, 1, stream(65, d, trial))[0]) <= 1e-10
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])
 def test_single_unitary_deviation(d):
     # R(phi) stays pure, so the spectrum of R(phi) - I/d is {1 - 1/d, -1/d, ...}
     ch = build_random_channel(d, 1, RngStream(66 + d))
-    phi = random_pure_state(d, stream(67, d))
+    phi = random_pure_states(d, 1, stream(67, d))[0]
     assert abs(deviation(ch, phi) - (1.0 - 1.0 / d)) <= 1e-12
 
 
@@ -358,13 +357,13 @@ def test_deviation_dim_one():
 def test_variational_identity():
     # sup over psi of |statistic - 1/d| is the extreme eigenvalue magnitude
     ch = build_random_channel(3, 8, RngStream(69))
-    phi = random_pure_state(3, stream(70))
+    phi = random_pure_states(3, 1, stream(70))[0]
     dev = deviation(ch, phi)
     values, vectors = np.linalg.eigh(apply_channel(ch, pure_projector(phi)) - maximally_mixed(3))
     psi_star = vectors[:, int(np.argmax(np.abs(values)))]
     assert abs(abs(pair_statistic(ch, phi, psi_star) - 1.0 / 3.0) - dev) <= 1e-9
     for trial in range(100):
-        psi = random_pure_state(3, stream(71, trial))
+        psi = random_pure_states(3, 1, stream(71, trial))[0]
         assert abs(pair_statistic(ch, phi, psi) - 1.0 / 3.0) <= dev + 1e-9
 
 
@@ -384,8 +383,8 @@ def test_haar_one_design():
     # E over single-unitary channels of the statistic is 1/d
     d, m = 4, 10_000
     us = sample_haar_unitaries(d, m, RngStream(74))
-    phi = random_pure_state(d, stream(75))
-    psi = random_pure_state(d, stream(76))
+    phi = random_pure_states(d, 1, stream(75))[0]
+    psi = random_pure_states(d, 1, stream(76))[0]
     amps = np.einsum("nij,j,i->n", us, phi, np.conj(psi), optimize=True)
     values = np.abs(amps) ** 2
     sigma = float(np.std(values))

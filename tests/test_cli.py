@@ -36,6 +36,7 @@ def test_removed_flags_are_usage_errors(tmp_path):
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"dims": [1], "epsilons": [0.5], "counts": [2]}))
     for argv in (sweep + ["--threads", "1"], concentration + ["--threads", "1"],
+                 concentration + ["--random-pair"],
                  sweep + ["--tol", "1e-10"], verify + ["--tol", "1e-10"],
                  verify + ["--stop-k", "200"], net + ["--stop-k", "200"],
                  sweep + ["--stop-k", "200"], sweep + ["--config", str(grid)],
@@ -193,6 +194,25 @@ def test_verify_writes_certificate(tmp_path, capsys):
                                   "Undetermined")
 
 
+def test_verify_net_excludes_net_building_flags(tmp_path, capsys):
+    ch_path = tmp_path / "ch.json"
+    net_path = tmp_path / "net.json"
+    cert_path = tmp_path / "cert.json"
+    assert run(["sample-channel", "--dim", "2", "--count", "8", "--seed", "3",
+                "--out", str(ch_path)]) == 0
+    assert run(["net", "--dim", "2", "--delta", "0.25", "--max-states", "20", "--seed", "4",
+                "--out", str(net_path)]) == 0
+    capsys.readouterr()
+    argv = ["verify", "--channel", str(ch_path), "--epsilon", "0.5", "--net", str(net_path),
+            "--seed", "5", "--report", str(cert_path)]
+    for extra in (["--delta", "0.1"], ["--max-net-states", "3"],
+                  ["--delta", "0.1", "--max-net-states", "3"]):
+        assert run(argv + extra) == 1, extra
+        assert capsys.readouterr().err.startswith("error:")
+    assert not cert_path.exists()
+    assert run(argv) == 0
+
+
 def test_verify_deterministic_module_timings(tmp_path):
     ch_path = tmp_path / "ch.json"
     assert run(["sample-channel", "--dim", "2", "--count", "32",
@@ -231,10 +251,20 @@ def test_net_and_audit(tmp_path, capsys):
 
 def test_concentration_nonpositive_dim_exits_two(capsys):
     for dim in ("0", "-2"):
-        for extra in ([], ["--random-pair"]):
-            assert run(["concentration", "--dim", dim, "--counts", "5", "--deltas", "0.5",
-                        "--trials", "10", "--seed", "1"] + extra) == 2
-            assert capsys.readouterr().err.startswith("error:")
+        assert run(["concentration", "--dim", dim, "--counts", "5", "--deltas", "0.5",
+                    "--trials", "10", "--seed", "1"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_empty_comma_lists_are_usage_errors(capsys):
+    given = {"concentration": ["--dim", "2", "--counts", "5", "--deltas", "0.5", "--trials", "10"],
+             "sweep": ["--dims", "1", "--epsilons", "0.5", "--counts", "1", "--channels", "1"]}
+    for command, flag in (("concentration", "--counts"), ("concentration", "--deltas"),
+                          ("sweep", "--dims"), ("sweep", "--epsilons"), ("sweep", "--counts")):
+        for empty in ("", " , "):  # a later flag overrides, but each value is parsed
+            assert run([command, *given[command], flag, empty, "--seed", "1"]) == 1
+            assert "nonempty" in capsys.readouterr().err
+    assert run(["concentration", *given["concentration"], "--seed", "1"]) == 0
 
 
 def test_concentration_count_beyond_desk_scale_exits_two(capsys):

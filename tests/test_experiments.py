@@ -48,20 +48,20 @@ def e_k(d, k=0):
 # ---------------------------------------------------------------------------
 
 def test_concentration_dim_one_never_exceeds():
-    rep = run_concentration_trial(1, 3, 0.5, 200, e_k(1), e_k(1), RngStream(1))
+    rep = run_concentration_trial(1, 3, 0.5, 200, RngStream(1))
     assert rep.empirical_tail == 0.0
     assert rep.stat_mean == pytest.approx(1.0, abs=1e-12)
 
 
 def test_concentration_vacuous_flag():
-    rep = run_concentration_trial(4, 5, 0.05, 1000, e_k(4), e_k(4), RngStream(2))
+    rep = run_concentration_trial(4, 5, 0.05, 1000, RngStream(2))
     assert rep.bound >= 1.99
     assert rep.vacuous
 
 
 def test_concentration_matches_per_channel_statistic():
     d, n, trials = 3, 4, 50
-    rep = run_concentration_trial(d, n, 0.3, trials, e_k(d), e_k(d), RngStream(3))
+    rep = run_concentration_trial(d, n, 0.3, trials, RngStream(3))
     # same stream, same batched draw: one chunk covers all trials, and only the
     # states U_i e_0 enter, so any unitary with a drawn state as its first column will do
     states = random_pure_states(d, trials * n, RngStream(3)).reshape(trials, n, d)
@@ -81,28 +81,14 @@ def test_concentration_matches_per_channel_statistic():
 
 
 def test_concentration_reproducible():
-    a = run_concentration_trial(2, 8, 0.4, 300, e_k(2), e_k(2), RngStream(4))
-    b = run_concentration_trial(2, 8, 0.4, 300, e_k(2), e_k(2), RngStream(4))
+    a = run_concentration_trial(2, 8, 0.4, 300, RngStream(4))
+    b = run_concentration_trial(2, 8, 0.4, 300, RngStream(4))
     assert a == b
 
 
-def test_concentration_random_pair_behaves_like_basis_pair():
-    # the tail does not depend on the probe pair (unitary invariance)
-    from randomizer import random_pure_state
-    d, n, delta, trials = 4, 50, 0.3, 2000
-    basis = run_concentration_trial(d, n, delta, trials, e_k(d), e_k(d), RngStream(70))
-    phi = random_pure_state(d, RngStream(71))
-    psi = random_pure_state(d, RngStream(72))
-    randomized = run_concentration_trial(d, n, delta, trials, phi, psi, RngStream(73))
-    assert basis.empirical_tail <= basis.bound
-    assert randomized.empirical_tail <= randomized.bound
-    assert abs(basis.stat_mean - randomized.stat_mean) <= 0.01
-
-
 COUNT_CALLS = {
-    "trials": lambda k: run_concentration_trial(2, 8, 0.4, k, e_k(2), e_k(2), RngStream(5)),
-    "concentration N": lambda k: run_concentration_trial(2, k, 0.4, 3, e_k(2), e_k(2),
-                                                         RngStream(5)),
+    "trials": lambda k: run_concentration_trial(2, 8, 0.4, k, RngStream(5)),
+    "concentration N": lambda k: run_concentration_trial(2, k, 0.4, 3, RngStream(5)),
     "audit trials": lambda k: audit_covering(build_delta_net(2, 1.0, RngStream(6)), k,
                                              RngStream(7)),
     "max_states": lambda k: build_delta_net(2, 0.5, RngStream(8), max_states=k),
@@ -132,7 +118,7 @@ def test_whole_counts_of_any_integer_type_run():
 
 
 def test_concentration_divides_by_the_trials_it_ran():
-    report = run_concentration_trial(2, 8, 0.4, 3, e_k(2), e_k(2), RngStream(12))
+    report = run_concentration_trial(2, 8, 0.4, 3, RngStream(12))
     stats = np.mean(np.abs(random_pure_states(2, 3 * 8, RngStream(12)) @ e_k(2)).reshape(3, 8)
                     ** 2, axis=1)
     assert report.trials == 3 and type(report.trials) is int
@@ -141,25 +127,23 @@ def test_concentration_divides_by_the_trials_it_ran():
 
 
 def test_concentration_chunks_by_drawn_states(monkeypatch):
-    whole = run_concentration_trial(2, 8, 0.4, 50, e_k(2), e_k(2), RngStream(13))
+    whole = run_concentration_trial(2, 8, 0.4, 50, RngStream(13))
     # chunks of 6 trials (96 state entries): draws are prefix-stable, so the counts agree
     monkeypatch.setattr(experiments, "_DRAW_ENTRIES", 100)
-    chunked = run_concentration_trial(2, 8, 0.4, 50, e_k(2), e_k(2), RngStream(13))
+    chunked = run_concentration_trial(2, 8, 0.4, 50, RngStream(13))
     assert chunked.empirical_tail == whole.empirical_tail
     assert chunked.stat_mean == pytest.approx(whole.stat_mean, abs=1e-15)
     with pytest.raises(InvalidParameter, match="ceiling"):
-        run_concentration_trial(2, 51, 0.4, 1, e_k(2), e_k(2), RngStream(13))
+        run_concentration_trial(2, 51, 0.4, 1, RngStream(13))
 
 
 def test_concentration_validation():
     with pytest.raises(InvalidParameter, match="ceiling"):
-        run_concentration_trial(2, 10 ** 20, 0.4, 1, e_k(2), e_k(2), RngStream(5))
+        run_concentration_trial(2, 10 ** 20, 0.4, 1, RngStream(5))
     with pytest.raises(InvalidParameter):
-        run_concentration_trial(2, 8, 1.5, 10, e_k(2), e_k(2), RngStream(5))
+        run_concentration_trial(2, 8, 1.5, 10, RngStream(5))
     with pytest.raises(InvalidParameter):
-        run_concentration_trial(2, 8, 0.4, 0, e_k(2), e_k(2), RngStream(5))
-    with pytest.raises(InvalidParameter):
-        run_concentration_trial(3, 8, 0.4, 10, e_k(2), e_k(2), RngStream(5))
+        run_concentration_trial(2, 8, 0.4, 0, RngStream(5))
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +371,7 @@ def test_saved_bytes_match_streaming_encoder(tmp_path):
 
 def test_concentration_csv(tmp_path):
     reports = [
-        run_concentration_trial(2, 4, 0.4, 50, e_k(2), e_k(2), RngStream(15).child(i))
+        run_concentration_trial(2, 4, 0.4, 50, RngStream(15).child(i))
         for i in range(2)
     ]
     path = tmp_path / "conc.csv"

@@ -83,11 +83,10 @@ def test_invalid_dimension():
 def test_seeds_are_streams_or_ints():
     assert haar.as_stream(RngStream(4, 2)) == RngStream(4, 2)
     assert haar.as_stream(np.int64(4)) == haar.as_stream(4) == RngStream(4)
-    e1 = np.array([1.0, 0.0], dtype=complex)
     grid = SweepConfig(dims=(1,), epsilons=(0.5,), counts=(1,), channels_per_cell=1)
     for call in (lambda seed: sample_haar_unitaries(2, 1, seed),
                  lambda seed: build_random_channel(2, 1, seed),
-                 lambda seed: run_concentration_trial(2, 1, 0.5, 1, e1, e1, seed),
+                 lambda seed: run_concentration_trial(2, 1, 0.5, 1, seed),
                  lambda seed: run_randomizing_sweep(grid, seed)):
         with pytest.raises(TypeError):
             call(2.7)  # not truncated to seed 2

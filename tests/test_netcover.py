@@ -18,7 +18,6 @@ from randomizer import (
     audit_covering,
     build_delta_net,
     log_cardinality_bound,
-    random_pure_state,
     random_pure_states,
     pure_projector,
 )
@@ -52,7 +51,7 @@ def trace_distance_pure(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def test_trace_distance_trivia():
-    x = random_pure_state(3, stream(1))
+    x = random_pure_states(3, 1, stream(1))[0]
     assert trace_distance_pure(x, x) <= 1e-12
     e0 = np.array([1, 0], dtype=complex)
     e1 = np.array([0, 1], dtype=complex)
@@ -73,15 +72,15 @@ def test_closed_form_matches_trace_norm():
     gen = stream(2)
     for trial in range(1000):
         d = 2 + trial % 4
-        x = random_pure_state(d, gen.child(trial, 0))
-        y = random_pure_state(d, gen.child(trial, 1))
+        x = random_pure_states(d, 1, gen.child(trial, 0))[0]
+        y = random_pure_states(d, 1, gen.child(trial, 1))[0]
         direct = trace_norm(pure_projector(x) - pure_projector(y))
         assert abs(trace_distance_pure(x, y) - direct) <= 1e-10
 
 
 def test_phase_invariance():
-    x = random_pure_state(4, stream(3))
-    y = random_pure_state(4, stream(4))
+    x = random_pure_states(4, 1, stream(3))[0]
+    y = random_pure_states(4, 1, stream(4))[0]
     base = trace_distance_pure(x, y)
     for theta in (0.1, 1.0, 2.5, np.pi):
         assert abs(trace_distance_pure(x, np.exp(1j * theta) * y) - base) <= 1e-12
@@ -149,7 +148,7 @@ def test_audit_takes_a_stream_or_an_int_seed():
 
 
 def test_audit_catches_undersized_net():
-    single = PureStateNet(2, 0.1, random_pure_state(2, RngStream(12))[None, :])
+    single = PureStateNet(2, 0.1, random_pure_states(2, 1, RngStream(12)))
     report = audit_covering(single, 10_000, RngStream(13))
     assert report.failures > 0
     assert report.max_gap > 0.1
@@ -320,7 +319,7 @@ def test_budgeted_d16_net_draws_one_batch(monkeypatch):
 
 @pytest.mark.parametrize("make_net, trials", [
     (lambda: PureStateNet(1, 0.5, np.ones((1, 1), dtype=complex)), 10_001),
-    (lambda: PureStateNet(2, 0.1, random_pure_state(2, RngStream(12))[None, :]), 10_001),
+    (lambda: PureStateNet(2, 0.1, random_pure_states(2, 1, RngStream(12))), 10_001),
     (lambda: build_delta_net(2, 0.25, RngStream(31)), 10_001),
     # two full audit chunks at d=2 and a partial one
     (lambda: build_delta_net(2, 0.25, RngStream(31)), 2 * _AUDIT_ENTRIES // 4 + 1),
