@@ -33,14 +33,21 @@ share the union of their windows, one product per group.
 - The builder calls a candidate close to a state when their squared overlap
   exceeds t = 1 - delta^2/16, so a window of reach delta/4 holds every state
   that can reject it: the window maximum exceeds t exactly when the maximum
-  over the whole net does.
-- The audit takes reach delta/2. A sample within trace distance delta of some
-  net state finds its nearest state inside its window, so its window maximum
-  is its true maximum whenever that is at least 1 - delta^2/4. Every other row,
-  a failure or a row with an empty window, is rescanned against the whole net,
-  so ``max_gap`` and ``failures`` are those of a full scan.
+  over the whole net does. The separation certificate scans the same windows,
+  each state's own entry skipped.
+- The audit scans in two tiers. A sample within trace distance r of some net
+  state finds its nearest state inside its window of reach r/2, so its window
+  maximum is its true maximum whenever that is at least 1 - r^2/4. The first
+  tier takes r = delta/2: a maximal (delta/2)-packing puts nearly every
+  sample's nearest state that close, and those rows are final. The second tier
+  rescans the rest at r = delta. Every row still left, a failure or a row with
+  an empty window, is rescanned against the whole net, so ``max_gap`` and
+  ``failures`` are those of a full scan.
 
-The builder draws candidates in blocks of whole 512-candidate batches. Draws
+The builder draws candidates in blocks of whole 512-candidate batches, up to
+2^16 feature entries a block: 32 batches at d = 2, 14 at d = 3, one from
+d = 9 on. Longer blocks sort the query rows of more batches together, so each
+group of them spans less F_0 and scans a narrower union of windows. Draws
 are prefix-stable, so a block holds exactly the batches a batch-by-batch loop
 draws, and a block is never longer than the candidates that must still pass
 before either stop rule can fire, so it draws no batch that loop would not.
@@ -54,6 +61,7 @@ loop.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -66,7 +74,7 @@ from .linalg import TOL, require_finite
 
 _SIZE_CEILING = 10_000_000  # desk-scale memory ceiling on materialized nets
 _CANDIDATE_BATCH = 512
-_BLOCK_ENTRIES = 1 << 14  # candidate feature entries per block: 8 batches at d = 2, 1 from d = 5
+_BLOCK_ENTRIES = 1 << 16  # candidate feature entries per block: 32 batches at d = 2, 1 from d = 9
 _AUDIT_ENTRIES = 1 << 17  # sample feature entries per audit chunk: 2^15 samples at d = 2
 _TILE_ENTRIES = 1 << 17  # one 1 MB float block of overlaps, small enough to stay in L2
 _WINDOW_ROWS = 256  # sorted query rows that share one window of the net
@@ -88,14 +96,22 @@ def _overlap_threshold(delta: float) -> float:
     return 1.0 - (delta * delta) / 16.0
 
 
+@functools.cache
+def _pair_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs j < k of a dimension, read-only and shared by every caller."""
+    pairs = np.triu_indices(d, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
 def _bloch_features(states: np.ndarray) -> np.ndarray:
     """Real rows F(x) of length d^2 with F(x) . F(y) = |<x|y>|^2 for every pair of rows.
 
     F(x) lists |x_j|^2, then sqrt(2) Re(x_j conj(x_k)) and sqrt(2) Im(x_j conj(x_k))
     for j < k: the entries of |x><x| in an orthonormal Hermitian basis.
     """
-    d = states.shape[1]
-    rows, cols = np.triu_indices(d, 1)
+    rows, cols = _pair_indices(states.shape[1])
     cross = math.sqrt(2.0) * (states[:, rows] * np.conj(states[:, cols]))
     return np.concatenate([states.real ** 2 + states.imag ** 2, cross.real, cross.imag], axis=1)
 
@@ -105,20 +121,32 @@ def _tile_rows(m: int) -> int:
     return max(1, _TILE_ENTRIES // m)
 
 
-def _max_overlap(feats: np.ndarray, net_feats: np.ndarray) -> np.ndarray:
-    """Largest squared overlap of each feature row with the net, computed in cache-sized tiles.
+def _column_max(net_feats: np.ndarray, cols: np.ndarray, out: np.ndarray,
+                own: int | None = None):
+    """Write to ``out`` the largest product of each column of ``cols`` with the rows of ``net_feats``.
 
-    Each tile holds the overlaps of a run of rows with every net state, one row
-    per net state, so the maximum runs down the columns, a reduction numpy
-    vectorizes across rows.
+    ``cols`` holds query feature rows as columns, so each product holds the
+    overlaps of a run of columns with every net state, one row per net state, and
+    the maximum runs down the columns, a reduction numpy vectorizes across them.
+    Each product holds at most ``_TILE_ENTRIES`` entries. With ``own``, column j
+    skips net row ``own + j``: the column's own state.
     """
+    step = _tile_rows(net_feats.shape[0])
+    for start in range(0, cols.shape[1], step):
+        ov2 = net_feats @ cols[:, start:start + step]
+        if own is not None:
+            diag = np.arange(ov2.shape[1])
+            ov2[own + start + diag, diag] = 0.0
+        np.max(ov2, axis=0, out=out[start:start + step])
+
+
+def _max_overlap(feats: np.ndarray, net_feats: np.ndarray) -> np.ndarray:
+    """Largest squared overlap of each feature row with the net, computed in cache-sized tiles."""
     n, m = feats.shape[0], net_feats.shape[0]
     if m == 0:
         return np.zeros(n)
-    step = _tile_rows(m)
     best = np.empty(n)
-    for start in range(0, n, step):
-        np.max(net_feats @ feats[start:start + step].T, axis=0, out=best[start:start + step])
+    _column_max(net_feats, feats.T, best)
     return best
 
 
@@ -132,28 +160,39 @@ def _sorted_by_key(feats: np.ndarray) -> np.ndarray:
     return feats[np.argsort(feats[:, 0])]
 
 
+def _windows(keys: np.ndarray, net_keys: np.ndarray, reach: float):
+    """The groups of ``_WINDOW_ROWS`` sorted query keys, each with the net rows it scans.
+
+    Iterates over (start, end, a, b): the query rows [start, end) and the net
+    rows [a, b) whose key lies within ``reach`` of some key of the group. Both
+    key arrays are sorted.
+    """
+    n = keys.shape[0]
+    starts = np.arange(0, n, _WINDOW_ROWS)
+    ends = np.minimum(starts + _WINDOW_ROWS, n)
+    lo = np.searchsorted(net_keys, keys[starts] - reach, "left")
+    hi = np.searchsorted(net_keys, keys[ends - 1] + reach, "right")
+    return zip(starts.tolist(), ends.tolist(), lo.tolist(), hi.tolist())
+
+
 def _window_max(feats: np.ndarray, net_sorted: np.ndarray, reach: float) -> np.ndarray:
     """Largest squared overlap of each feature row with the net rows whose F_0 lies within ``reach``.
 
     ``net_sorted`` holds the net's feature rows sorted by F_0. The query rows are
     scanned in F_0 order in groups of ``_WINDOW_ROWS``, each against the union of
     its rows' windows, so a row may also see states beyond its own reach. A row
-    whose window is empty gets 0.
+    whose window is empty gets 0. The sorted query rows are laid out once as
+    contiguous columns, the layout in which BLAS takes a group's product fastest.
     """
     n = feats.shape[0]
     if net_sorted.shape[0] == 0:
         return np.zeros(n)
     order = np.argsort(feats[:, 0])
-    rows = feats[order]
-    keys = net_sorted[:, 0]
-    starts = np.arange(0, n, _WINDOW_ROWS)
-    ends = np.minimum(starts + _WINDOW_ROWS, n)
-    lo = np.searchsorted(keys, rows[starts, 0] - reach, "left").tolist()
-    hi = np.searchsorted(keys, rows[ends - 1, 0] + reach, "right").tolist()
+    cols = feats[order].T.copy()
     sorted_best = np.zeros(n)
-    for start, end, a, b in zip(starts.tolist(), ends.tolist(), lo, hi):
+    for start, end, a, b in _windows(cols[0], net_sorted[:, 0], reach):
         if a < b:
-            sorted_best[start:end] = _max_overlap(rows[start:end], net_sorted[a:b])
+            _column_max(net_sorted[a:b], cols[:, start:end], sorted_best[start:end])
     best = np.empty(n)
     best[order] = sorted_best
     return best
@@ -192,20 +231,24 @@ class PureStateNet:
 
 
 def _require_separated(states: np.ndarray, delta: float):
-    """Separation certificate: every distinct pair at trace distance >= delta/2."""
-    feats = _bloch_features(states)
+    """Separation certificate: every distinct pair at trace distance >= delta/2.
+
+    A pair closer than delta/2 has a squared overlap above the builder's
+    threshold, so each state is compared only with the states in its F_0 window
+    of reach delta/4, its own entry skipped.
+    """
     threshold = _overlap_threshold(delta)
-    step = _tile_rows(feats.shape[0])
-    for start in range(0, feats.shape[0], step):
-        ov2 = feats[start:start + step] @ feats.T
-        rows = np.arange(ov2.shape[0])
-        ov2[rows, start + rows] = 0.0  # ignore self-overlap
-        worst = float(np.max(ov2))
-        if worst > threshold:
-            dist = 2.0 * math.sqrt(max(0.0, 1.0 - worst))
-            raise InvalidParameter(
-                f"separation certificate failed: pair at trace distance {dist:.6f} < {delta / 2:.6f}"
-            )
+    feats = _sorted_by_key(_bloch_features(states))
+    cols = feats.T.copy()
+    best = np.empty(feats.shape[0])
+    for start, end, a, b in _windows(cols[0], cols[0], _window_reach(1.0 - threshold)):
+        _column_max(feats[a:b], cols[:, start:end], best[start:end], own=start - a)
+    worst = float(np.max(best))
+    if worst > threshold:
+        dist = 2.0 * math.sqrt(max(0.0, 1.0 - worst))
+        raise InvalidParameter(
+            f"separation certificate failed: pair at trace distance {dist:.6f} < {delta / 2:.6f}"
+        )
 
 
 def _stop_run(size: int) -> int:
@@ -358,16 +401,19 @@ def _nearest_overlap(feats: np.ndarray, net_feats: np.ndarray, net_sorted: np.nd
                      delta: float) -> np.ndarray:
     """Largest squared overlap of each feature row with the net, as ``_max_overlap`` gives it.
 
-    A net state within trace distance ``delta`` of a row lies within delta/2 of it
-    in F_0, so the window of that reach holds the nearest state of every row whose
-    maximum is at least 1 - delta^2/4. The other rows, those beyond ``delta`` and
-    those with an empty window, are rescanned against the whole net.
+    A net state within trace distance r of a row lies within r/2 of it in F_0, so
+    the window of that reach holds the nearest state of every row whose maximum
+    is at least 1 - r^2/4. Rows are scanned at r = delta/2, where a maximal packing
+    puts nearly every nearest state, then the rows beyond it at r = delta, then
+    the rows beyond delta, and those with an empty window, against the whole net.
     """
-    gap2 = delta * delta / 4.0
-    best = _window_max(feats, net_sorted, _window_reach(gap2))
-    far = np.flatnonzero(best < 1.0 - gap2)
-    if far.size:
-        best[far] = _max_overlap(feats[far], net_feats)
+    best = np.empty(feats.shape[0])
+    rows = np.arange(feats.shape[0])
+    for gap2 in (delta * delta / 16.0, delta * delta / 4.0):
+        best[rows] = _window_max(feats[rows], net_sorted, _window_reach(gap2))
+        rows = rows[best[rows] < 1.0 - gap2]
+    if rows.size:
+        best[rows] = _max_overlap(feats[rows], net_feats)
     return best
 
 

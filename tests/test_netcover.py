@@ -24,6 +24,7 @@ from randomizer import (
 import randomizer.netcover as netcover
 from randomizer.netcover import (
     _AUDIT_ENTRIES,
+    _BLOCK_ENTRIES,
     _CANDIDATE_BATCH,
     _bloch_features,
     _max_overlap,
@@ -125,6 +126,25 @@ def test_separation_certificate_rejects_close_pair():
     y = np.array([np.sqrt(1 - 1e-6), np.sqrt(1e-6)], dtype=complex)
     with pytest.raises(InvalidParameter):
         PureStateNet(2, 0.5, np.stack([x, y]))
+
+
+@pytest.mark.parametrize("group", [1, netcover._WINDOW_ROWS])
+@pytest.mark.parametrize("d, count", [(2, 30), (2, 600), (3, 300), (4, 40), (5, 100)])
+def test_separation_certificate_agrees_with_full_scan_near_threshold(d, count, group,
+                                                                     monkeypatch):
+    # the certificate scans F_0 windows only; a radius whose delta/2 sits just above or just
+    # below the closest pair's trace distance must get the verdict of the all-pairs scan.
+    # Groups of one state scan each state's own window alone, so the reach is tested too.
+    monkeypatch.setattr(netcover, "_WINDOW_ROWS", group)
+    gen = RngStream(60 + d).generator()
+    for _ in range(5):
+        states = random_pure_states(d, count, gen)
+        ov2 = np.abs(states @ np.conj(states.T)) ** 2
+        np.fill_diagonal(ov2, 0.0)
+        closest = 2.0 * math.sqrt(1.0 - float(np.max(ov2)))
+        PureStateNet(d, 2.0 * closest * (1.0 - 1e-6), states)
+        with pytest.raises(InvalidParameter, match="separation certificate failed: pair at"):
+            PureStateNet(d, 2.0 * closest * (1.0 + 1e-6), states)
 
 
 def test_build_respects_cardinality_bound():
@@ -269,6 +289,8 @@ BUILDER_CASES = {
     (16, 0.5, 27, 64): {"size": 64, "stopped_by": "budget"},
     # the README flow's radius: hundreds of states, screened in blocks of several batches
     (2, 0.25, 38, None): {"stopped_by": "rejections", "growing": True, "batch": 154},
+    # hundreds of states at d=3, whose late blocks fill up to 14 batches
+    (3, 1.2, 29, None): {"stopped_by": "rejections", "growing": True},
 }
 
 
@@ -315,6 +337,20 @@ def test_budgeted_d16_net_draws_one_batch(monkeypatch):
     net = build_delta_net(16, 0.5, RngStream(27), max_states=64)
     assert net.size == 64
     assert drawn == [_CANDIDATE_BATCH]
+
+
+def test_late_d3_blocks_fill_to_the_block_length(monkeypatch):
+    drawn = []
+
+    def counting(d, count, rng):
+        drawn.append(count)
+        return random_pure_states(d, count, rng)
+
+    monkeypatch.setattr(netcover, "random_pure_states", counting)
+    build_delta_net(3, 1.2, RngStream(29))
+    longest = _BLOCK_ENTRIES // (_CANDIDATE_BATCH * 9) * _CANDIDATE_BATCH
+    assert all(count % _CANDIDATE_BATCH == 0 and count <= longest for count in drawn)
+    assert max(drawn) == longest > 8 * _CANDIDATE_BATCH
 
 
 @pytest.mark.parametrize("make_net, trials", [
@@ -368,15 +404,20 @@ def test_window_max_equals_full_scan_within_reach(d, net_size, radius):
 
 
 @pytest.mark.parametrize("d, net_size, delta", [(2, 200, 0.25), (2, 40, 0.6), (3, 100, 0.9)])
-def test_audit_overlap_equals_full_scan_on_every_row(d, net_size, delta):
+def test_audit_overlap_equals_full_scan_on_every_row(d, net_size, delta, monkeypatch):
     gen = RngStream(50 + d).generator()
     net_feats = _bloch_features(random_pure_states(d, net_size, gen))
     feats = _bloch_features(random_pure_states(d, 20_000, gen))
     full = _max_overlap(feats, net_feats)
-    best = _nearest_overlap(feats, net_feats, _sorted_by_key(net_feats), delta)
-    # rows beyond delta are rescanned in full, so they count as failures as they would
-    assert 0 < np.count_nonzero(full < 1.0 - delta * delta / 4.0) < full.size
-    assert np.max(np.abs(best - full)) <= 1e-15
+    # every tier has rows: beyond delta (rescanned in full, so they count as failures as they
+    # would), between delta/2 and delta, and within delta/2
+    tiers = np.digitize(full, [1.0 - delta * delta / 4.0, 1.0 - delta * delta / 16.0])
+    assert np.all(np.bincount(tiers, minlength=3) > 0)
+    # groups of one row scan each row's own window alone, so each tier's reach is tested too
+    for group in (1, netcover._WINDOW_ROWS):
+        monkeypatch.setattr(netcover, "_WINDOW_ROWS", group)
+        best = _nearest_overlap(feats, net_feats, _sorted_by_key(net_feats), delta)
+        assert np.max(np.abs(best - full)) <= 1e-15
 
 
 @settings(max_examples=300, deadline=None)
