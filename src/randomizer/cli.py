@@ -14,7 +14,7 @@ import secrets
 import sys
 
 from . import bounds as bounds_mod
-from .certify import DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, default_net_delta, verdict
+from .certify import DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, verdict
 from .channel import build_random_channel
 from .errors import RandomizerError
 from .experiments import (
@@ -71,17 +71,9 @@ def _cmd_sample_channel(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.net is not None and (args.delta is not None or args.max_net_states is not None):
-        print("error: --net takes a prebuilt net; --delta and --max-net-states build one",
-              file=sys.stderr)
-        return 1
     stream = _resolve_stream(args)
     ch = load_channel(args.channel)
-    if args.net is not None:
-        net = load_net(args.net)
-    else:
-        delta = args.delta if args.delta is not None else default_net_delta(args.epsilon)
-        net = build_delta_net(ch.dim, delta, stream.child(0), max_states=args.max_net_states)
+    net = load_net(args.net)
     cert = verdict(ch, args.epsilon, net, restarts=args.restarts, max_iters=args.max_iters,
                    rng=stream.child(1))
     if args.report is not None:
@@ -145,8 +137,7 @@ def _cmd_sweep(args) -> int:
     stream = _resolve_stream(args)
     grid = SweepConfig(
         dims=tuple(args.dims), epsilons=tuple(args.epsilons), counts=tuple(args.counts),
-        channels_per_cell=args.channels, delta=args.delta,
-        max_net_states=args.max_net_states, restarts=args.restarts, max_iters=args.max_iters,
+        channels_per_cell=args.channels, restarts=args.restarts, max_iters=args.max_iters,
     )
     report = run_randomizing_sweep(grid, stream)
     if args.out is not None:
@@ -198,11 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify or refute the epsilon-randomizing property")
     p.add_argument("--channel", required=True, help="channel JSON path")
     p.add_argument("--epsilon", type=float, required=True, help="target epsilon in (0, 1)")
-    p.add_argument("--delta", type=float, default=None,
-                   help="net radius (default: epsilon/(3+2 epsilon))")
-    p.add_argument("--net", default=None, help="use a prebuilt net JSON instead of building one")
-    p.add_argument("--max-net-states", dest="max_net_states", type=int, default=None,
-                   help="size budget for the net; waives the feasibility guard")
+    p.add_argument("--net", required=True, help="net JSON path, as written by `net`")
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS, help="optimizer restarts")
     p.add_argument("--max-iters", dest="max_iters", type=int, default=DEFAULT_MAX_ITERS,
                    help="optimizer iteration cap")
@@ -240,13 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="verdict fractions over a (d, epsilon, N) grid")
     p.add_argument("--dims", type=_int_list, default=[2], help="comma-separated dimensions")
     p.add_argument("--epsilons", type=_float_list, default=[0.5],
-                   help="comma-separated epsilon values")
+                   help="comma-separated epsilon values; nets cover at epsilon/(3+2 epsilon)")
     p.add_argument("--counts", type=_int_list, default=[64], help="comma-separated N values")
     p.add_argument("--channels", type=int, default=DEFAULT_CHANNELS_PER_CELL,
                    help="channels per cell")
-    p.add_argument("--delta", type=float, default=None,
-                   help="net radius override (default: per-cell epsilon/(3+2 epsilon))")
-    p.add_argument("--max-net-states", dest="max_net_states", type=int, default=None)
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS)
     p.add_argument("--max-iters", dest="max_iters", type=int, default=DEFAULT_MAX_ITERS)
     p.add_argument("--out", default=None, help="CSV output path")
@@ -274,10 +258,7 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except RandomizerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (RandomizerError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -105,14 +105,15 @@ def run_concentration_trial(d: int, n: int, delta: float, trials: int,
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid of (d, epsilon, N) cells plus net and optimizer parameters."""
+    """Grid of (d, epsilon, N) cells plus optimizer parameters.
+
+    Each cell's net covers at radius default_net_delta(epsilon) = epsilon/(3 + 2 epsilon).
+    """
 
     dims: tuple[int, ...]
     epsilons: tuple[float, ...]
     counts: tuple[int, ...]
     channels_per_cell: int = DEFAULT_CHANNELS_PER_CELL
-    delta: float | None = None  # None: delta = default_net_delta(epsilon) per cell
-    max_net_states: int | None = None
     restarts: int = DEFAULT_RESTARTS
     max_iters: int = DEFAULT_MAX_ITERS
 
@@ -147,9 +148,8 @@ def _run_sweep_cell(config: SweepConfig, stream: RngStream, index: int,
                     cell: tuple[int, float, int]) -> SweepCell:
     d, epsilon, n = cell
     cell_stream = stream.child(index)
-    delta = config.delta if config.delta is not None else default_net_delta(epsilon)
     try:
-        net = build_delta_net(d, delta, cell_stream.child(0), max_states=config.max_net_states)
+        net = build_delta_net(d, default_net_delta(epsilon), cell_stream.child(0))
     except NetInfeasible as exc:
         return SweepCell(d, epsilon, n, 0, 0.0, 0.0, 0.0, math.nan, math.nan,
                          skipped=True, reason=str(exc))
@@ -211,12 +211,14 @@ def _pairs_to_complex(data, expected_ndim: int, what: str) -> np.ndarray:
 
 
 def _number(payload: dict, key: str, path: str) -> float:
-    """``float(payload[key])``; a null or non-numeric value is a ParseError naming the key."""
+    """``payload[key]`` as a float from a JSON number; a string, bool or null is a ParseError."""
     value = payload[key]
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"{path}: {key!r} is not a number: {value!r}") from exc
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise ParseError(f"{path}: {key!r} is not a number: {value!r}")
 
 
 def _integer(payload: dict, key: str, path: str) -> int:

@@ -12,6 +12,15 @@ from randomizer import cli, workers
 from randomizer.cli import run
 
 
+@pytest.fixture(scope="module")
+def net_file(tmp_path_factory):
+    """A small budgeted d=2 net file, for verify calls that must fail on their channel."""
+    path = tmp_path_factory.mktemp("net") / "net.json"
+    assert run(["net", "--dim", "2", "--delta", "0.25", "--max-states", "20", "--seed", "4",
+                "--out", str(path)]) == 0
+    return path
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     for sub in ("sample-channel", "verify", "net", "audit-net",
@@ -27,23 +36,33 @@ def test_unknown_subcommand_and_flag():
     assert run([]) == 1
 
 
-def test_removed_flags_are_usage_errors(tmp_path):
+def test_removed_flags_are_usage_errors(tmp_path, capsys):
     sweep = ["sweep", "--dims", "1", "--counts", "2", "--channels", "1", "--seed", "1"]
     concentration = ["concentration", "--dim", "2", "--counts", "4", "--deltas", "0.4",
                      "--trials", "10", "--seed", "1"]
-    verify = ["verify", "--channel", str(tmp_path / "ch.json"), "--epsilon", "0.5"]
+    verify = ["verify", "--channel", str(tmp_path / "ch.json"), "--epsilon", "0.5",
+              "--report", str(tmp_path / "cert.json")]
+    with_net = verify + ["--net", str(tmp_path / "net.json")]
     net = ["net", "--dim", "2", "--delta", "0.5", "--out", str(tmp_path / "net.json")]
     grid = tmp_path / "grid.json"
     grid.write_text(json.dumps({"dims": [1], "epsilons": [0.5], "counts": [2]}))
     for argv in (sweep + ["--threads", "1"], concentration + ["--threads", "1"],
                  concentration + ["--random-pair"],
-                 sweep + ["--tol", "1e-10"], verify + ["--tol", "1e-10"],
-                 verify + ["--stop-k", "200"], net + ["--stop-k", "200"],
+                 sweep + ["--tol", "1e-10"], with_net + ["--tol", "1e-10"],
+                 with_net + ["--stop-k", "200"], net + ["--stop-k", "200"],
                  sweep + ["--stop-k", "200"], sweep + ["--config", str(grid)],
                  ["bounds", "--dim", "2", "--epsilon", "0.5", "--constant-c", "0.3"],
-                 ["bounds", "--dim", "2", "--epsilon", "0.5", "--constant-C", "300"]):
+                 ["bounds", "--dim", "2", "--epsilon", "0.5", "--constant-C", "300"],
+                 # verify reads its net from a file only, and a sweep cell's net radius is
+                 # epsilon/(3 + 2 epsilon)
+                 verify, verify + ["--delta", "0.1"], verify + ["--max-net-states", "3"],
+                 with_net + ["--delta", "0.1"], with_net + ["--max-net-states", "3"],
+                 with_net + ["--delta", "0.1", "--max-net-states", "3"],
+                 sweep + ["--delta", "0.35"], sweep + ["--max-net-states", "200"]):
         assert run(argv) == 1, argv
+        assert "error:" in capsys.readouterr().err, argv
     assert not (tmp_path / "net.json").exists()
+    assert not (tmp_path / "cert.json").exists()
 
 
 @pytest.mark.parametrize("value", ["0", "x"])
@@ -141,21 +160,23 @@ def test_bounds_with_non_finite_sample_size_exits_two(capsys, epsilon):
 
 @pytest.mark.parametrize("argv", [["verify", "--epsilon", "0.5", "--channel"],
                                   ["audit-net", "--net"]])
-def test_file_that_is_not_utf8_exits_two(tmp_path, capsys, argv):
+def test_file_that_is_not_utf8_exits_two(tmp_path, capsys, net_file, argv):
     path = tmp_path / "bad.json"
     path.write_bytes(b"\xff{}")
-    assert run(argv + [str(path), "--seed", "1"]) == 2
+    net = ["--net", str(net_file)] if argv[0] == "verify" else []
+    assert run(argv + [str(path), "--seed", "1"] + net) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not valid UTF-8 JSON" in err
     assert "Traceback" not in err
 
 
-def test_verify_ruc1_channel_exits_two(tmp_path, capsys):
+def test_verify_ruc1_channel_exits_two(tmp_path, capsys, net_file):
     ch_path = tmp_path / "ch.json"
     ch_path.write_text(json.dumps({"schema": "ruc-1", "dim": 1, "count": 1, "seed": 3,
                                    "stream_id": 0, "kind": "haar",
                                    "unitaries": [[[[1.0, 0.0]]]]}))
-    assert run(["verify", "--channel", str(ch_path), "--epsilon", "0.5", "--seed", "4"]) == 2
+    assert run(["verify", "--channel", str(ch_path), "--epsilon", "0.5", "--net", str(net_file),
+                "--seed", "4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "unsupported schema" in err
     assert "Traceback" not in err
@@ -179,48 +200,36 @@ def test_generated_seed_is_echoed(tmp_path, capsys):
 
 def test_verify_writes_certificate(tmp_path, capsys):
     ch_path = tmp_path / "ch.json"
+    net_path = tmp_path / "net.json"
     cert_path = tmp_path / "cert.json"
     assert run(["sample-channel", "--dim", "2", "--count", "64",
                 "--seed", "3", "--out", str(ch_path)]) == 0
-    code = run(["verify", "--channel", str(ch_path), "--epsilon", "0.5",
-                "--seed", "4", "--max-net-states", "400", "--report", str(cert_path)])
+    # the radius epsilon / (3 + 2 epsilon), under a size budget
+    assert run(["net", "--dim", "2", "--delta", "0.125", "--max-states", "400", "--seed", "4",
+                "--out", str(net_path)]) == 0
+    code = run(["verify", "--channel", str(ch_path), "--epsilon", "0.5", "--net", str(net_path),
+                "--seed", "4", "--report", str(cert_path)])
     assert code == 0
     summary = capsys.readouterr().out
     assert "verdict=" in summary
     payload = json.loads(cert_path.read_text())
     assert payload["epsilon"] == 0.5
-    assert payload["delta"] == 0.125  # default: epsilon / (3 + 2 epsilon)
+    assert payload["delta"] == 0.125  # the net file's radius
     assert payload["verdict"] in ("CertifiedRandomizing", "CertifiedNotRandomizing",
                                   "Undetermined")
-
-
-def test_verify_net_excludes_net_building_flags(tmp_path, capsys):
-    ch_path = tmp_path / "ch.json"
-    net_path = tmp_path / "net.json"
-    cert_path = tmp_path / "cert.json"
-    assert run(["sample-channel", "--dim", "2", "--count", "8", "--seed", "3",
-                "--out", str(ch_path)]) == 0
-    assert run(["net", "--dim", "2", "--delta", "0.25", "--max-states", "20", "--seed", "4",
-                "--out", str(net_path)]) == 0
-    capsys.readouterr()
-    argv = ["verify", "--channel", str(ch_path), "--epsilon", "0.5", "--net", str(net_path),
-            "--seed", "5", "--report", str(cert_path)]
-    for extra in (["--delta", "0.1"], ["--max-net-states", "3"],
-                  ["--delta", "0.1", "--max-net-states", "3"]):
-        assert run(argv + extra) == 1, extra
-        assert capsys.readouterr().err.startswith("error:")
-    assert not cert_path.exists()
-    assert run(argv) == 0
 
 
 def test_verify_deterministic_module_timings(tmp_path):
     ch_path = tmp_path / "ch.json"
     assert run(["sample-channel", "--dim", "2", "--count", "32",
                 "--seed", "5", "--out", str(ch_path)]) == 0
+    net_path = tmp_path / "net.json"
+    assert run(["net", "--dim", "2", "--delta", "0.125", "--max-states", "300", "--seed", "6",
+                "--out", str(net_path)]) == 0
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
-    argv = ["verify", "--channel", str(ch_path), "--epsilon", "0.5", "--seed", "6",
-            "--max-net-states", "300"]
+    argv = ["verify", "--channel", str(ch_path), "--epsilon", "0.5", "--net", str(net_path),
+            "--seed", "6"]
     assert run(argv + ["--report", str(a)]) == 0
     assert run(argv + ["--report", str(b)]) == 0
     pa = json.loads(a.read_text())
@@ -329,24 +338,30 @@ def test_bounds_repeatable_output(capsys):
     assert first == second
 
 
-def test_runtime_errors_exit_two(tmp_path, capsys):
+def test_runtime_errors_exit_two(tmp_path, capsys, net_file):
     assert run(["verify", "--channel", str(tmp_path / "missing.json"),
-                "--epsilon", "0.5", "--seed", "1"]) == 2
+                "--epsilon", "0.5", "--net", str(net_file), "--seed", "1"]) == 2
     assert run(["bounds", "--dim", "2", "--epsilon", "1.5"]) == 2
-    ch_path = tmp_path / "ch.json"
-    assert run(["sample-channel", "--dim", "5", "--count", "2", "--seed", "2",
-                "--out", str(ch_path)]) == 0
     capsys.readouterr()
-    # default net at d=5 trips the feasibility guard
-    code = run(["verify", "--channel", str(ch_path), "--epsilon", "0.5", "--seed", "3"])
+    # the default radius at epsilon=0.5 trips the feasibility guard at d=5
+    code = run(["net", "--dim", "5", "--delta", "0.125", "--seed", "3",
+                "--out", str(tmp_path / "net.json")])
     assert code == 2
     err = capsys.readouterr().err
     assert "max_states" in err or "ceiling" in err
+    assert not (tmp_path / "net.json").exists()
+    # d = 10^8 asks for a 1.6e17-byte unitary stack, beyond any 47-bit address space
+    assert run(["sample-channel", "--dim", "100000000", "--count", "1", "--seed", "1",
+                "--out", str(tmp_path / "ch.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err
+    assert captured.out == "" and not (tmp_path / "ch.json").exists()
 
 
 @pytest.mark.parametrize("key, value", [("dim", "x"), ("delta", None), ("dim", None),
                                         ("delta", "wide"), ("dim", 2.7), ("dim", 2.5),
-                                        ("dim", "2"), ("dim", True)])
+                                        ("dim", "2"), ("dim", True), ("delta", "0.45"),
+                                        ("delta", True)])
 def test_audit_net_malformed_number_exits_two(tmp_path, capsys, key, value):
     net_path = tmp_path / "net.json"
     assert run(["net", "--dim", "2", "--delta", "1.5", "--seed", "8",
@@ -364,7 +379,7 @@ def test_audit_net_malformed_number_exits_two(tmp_path, capsys, key, value):
                                         ("dim", 2.7), ("dim", 2.5), ("dim", "2"), ("dim", True),
                                         ("count", 2.7), ("count", 2.5), ("count", "2"),
                                         ("count", True)])
-def test_verify_malformed_channel_number_exits_two(tmp_path, capsys, key, value):
+def test_verify_malformed_channel_number_exits_two(tmp_path, capsys, net_file, key, value):
     ch_path = tmp_path / "ch.json"
     assert run(["sample-channel", "--dim", "2", "--count", "4", "--seed", "3",
                 "--out", str(ch_path)]) == 0
@@ -372,7 +387,7 @@ def test_verify_malformed_channel_number_exits_two(tmp_path, capsys, key, value)
     payload[key] = value
     ch_path.write_text(json.dumps(payload))
     capsys.readouterr()
-    assert run(["verify", "--channel", str(ch_path), "--epsilon", "0.5", "--seed", "4",
-                "--max-net-states", "10"]) == 2
+    assert run(["verify", "--channel", str(ch_path), "--epsilon", "0.5", "--net", str(net_file),
+                "--seed", "4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
