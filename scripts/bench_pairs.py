@@ -1,14 +1,17 @@
-"""Paired benchmark runs of a parent checkout and a change checkout.
+"""Paired benchmark runs of a parent revision and a change revision.
 
-    python3 scripts/bench_pairs.py --parent ../parent --change . \
+    python3 scripts/bench_pairs.py --parent HEAD~1 --change HEAD \
         --workloads cli-verify-d2,verify-d16 --seeds 41,42,43,44,45 --out BENCH_14.json
 
-Each checkout is a source tree with ``src/`` and ``perfbench/``. For every
-workload and every seed, the script runs ``perfbench/run.py`` once in each
-checkout, one after the other, alternating which side runs first, and parses
-the JSON object on the last line of each run's standard output. The run length
-is ``run_seconds`` from ``BENCHMARK.json`` in the change checkout, the same on
-both sides.
+Both sides are git revisions of the repository that holds this script. Each
+is exported with ``git archive`` into its own temporary directory, so neither
+side runs in the working tree and both run from the same kind of tree. To
+measure uncommitted work, pass the commit that ``git stash create`` prints.
+For every workload and every seed, the script runs ``perfbench/run.py`` once
+in each tree, one after the other, alternating which side runs first, and
+parses the JSON object on the last line of each run's standard output. The
+run length is ``run_seconds`` from ``BENCHMARK.json`` in the change tree, the
+same on both sides.
 
 The output file records every run (side, seed, order, end-to-end metrics and
 the ``attempted`` / ``failed`` counts), and for each workload, each side's
@@ -27,6 +30,18 @@ import os
 import statistics
 import subprocess
 import sys
+import tempfile
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def export(revision: str, dest: str) -> str:
+    """Write the files of ``revision`` into the new directory ``dest``; returns ``dest``."""
+    os.mkdir(dest)
+    archive = subprocess.run(["git", "archive", "--format=tar", revision], cwd=REPO,
+                             capture_output=True, check=True).stdout
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+    return dest
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -79,22 +94,29 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--parent", required=True, help="parent source checkout")
-    parser.add_argument("--change", required=True, help="change source checkout")
+    parser.add_argument("--parent", required=True, help="parent git revision")
+    parser.add_argument("--change", required=True, help="change git revision")
     parser.add_argument("--workloads", required=True, help="comma-separated workload names")
     parser.add_argument("--seeds", required=True, help="comma-separated seeds, one pair each")
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args(argv)
 
-    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as handle:
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        checkouts = {side: export(getattr(args, side), os.path.join(tmp, side))
+                     for side in ("parent", "change")}
+        return run_pairs(checkouts, args.workloads.split(","),
+                         [int(s) for s in args.seeds.split(",")], args.out)
+
+
+def run_pairs(checkouts: dict, workloads: list[str], seeds: list[int], out: str) -> int:
+    """The paired and traced runs of every workload in the ``parent`` and ``change`` trees."""
+    with open(os.path.join(checkouts["change"], "BENCHMARK.json"), encoding="utf-8") as handle:
         bench = json.load(handle)
     seconds = float(bench["run_seconds"])
-    checkouts = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
     names = [m["name"] for m in bench["end_to_end"]]
-    seeds = [int(s) for s in args.seeds.split(",")]
 
     result = {"run_seconds": seconds, "seeds": seeds, "workloads": {}}
-    for workload in args.workloads.split(","):
+    for workload in workloads:
         runs = []
         for index, seed in enumerate(seeds):
             order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
@@ -114,7 +136,7 @@ def main(argv=None) -> int:
         result["workloads"][workload] = {"runs": runs,
                                          "summary": summarize(runs, bench["end_to_end"]),
                                          "traced": traced}
-        with open(args.out, "w", encoding="utf-8") as handle:
+        with open(out, "w", encoding="utf-8") as handle:
             json.dump(result, handle, indent=1, sort_keys=True)
             handle.write("\n")
     return 0

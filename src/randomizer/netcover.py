@@ -44,19 +44,21 @@ share the union of their windows, one product per group.
   an empty window, is rescanned against the whole net, so ``max_gap`` and
   ``failures`` are those of a full scan.
 
-The builder draws candidates in blocks of whole 512-candidate batches, up to
-2^16 feature entries a block: 32 batches at d = 2, 14 at d = 3, one from
-d = 9 on. Longer blocks sort the query rows of more batches together, so each
-group of them spans less F_0 and scans a narrower union of windows. Draws
-are prefix-stable, so a block holds exactly the batches a batch-by-batch loop
-draws, and a block is never longer than the candidates that must still pass
-before either stop rule can fire, so it draws no batch that loop would not.
-Each block is screened at once against the kept set as it stood when the
-block began; each batch's survivors are then screened against the states
-accepted earlier in the same block, and the greedy pass and the counters run
-batch by batch. The maximum over a union is the maximum of the maxima, so
-every decision, and hence every net, equals that of a candidate-by-candidate
-loop.
+The builder draws candidates in blocks of up to 2^16 feature entries (2^14
+candidates at d = 2, 7281 at d = 3), and a block ends no later than the
+candidate at which either stop rule could first fire: the run of rejections
+reaching the stop rule, or the net reaching its budget. A stop can then fire
+only at a block's last candidate, so every candidate drawn is counted, and
+the counters follow from the block's accept positions. Draws are
+prefix-stable, so a block holds exactly the candidates a one-by-one loop
+draws. Longer blocks sort more query rows together, so each group of them
+spans less F_0 and scans a narrower union of windows. Each block is screened
+at once against the kept set as it stood when the block began; one greedy
+pass then runs over the survivors in chunks of at most 512, each chunk
+screened against the states accepted earlier in the block before its own
+pairwise product decides it. The maximum over a union is the maximum of the
+maxima, so every decision, and hence every net, equals that of a
+candidate-by-candidate loop.
 """
 
 from __future__ import annotations
@@ -73,8 +75,8 @@ from .haar import as_stream
 from .linalg import TOL, require_finite
 
 _SIZE_CEILING = 10_000_000  # desk-scale memory ceiling on materialized nets
-_CANDIDATE_BATCH = 512
-_BLOCK_ENTRIES = 1 << 16  # candidate feature entries per block: 32 batches at d = 2, 1 from d = 9
+_CANDIDATE_BATCH = 512  # survivors decided by one pairwise product in the greedy pass
+_BLOCK_ENTRIES = 1 << 16  # candidate feature entries per block: 2^14 candidates at d = 2
 _AUDIT_ENTRIES = 1 << 17  # sample feature entries per audit chunk: 2^15 samples at d = 2
 _TILE_ENTRIES = 1 << 17  # one 1 MB float block of overlaps, small enough to stay in L2
 _WINDOW_ROWS = 256  # sorted query rows that share one window of the net
@@ -141,11 +143,8 @@ def _column_max(net_feats: np.ndarray, cols: np.ndarray, out: np.ndarray,
 
 
 def _max_overlap(feats: np.ndarray, net_feats: np.ndarray) -> np.ndarray:
-    """Largest squared overlap of each feature row with the net, computed in cache-sized tiles."""
-    n, m = feats.shape[0], net_feats.shape[0]
-    if m == 0:
-        return np.zeros(n)
-    best = np.empty(n)
+    """Largest squared overlap of each feature row with a non-empty net, in cache-sized tiles."""
+    best = np.empty(feats.shape[0])
     _column_max(net_feats, feats.T, best)
     return best
 
@@ -254,8 +253,10 @@ def _require_separated(states: np.ndarray, delta: float):
 def _stop_run(size: int) -> int:
     """Consecutive rejections that stop the builder while ``size`` states are kept.
 
-    The block sizing and the counter replay both read the rule here: a block
-    drawn past the stop would move the stream and change later nets.
+    The block length reads the rule here: a block ends no later than the
+    candidate at which this run could first be reached, so the stop can fire
+    only at a block's last candidate, and the counters derived from the
+    block's accepts are those of a candidate-by-candidate loop.
     """
     return max(1000, 20 * size)
 
@@ -271,23 +272,23 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
     and stream id.
 
     Without an explicit ``max_states`` budget the covering-number bound guards
-    against astronomically large requests (NetInfeasible); with a budget the
-    guard is waived and the result may knowingly undercover, which the
-    provenance records as ``stopped_by="budget"``.
+    against astronomically large requests (NetInfeasible); a delta/2-separated
+    set is also delta'/2-separated for every delta' < delta, so from delta = 1
+    on the guard takes the bound's limit 2 d ln 5. With a budget the guard is
+    waived and the result may knowingly undercover, which the provenance
+    records as ``stopped_by="budget"``.
 
-    Candidates come in batches of 512, drawn and screened in blocks of whole
-    batches against the kept set through the F_0 window (see the module
-    docstring); the greedy pass then runs over each batch's survivors only, and
-    the counters and stop rule are replayed from the accept positions, so the
-    result equals a candidate-by-candidate loop.
+    Candidates are drawn in blocks that end where a stop could first fire, and
+    each block is decided by one greedy pass (see the module docstring), so
+    the result equals a candidate-by-candidate loop.
     """
     d = require_positive_int(d, "dimension")
     if not 0.0 < delta < 2.0:
         raise InvalidParameter(f"delta must lie in (0, 2), got {delta}")
     if max_states is not None:
         max_states = require_positive_int(max_states, "max_states")
-    if max_states is None and delta < 1.0:
-        log_bound = log_cardinality_bound(d, delta)
+    else:
+        log_bound = log_cardinality_bound(d, delta) if delta < 1.0 else 2.0 * d * math.log(5.0)
         if log_bound > math.log(_SIZE_CEILING):
             raise NetInfeasible(
                 f"covering bound exp({log_bound:.1f}) exceeds the size ceiling {_SIZE_CEILING:.0e} "
@@ -299,88 +300,58 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
     threshold = _overlap_threshold(delta)
     reach = _window_reach(1.0 - threshold)
     ceiling = _SIZE_CEILING if max_states is None else max_states
-    block_cap = max(1, _BLOCK_ENTRIES // (_CANDIDATE_BATCH * d * d))
 
     kept: list[np.ndarray] = []
-    kept_feats = np.zeros((0, d * d))
-    kept_sorted = kept_feats
-    consecutive = 0
-    candidates = 0
-    rejections = 0
-    stopped_by = "rejections"
-
-    done = False
-    while not done:
-        # neither stop can fire before this many more candidates: a run of rejections
+    kept_sorted = np.zeros((0, d * d))
+    size = consecutive = candidates = 0
+    while True:
+        # neither stop can fire before the block's last candidate: a run of rejections
         # must reach the stop rule, and each accept is one candidate
-        block_start = kept_feats.shape[0]
-        safe = min(_stop_run(block_start) - consecutive, ceiling - block_start)
-        batches = max(1, min(block_cap, safe // _CANDIDATE_BATCH))
-        block = random_pure_states(d, batches * _CANDIDATE_BATCH, gen)
-        block_feats = _bloch_features(block)
-        clear = _window_max(block_feats, kept_sorted, reach) <= threshold
-        for first in range(0, block.shape[0], _CANDIDATE_BATCH):
-            feats = block_feats[first:first + _CANDIDATE_BATCH]
-            survivors = np.flatnonzero(clear[first:first + _CANDIDATE_BATCH])
-            if kept_feats.shape[0] > block_start and survivors.size:
-                # the states accepted earlier in this block
-                later = _max_overlap(feats[survivors], kept_feats[block_start:])
-                survivors = survivors[later <= threshold]
-            # greedy over the survivors: the first live one is kept and removes the later
-            # survivors too close to it
-            fresh = feats[survivors]
+        n = max(1, min(_BLOCK_ENTRIES // (d * d), _stop_run(size) - consecutive, ceiling - size))
+        block = random_pure_states(d, n, gen)
+        feats = _bloch_features(block)
+        survivors = np.flatnonzero(_window_max(feats, kept_sorted, reach) <= threshold)
+        # greedy over the survivors, a chunk at a time: a chunk is screened against the
+        # states accepted earlier in the block, then its first live survivor is kept and
+        # removes the later ones too close to it
+        accepted: list[int] = []
+        for first in range(0, survivors.size, _CANDIDATE_BATCH):
+            chunk = survivors[first:first + _CANDIDATE_BATCH]
+            if accepted:
+                chunk = chunk[_max_overlap(feats[chunk], feats[accepted]) <= threshold]
+            fresh = feats[chunk]
             close = (fresh @ fresh.T) > threshold
-            live = np.ones(survivors.size, dtype=bool)
-            accepted = []
-            for k, pos in enumerate(survivors.tolist()):
+            live = np.ones(chunk.size, dtype=bool)
+            for k, pos in enumerate(chunk.tolist()):
                 if live[k]:
                     accepted.append(pos)
                     live[k + 1:] &= ~close[k, k + 1:]
 
-            # replay the sequential counters: each accept ends a run of rejections
-            size = kept_feats.shape[0]
-            taken = 0
-            prev = 0
-            for pos in accepted + [_CANDIDATE_BATCH]:
-                stop = _stop_run(size + taken)
-                run = pos - prev
-                if consecutive + run >= stop:
-                    candidates += stop - consecutive
-                    rejections += stop - consecutive
-                    done = True
-                    break
-                candidates += run
-                rejections += run
-                consecutive += run
-                if pos == _CANDIDATE_BATCH:
-                    break
-                candidates += 1
-                taken += 1
-                consecutive = 0
-                prev = pos + 1
-                if size + taken >= ceiling:
-                    stopped_by = "budget" if max_states is not None else "ceiling"
-                    done = True
-                    break
-            if taken:
-                rows = first + np.asarray(accepted[:taken])
-                kept.append(block[rows])
-                kept_feats = np.concatenate([kept_feats, block_feats[rows]])
-            if done:
-                break
-        kept_sorted = _sorted_by_key(kept_feats)
-
-    if stopped_by == "ceiling":
-        raise NetInfeasible(
-            f"net at (d={d}, delta={delta}) exceeded the size ceiling {_SIZE_CEILING:.0e}"
-        )
+        candidates += n
+        if accepted:
+            kept.append(block[accepted])
+            kept_sorted = _sorted_by_key(np.concatenate([kept_sorted, feats[accepted]]))
+            size += len(accepted)
+            consecutive = n - 1 - accepted[-1]
+        else:
+            consecutive += n
+        if size >= ceiling:
+            if max_states is None:
+                raise NetInfeasible(
+                    f"net at (d={d}, delta={delta}) exceeded the size ceiling {_SIZE_CEILING:.0e}"
+                )
+            stopped_by = "budget"
+            break
+        if consecutive >= _stop_run(size):
+            stopped_by = "rejections"
+            break
 
     prov = {
         "seed": stream.seed,
         "stream_id": stream.stream_id,
         "max_states": max_states,
         "candidates": candidates,
-        "rejections": rejections,
+        "rejections": candidates - size,
         "stopped_by": stopped_by,
     }
     return PureStateNet(d, float(delta), np.concatenate(kept), prov)
@@ -397,8 +368,7 @@ class CoverageReport:
     failures: int
 
 
-def _nearest_overlap(feats: np.ndarray, net_feats: np.ndarray, net_sorted: np.ndarray,
-                     delta: float) -> np.ndarray:
+def _nearest_overlap(feats: np.ndarray, net_sorted: np.ndarray, delta: float) -> np.ndarray:
     """Largest squared overlap of each feature row with the net, as ``_max_overlap`` gives it.
 
     A net state within trace distance r of a row lies within r/2 of it in F_0, so
@@ -413,7 +383,7 @@ def _nearest_overlap(feats: np.ndarray, net_feats: np.ndarray, net_sorted: np.nd
         best[rows] = _window_max(feats[rows], net_sorted, _window_reach(gap2))
         rows = rows[best[rows] < 1.0 - gap2]
     if rows.size:
-        best[rows] = _max_overlap(feats[rows], net_feats)
+        best[rows] = _max_overlap(feats[rows], net_sorted)  # a maximum ignores row order
     return best
 
 
@@ -426,8 +396,7 @@ def audit_covering(net: PureStateNet, trials: int, rng) -> CoverageReport:
     """
     trials = require_positive_int(trials, "trials")
     gen = as_stream(rng).generator()
-    net_feats = _bloch_features(net.states)
-    net_sorted = _sorted_by_key(net_feats)
+    net_sorted = _sorted_by_key(_bloch_features(net.states))
     chunk = max(1, _AUDIT_ENTRIES // (net.dim * net.dim))
     max_gap = 0.0
     failures = 0
@@ -435,7 +404,7 @@ def audit_covering(net: PureStateNet, trials: int, rng) -> CoverageReport:
     while remaining > 0:
         k = min(chunk, remaining)
         feats = _bloch_features(random_pure_states(net.dim, k, gen))
-        best_ov2 = _nearest_overlap(feats, net_feats, net_sorted, net.delta)
+        best_ov2 = _nearest_overlap(feats, net_sorted, net.delta)
         gaps = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - best_ov2))
         max_gap = max(max_gap, float(np.max(gaps)))
         failures += int(np.sum(gaps > net.delta))

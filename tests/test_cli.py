@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from randomizer import RngStream, build_random_channel, load_channel, load_net
-from randomizer import cli, workers
+from randomizer import cli, netcover, workers
 from randomizer.cli import run
 
 
@@ -256,6 +256,20 @@ def test_net_and_audit(tmp_path, capsys):
     streamed = io.StringIO()  # oracle: the streaming encoder
     json.dump(payload, streamed, separators=(",", ":"), sort_keys=True)
     assert report_path.read_text() == streamed.getvalue() + "\n"
+
+
+def test_net_coarse_radius_trips_the_guard(tmp_path, capsys, monkeypatch):
+    # from delta = 1 on the guard reads 2 d ln 5; with a small ceiling an unguarded build fails
+    # fast instead of filling memory
+    monkeypatch.setattr(netcover, "_SIZE_CEILING", 5000)
+    drawn = []
+    monkeypatch.setattr(netcover, "random_pure_states", lambda *args: drawn.append(args))
+    net_path = tmp_path / "net.json"
+    assert run(["net", "--dim", "16", "--delta", "1.0", "--seed", "3",
+                "--out", str(net_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "max_states" in captured.err
+    assert drawn == [] and not net_path.exists()
 
 
 def test_concentration_nonpositive_dim_exits_two(capsys):

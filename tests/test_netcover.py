@@ -226,8 +226,9 @@ def _reference_build(d, delta, rng, max_states=None):
     Returns the kept states, the provenance counters, and where the loop
     stopped: the batch and the position in it of the last candidate counted,
     and, after a rejection stop, how many later candidates of that batch a
-    greedy pass over the whole batch would still accept. Draws the same
-    candidate batches from the same stream as ``build_delta_net``.
+    greedy pass over the whole batch would still accept. Draws prefix-stable
+    batches from the same stream as ``build_delta_net``, so it sees the same
+    candidates as the builder's blocks.
     """
     gen = rng.generator()
     threshold = _overlap_threshold(delta)
@@ -287,9 +288,9 @@ BUILDER_CASES = {
     (3, 0.6, 22, 1000): {"stopped_by": "budget", "batch": 2},
     # the 64-state budgeted net at the top of desk scale
     (16, 0.5, 27, 64): {"size": 64, "stopped_by": "budget"},
-    # the README flow's radius: hundreds of states, screened in blocks of several batches
+    # the README flow's radius: hundreds of states, screened in blocks of thousands of candidates
     (2, 0.25, 38, None): {"stopped_by": "rejections", "growing": True, "batch": 154},
-    # hundreds of states at d=3, whose late blocks fill up to 14 batches
+    # hundreds of states at d=3, whose late blocks fill to the 7281-candidate cap
     (3, 1.2, 29, None): {"stopped_by": "rejections", "growing": True},
 }
 
@@ -326,7 +327,8 @@ def _reference_audit(net, trials, rng, chunk=4096):
     return float(np.max(gaps)), int(np.sum(gaps > net.delta))
 
 
-def test_budgeted_d16_net_draws_one_batch(monkeypatch):
+def _counting_draws(monkeypatch) -> list[int]:
+    """The counts of every candidate draw the builder makes from now on, in order."""
     drawn = []
 
     def counting(d, count, rng):
@@ -334,23 +336,60 @@ def test_budgeted_d16_net_draws_one_batch(monkeypatch):
         return random_pure_states(d, count, rng)
 
     monkeypatch.setattr(netcover, "random_pure_states", counting)
+    return drawn
+
+
+def test_budgeted_d16_net_draws_one_batch(monkeypatch):
+    # the budget ends the first block: 64 candidates, all of them accepted
+    drawn = _counting_draws(monkeypatch)
     net = build_delta_net(16, 0.5, RngStream(27), max_states=64)
     assert net.size == 64
-    assert drawn == [_CANDIDATE_BATCH]
+    assert drawn == [64]
 
 
 def test_late_d3_blocks_fill_to_the_block_length(monkeypatch):
-    drawn = []
-
-    def counting(d, count, rng):
-        drawn.append(count)
-        return random_pure_states(d, count, rng)
-
-    monkeypatch.setattr(netcover, "random_pure_states", counting)
+    drawn = _counting_draws(monkeypatch)
     build_delta_net(3, 1.2, RngStream(29))
-    longest = _BLOCK_ENTRIES // (_CANDIDATE_BATCH * 9) * _CANDIDATE_BATCH
-    assert all(count % _CANDIDATE_BATCH == 0 and count <= longest for count in drawn)
-    assert max(drawn) == longest > 8 * _CANDIDATE_BATCH
+    longest = _BLOCK_ENTRIES // 9
+    assert longest == 7281
+    assert all(count <= longest for count in drawn)
+    assert max(drawn) == longest
+
+
+@pytest.mark.parametrize("d, delta, seed, max_states", list(BUILDER_CASES))
+def test_builder_counts_every_candidate_it_draws(d, delta, seed, max_states, monkeypatch):
+    # a stop fires only at a block's last candidate, so no drawn candidate goes uncounted
+    drawn = _counting_draws(monkeypatch)
+    net = build_delta_net(d, delta, RngStream(seed), max_states=max_states)
+    assert sum(drawn) == net.provenance["candidates"]
+    assert net.provenance["rejections"] == net.provenance["candidates"] - net.size
+
+
+@pytest.mark.parametrize("d, delta", [(16, 1.0), (16, 1.5), (6, 1.9)])
+def test_feasibility_guard_covers_coarse_radii(d, delta, monkeypatch):
+    # from delta = 1 on the guard takes the bound's limit 2 d ln 5; with a small ceiling an
+    # unguarded build fails fast instead of filling memory
+    monkeypatch.setattr(netcover, "_SIZE_CEILING", 5000)
+    drawn = _counting_draws(monkeypatch)
+    with pytest.raises(NetInfeasible, match="covering bound"):
+        build_delta_net(d, delta, RngStream(35))
+    assert drawn == []
+    budgeted = build_delta_net(d, delta, RngStream(35), max_states=8)
+    assert budgeted.size == 8 and budgeted.provenance["stopped_by"] == "budget"
+
+
+@pytest.mark.parametrize("d, delta", [(5, 1.0), (5, 1.9), (1, 1.5)])
+def test_feasibility_guard_passes_coarse_radii_up_to_d5(d, delta, monkeypatch):
+    # 2 * 5 * ln 5 = 16.09 stays below ln 1e7 = 16.12, so the guard lets these builds draw
+    class Drawn(Exception):
+        pass
+
+    def drawing(d, count, rng):
+        raise Drawn
+
+    monkeypatch.setattr(netcover, "random_pure_states", drawing)
+    with pytest.raises(Drawn):
+        build_delta_net(d, delta, RngStream(36))
 
 
 @pytest.mark.parametrize("make_net, trials", [
@@ -416,7 +455,7 @@ def test_audit_overlap_equals_full_scan_on_every_row(d, net_size, delta, monkeyp
     # groups of one row scan each row's own window alone, so each tier's reach is tested too
     for group in (1, netcover._WINDOW_ROWS):
         monkeypatch.setattr(netcover, "_WINDOW_ROWS", group)
-        best = _nearest_overlap(feats, net_feats, _sorted_by_key(net_feats), delta)
+        best = _nearest_overlap(feats, _sorted_by_key(net_feats), delta)
         assert np.max(np.abs(best - full)) <= 1e-15
 
 
