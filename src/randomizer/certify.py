@@ -90,8 +90,6 @@ def net_supremum_B(ch: RandomUnitaryChannel, net: PureStateNet) -> NetSupremum:
         raise DimensionMismatch(f"net dimension {net.dim} != channel dimension {ch.dim}")
     states = net.states
     m, d = states.shape
-    if m < 1:
-        raise InvalidParameter("net is empty")
     inv_d = 1.0 / d
     vecs = pure_projector(states).reshape(m, d * d)
     proj_h = np.conj(vecs.T)
@@ -267,8 +265,6 @@ def verdict(ch: RandomUnitaryChannel, epsilon: float, net: PureStateNet,
         raise InvalidParameter(f"epsilon must lie in (0, 1), got {epsilon}")
     if not net.delta < 0.5:
         raise InvalidParameter(f"net delta {net.delta} leaves the lift vacuous (needs < 1/2)")
-    if net.dim != ch.dim:
-        raise DimensionMismatch(f"net dimension {net.dim} != channel dimension {ch.dim}")
 
     t0 = time.perf_counter()
     supremum = net_supremum_B(ch, net)

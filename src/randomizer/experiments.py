@@ -13,15 +13,14 @@ import numpy as np
 from .bounds import concentration_tail_bound
 from .certify import (DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, DeviationCertificate, Verdict,
                       default_net_delta, verdict)
-from .channel import RandomUnitaryChannel, build_random_channel, random_pure_states
+from .channel import RandomUnitaryChannel, build_random_channel
 from .errors import InvalidParameter, NetInfeasible, ParseError, require_positive_int
 from .haar import RngStream, as_stream
 from .haar import sample_haar_unitaries  # noqa: F401 (the benchmark wraps it here)
 from .netcover import PureStateNet, build_delta_net
 from .workers import parallel_map, resolve_threads  # noqa: F401 (the benchmark reads it here)
 
-_TRIAL_CHUNK = 2000
-_DRAW_ENTRIES = 1 << 24  # complex state entries drawn at once, 256 MB; one trial must fit
+_DRAW_ENTRIES = 1 << 24  # uniforms drawn at once, 128 MB; one trial must fit
 DEFAULT_CHANNELS_PER_CELL = 20  # channels drawn per sweep cell, for the library and the CLI alike
 
 CHANNEL_SCHEMA = "ruc-2"
@@ -56,28 +55,25 @@ def run_concentration_trial(d: int, n: int, delta: float, trials: int,
                             seed) -> ConcentrationReport:
     """Draw ``trials`` independent channels and count tail events at radius delta/d.
 
-    A tail event is |(1/N) sum_i |<psi|U_i|phi>|^2 - 1/d| >= delta/d at the
-    pair (phi, psi) = (e_1, e_1). For Haar U_i each U_i phi is a uniform pure
-    state, so the statistic has the same law at every unit pair, and (e_1, e_1)
-    stands for all of them. Only the states U_i e_1 enter, so a chunk of k
-    trials draws k * N uniform pure states in one batch instead of k * N
-    unitaries and reads their first amplitudes: the same law, without the QR.
-    A chunk holds at most 2000 trials and at most 2^24 state entries; a count
-    whose single trial needs more is refused (InvalidParameter).
+    A tail event is |(1/N) sum_i X_i - 1/d| >= delta/d, where X_i =
+    |<e_1|U_i|e_1>|^2 is the pair statistic's term at (e_1, e_1). For Haar U_i
+    the statistic has the same law at every unit pair, so (e_1, e_1) stands
+    for all of them. Each X_i has the law Beta(1, d - 1), with P(X > x) =
+    (1 - x)^(d - 1), and is drawn by inversion from one uniform V as
+    X = -expm1(log1p(-V) / (d - 1)); at d = 1, X = 1. A chunk of trials draws
+    at most 2^24 uniforms at once; a count N above that is refused
+    (InvalidParameter).
     """
     d, n = require_positive_int(d, "dimension"), require_positive_int(n, "count")
     trials = require_positive_int(trials, "trials")
     if not 0.0 < delta < 1.0:
         raise InvalidParameter(f"delta must lie in (0, 1), got {delta}")
-    if n * d > _DRAW_ENTRIES:
-        raise InvalidParameter(
-            f"one trial draws N*d = {n * d} state entries, beyond the desk-scale ceiling "
-            f"{_DRAW_ENTRIES}"
-        )
+    if n > _DRAW_ENTRIES:
+        raise InvalidParameter(f"count N = {n} exceeds the desk-scale ceiling {_DRAW_ENTRIES}")
     stream = as_stream(seed)
     gen = stream.generator()
 
-    per_chunk = min(_TRIAL_CHUNK, _DRAW_ENTRIES // (n * d))
+    per_chunk = _DRAW_ENTRIES // n
     inv_d = 1.0 / d
     threshold = delta / d
     exceed = 0
@@ -85,8 +81,14 @@ def run_concentration_trial(d: int, n: int, delta: float, trials: int,
     remaining = trials
     while remaining > 0:
         k = min(per_chunk, remaining)
-        amps = random_pure_states(d, k * n, gen)[:, 0]
-        stats = np.mean(np.abs(amps.reshape(k, n)) ** 2, axis=1)
+        terms = gen.random(k * n)
+        if d > 1:  # in place, so a chunk holds one array of uniforms
+            np.log1p(np.negative(terms, out=terms), out=terms)
+            terms /= d - 1
+            np.negative(np.expm1(terms, out=terms), out=terms)
+        else:
+            terms.fill(1.0)
+        stats = np.mean(terms.reshape(k, n), axis=1)
         exceed += int(np.sum(np.abs(stats - inv_d) >= threshold))
         total += float(np.sum(stats))
         remaining -= k

@@ -392,6 +392,8 @@ def test_verdict_parameter_validation():
     coarse = small_net(2, 0.6, seed=33, size=4)
     with pytest.raises(InvalidParameter):
         verdict(ch, 0.5, coarse, rng=RngStream(34))
+    with pytest.raises(DimensionMismatch, match="net dimension 3 != channel dimension 2"):
+        verdict(ch, 0.5, small_net(3, 0.125, seed=35, size=4), rng=RngStream(36))
 
 
 def test_separation_helper_used_by_small_net():

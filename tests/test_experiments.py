@@ -18,10 +18,8 @@ from randomizer import (
     build_random_channel,
     build_weyl_channel,
     certificate_to_dict,
-    channel_from_unitaries,
     load_channel,
     load_net,
-    pair_statistic,
     random_pure_states,
     run_concentration_trial,
     run_randomizing_sweep,
@@ -37,20 +35,36 @@ import randomizer.experiments as experiments
 from randomizer.experiments import parallel_map, resolve_threads
 
 
-def e_k(d, k=0):
-    v = np.zeros(d, dtype=complex)
-    v[k] = 1.0
-    return v
-
-
 # ---------------------------------------------------------------------------
 # concentration harness
 # ---------------------------------------------------------------------------
 
+def exact_law_terms(d, uniforms):
+    """X = -expm1(log1p(-V) / (d - 1)), the Beta(1, d - 1) inversion; X = 1 at d = 1."""
+    if d == 1:
+        return np.ones_like(uniforms)
+    return -np.expm1(np.log1p(-uniforms) / (d - 1))
+
+
+def oracle_stats(d, n, trials, seed):
+    """Per-trial statistics from the same uniforms the harness draws from ``seed``."""
+    uniforms = RngStream(seed).generator().random(trials * n)
+    return np.mean(exact_law_terms(d, uniforms).reshape(trials, n), axis=1)
+
+
+def ks_two_sample(a, b):
+    """Largest gap between the empirical CDFs of ``a`` and ``b``."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.concatenate([a, b])
+    return float(np.max(np.abs(np.searchsorted(a, grid, side="right") / a.size
+                               - np.searchsorted(b, grid, side="right") / b.size)))
+
+
 def test_concentration_dim_one_never_exceeds():
-    rep = run_concentration_trial(1, 3, 0.5, 200, RngStream(1))
+    with np.errstate(all="raise"):
+        rep = run_concentration_trial(1, 3, 0.5, 200, RngStream(1))
     assert rep.empirical_tail == 0.0
-    assert rep.stat_mean == pytest.approx(1.0, abs=1e-12)
+    assert rep.stat_mean == 1.0
 
 
 def test_concentration_vacuous_flag():
@@ -59,22 +73,27 @@ def test_concentration_vacuous_flag():
     assert rep.vacuous
 
 
+@pytest.mark.parametrize("d", [2, 4, 16])
+def test_exact_law_matches_first_amplitudes(d):
+    # |<e_1|U e_1>|^2 for Haar U is |x_0|^2 of a uniform pure state; 0.0073 is the
+    # two-sample KS critical value at 1% for 10^5 draws per sample
+    law = exact_law_terms(d, RngStream(40, d).generator().random(100_000))
+    amps = np.abs(random_pure_states(d, 100_000, RngStream(41, d))[:, 0]) ** 2
+    assert ks_two_sample(law, amps) < 0.0073
+
+
+def test_concentration_mean_is_one_over_d():
+    # E X = 1/4 for Beta(1, 3), with variance 3/80 per term
+    d, n, trials = 4, 10, 10_000
+    rep = run_concentration_trial(d, n, 0.3, trials, RngStream(42))
+    sigma = np.sqrt(3 / 80 / (n * trials))
+    assert abs(rep.stat_mean - 1 / d) <= 4 * sigma
+
+
 def test_concentration_matches_per_channel_statistic():
     d, n, trials = 3, 4, 50
     rep = run_concentration_trial(d, n, 0.3, trials, RngStream(3))
-    # same stream, same batched draw: one chunk covers all trials, and only the
-    # states U_i e_0 enter, so any unitary with a drawn state as its first column will do
-    states = random_pure_states(d, trials * n, RngStream(3)).reshape(trials, n, d)
-    stats = []
-    for k in range(trials):
-        us = []
-        for v in states[k]:
-            q, _ = np.linalg.qr(np.column_stack([v, np.eye(d, dtype=complex)[:, 1:]]))
-            assert abs(abs(np.vdot(q[:, 0], v)) - 1.0) <= 1e-12  # q[:, 0] is v up to a phase
-            us.append(q)
-        ch = channel_from_unitaries(np.stack(us))
-        stats.append(pair_statistic(ch, e_k(d), e_k(d)))
-    stats = np.asarray(stats)
+    stats = oracle_stats(d, n, trials, 3)
     assert rep.stat_mean == pytest.approx(float(np.mean(stats)), abs=1e-12)
     expected_tail = float(np.mean(np.abs(stats - 1 / d) >= 0.3 / d))
     assert rep.empirical_tail == pytest.approx(expected_tail, abs=1e-12)
@@ -119,8 +138,7 @@ def test_whole_counts_of_any_integer_type_run():
 
 def test_concentration_divides_by_the_trials_it_ran():
     report = run_concentration_trial(2, 8, 0.4, 3, RngStream(12))
-    stats = np.mean(np.abs(random_pure_states(2, 3 * 8, RngStream(12)) @ e_k(2)).reshape(3, 8)
-                    ** 2, axis=1)
+    stats = oracle_stats(2, 8, 3, 12)
     assert report.trials == 3 and type(report.trials) is int
     assert report.stat_mean == pytest.approx(np.mean(stats), abs=1e-15)
     assert report.empirical_tail == np.mean(np.abs(stats - 0.5) >= 0.2)
@@ -128,13 +146,16 @@ def test_concentration_divides_by_the_trials_it_ran():
 
 def test_concentration_chunks_by_drawn_states(monkeypatch):
     whole = run_concentration_trial(2, 8, 0.4, 50, RngStream(13))
-    # chunks of 6 trials (96 state entries): draws are prefix-stable, so the counts agree
+    # chunks of 12 trials (96 uniforms): draws are prefix-stable, so the counts agree
     monkeypatch.setattr(experiments, "_DRAW_ENTRIES", 100)
     chunked = run_concentration_trial(2, 8, 0.4, 50, RngStream(13))
     assert chunked.empirical_tail == whole.empirical_tail
     assert chunked.stat_mean == pytest.approx(whole.stat_mean, abs=1e-15)
-    with pytest.raises(InvalidParameter, match="ceiling"):
-        run_concentration_trial(2, 51, 0.4, 1, RngStream(13))
+    # the ceiling bounds N alone, at every d
+    for d in (1, 2, 16):
+        with pytest.raises(InvalidParameter, match="ceiling"):
+            run_concentration_trial(d, 101, 0.4, 1, RngStream(13))
+    run_concentration_trial(16, 100, 0.4, 1, RngStream(13))
 
 
 def test_concentration_validation():
