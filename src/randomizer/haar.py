@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, NumericalFailure, require_positive_int
+from .errors import (InvalidParameter, NumericalFailure, require_nonnegative_int,
+                     require_positive_int)
 from .linalg import qr_positive_stacked
 from .workers import map_tiles
 
@@ -59,14 +60,24 @@ class RngStream:
 
     Identical (seed, stream_id) always reproduces the same sample sequence
     within one build. Streams are backed by the counter-based Philox
-    generator, so derived streams are statistically independent.
+    generator, so derived streams are statistically independent. Both
+    numbers key Philox as they are, so no two recorded (seed, stream_id)
+    draw the same stream: each must be an int (else TypeError; a bool is
+    refused) in [0, 2^64) (else InvalidParameter).
     """
 
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        for name, value in (("seed", self.seed), ("stream id", self.stream_id)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+            if not 0 <= value <= _MASK64:
+                raise InvalidParameter(f"{name} must lie in [0, 2^64), got {value}")
+
     def generator(self) -> np.random.Generator:
-        key = np.array([self.seed & _MASK64, self.stream_id & _MASK64], dtype=np.uint64)
+        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
     def child(self, *indices: int) -> "RngStream":
@@ -78,10 +89,13 @@ class RngStream:
 
 
 def as_stream(rng) -> RngStream:
-    """Accept an RngStream or an int seed; anything else (a Generator, a float) raises TypeError."""
+    """Accept an RngStream or an int seed; anything else raises TypeError.
+
+    A Generator, a float and a bool are refused: 2.7 is not seed 2, nor True seed 1.
+    """
     if isinstance(rng, RngStream):
         return rng
-    if isinstance(rng, (int, np.integer)):
+    if isinstance(rng, (int, np.integer)) and not isinstance(rng, bool):
         return RngStream(int(rng))
     raise TypeError(f"expected RngStream or int seed, got {type(rng).__name__}")
 
@@ -123,10 +137,10 @@ def sample_haar_unitaries(d: int, count: int, rng, first: int = 0) -> np.ndarray
     """
     d, count = require_positive_int(d, "dimension"), require_positive_int(count, "count")
     per_tile = tile_rows(d)
-    if (isinstance(first, bool) or not isinstance(first, (int, np.integer))
-            or first < 0 or first % per_tile):
-        raise InvalidParameter(f"first row must be a non-negative multiple of the "
-                               f"{per_tile} unitaries in a tile, got {first!r}")
+    first = require_nonnegative_int(first, "first row")
+    if first % per_tile:
+        raise InvalidParameter(f"first row must be a multiple of the {per_tile} unitaries "
+                               f"in a tile, got {first}")
     rng = as_stream(rng)
     q = np.empty((count, d, d), dtype=complex)
 

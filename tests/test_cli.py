@@ -191,6 +191,16 @@ def test_sample_channel_byte_identical(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64), str((1 << 64) + 5)])
+def test_seed_outside_64_bits_exits_two(tmp_path, capsys, seed):
+    # such a seed would draw the net of another seed while recording its own
+    out = tmp_path / "net.json"
+    assert run(["net", "--dim", "2", "--delta", "1.0", "--seed", seed, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "[0, 2^64)" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_generated_seed_is_echoed(tmp_path, capsys):
     out = tmp_path / "ch.json"
     assert run(["sample-channel", "--dim", "2", "--count", "2", "--out", str(out)]) == 0

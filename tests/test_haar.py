@@ -96,6 +96,28 @@ def test_seeds_are_streams_or_ints():
                           sample_haar_unitaries(3, 3, RngStream(36)))
 
 
+def test_seeds_alias_no_other_seed():
+    # Philox is keyed with the seed as it is, so a seed outside [0, 2^64) or a bool would draw
+    # the stream of another seed (-1 that of 2^64 - 1, 2^64 + 5 that of 5, True that of 1)
+    # while its own value is recorded
+    for seed in (-1, 1 << 64, (1 << 64) + 5):
+        with pytest.raises(InvalidParameter):
+            build_random_channel(2, 50, seed)
+        with pytest.raises(InvalidParameter):
+            RngStream(seed)
+        with pytest.raises(InvalidParameter):
+            RngStream(0, seed)
+    for bad in (True, False):
+        with pytest.raises(TypeError):
+            build_random_channel(2, 50, bad)
+        with pytest.raises(TypeError):
+            RngStream(bad)
+    with pytest.raises(TypeError):
+        RngStream(2.0)  # not truncated to seed 2 either
+    top = build_random_channel(2, 50, RngStream((1 << 64) - 1, (1 << 64) - 1)).gram
+    assert not np.array_equal(top, build_random_channel(2, 50, 0).gram)
+
+
 def test_haar_dim_one_is_phase():
     u = sample_haar_unitaries(1, 1, RngStream(3))[0]
     assert u.shape == (1, 1)

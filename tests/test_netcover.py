@@ -27,7 +27,6 @@ from randomizer.netcover import (
     _BLOCK_ENTRIES,
     _CANDIDATE_BATCH,
     _bloch_features,
-    _max_overlap,
     _nearest_overlap,
     _overlap_threshold,
     _sorted_by_key,
@@ -313,6 +312,24 @@ def test_builder_matches_sequential_reference(d, delta, seed, max_states):
         assert 0 < stop["position"] < _CANDIDATE_BATCH - 1  # inside the batch, not at an edge
 
 
+@pytest.mark.parametrize("d, delta, seed, max_states", list(BUILDER_CASES))
+def test_builder_screens_small_chunks_like_the_reference(d, delta, seed, max_states, monkeypatch):
+    # chunks of 1 and 7 survivors decide each block in many chunks, each screened in F_0
+    # windows against the states accepted earlier in its block; the reference keeps its
+    # own batches of 512 candidates
+    states, prov, _ = _reference_build(d, delta, RngStream(seed), max_states=max_states)
+    for batch in (1, 7):
+        monkeypatch.setattr(netcover, "_CANDIDATE_BATCH", batch)
+        net = build_delta_net(d, delta, RngStream(seed), max_states=max_states)
+        assert np.array_equal(net.states, states), batch
+        assert {key: net.provenance[key] for key in prov} == prov, batch
+
+
+def full_scan(feats, net_feats):
+    """Oracle: each row's largest squared overlap with the net, from one untiled product."""
+    return np.max(feats @ net_feats.T, axis=1)
+
+
 def _reference_audit(net, trials, rng, chunk=4096):
     gen = rng.generator()
     gaps = []
@@ -433,7 +450,7 @@ def test_window_max_equals_full_scan_within_reach(d, net_size, radius):
     feats = _bloch_features(random_pure_states(d, 20_000, gen))
     net_sorted = _sorted_by_key(net_feats)
     assert np.all(np.diff(net_sorted[:, 0]) >= 0.0)
-    full = _max_overlap(feats, net_feats)
+    full = full_scan(feats, net_feats)
     window = _window_max(feats, net_sorted, _window_reach(radius * radius))
     # the window is part of the net, and holds the nearest state of every row within reach
     assert np.all(window <= full + 1e-15)
@@ -447,12 +464,13 @@ def test_audit_overlap_equals_full_scan_on_every_row(d, net_size, delta, monkeyp
     gen = RngStream(50 + d).generator()
     net_feats = _bloch_features(random_pure_states(d, net_size, gen))
     feats = _bloch_features(random_pure_states(d, 20_000, gen))
-    full = _max_overlap(feats, net_feats)
-    # every tier has rows: beyond delta (rescanned in full, so they count as failures as they
-    # would), between delta/2 and delta, and within delta/2
+    full = full_scan(feats, net_feats)
+    # rows lie beyond delta (failures), between delta/2 and delta, and within delta/2; only the
+    # last are final in their window of reach delta/4, the others are rescanned in one that
+    # holds the whole net
     tiers = np.digitize(full, [1.0 - delta * delta / 4.0, 1.0 - delta * delta / 16.0])
     assert np.all(np.bincount(tiers, minlength=3) > 0)
-    # groups of one row scan each row's own window alone, so each tier's reach is tested too
+    # groups of one row scan each row's own window alone, so the delta/4 reach is tested too
     for group in (1, netcover._WINDOW_ROWS):
         monkeypatch.setattr(netcover, "_WINDOW_ROWS", group)
         best = _nearest_overlap(feats, _sorted_by_key(net_feats), delta)
