@@ -17,6 +17,7 @@ from .certify import (
     certified_upper_bound_A,
     default_net_delta,
     net_supremum_B,
+    spectral_upper_bound_A,
     verdict,
 )
 from .channel import (

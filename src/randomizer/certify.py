@@ -1,16 +1,14 @@
 """Two-sided certification of the randomizing property.
 
-The certified side discretizes: the supremum B of |pair statistic - 1/d| over
-a finite net of covering radius delta lifts to a bound on the full supremum A,
-
-    A <= (B + 2 delta / d) / (1 - 2 delta),
-
-valid whenever the net really covers at radius delta and delta < 1/2. The
-witnessed side runs an alternating eigenvector ascent on the bilinear
-objective and returns an explicit state pair, so it is a true lower bound
-unconditionally. All restarts of the ascent advance together, one stacked
-iteration for every restart still running, and each ends exactly where it
-would alone. A verdict compares both sides against epsilon / d.
+The certified side is the net-free ``spectral_upper_bound_A``. A net's
+supremum B is reported but decides nothing: the paper's lift
+(B + 2 delta/d)/(1 - 2 delta) never beats the spectral bound at d = 2, where
+that is A, and at d >= 3 it exceeds 1/d at every radius the feasibility guard
+admits without a size budget. The witnessed side runs an alternating
+eigenvector ascent and returns an explicit state pair, so it is a true lower
+bound unconditionally. All restarts advance together, one stacked iteration
+for every restart still running, and each ends exactly where it would alone.
+A verdict compares both sides against epsilon / d.
 """
 
 from __future__ import annotations
@@ -32,6 +30,7 @@ _SCAN_BUDGET = 1_000_000  # entries of the (chunk, net size) statistic block per
 _TIE_TOL = 1e-12  # extreme eigenvalues this close in magnitude count as a tie
 _PHASE_FLOOR = 1e-8  # witness entries below this magnitude never fix its global phase
 _ASCENT_TOL = 1e-10  # a restart stops once a full step gains less than this
+_EPS = float(np.finfo(float).eps)
 DEFAULT_RESTARTS = 32  # ascent restarts, for the library and the CLI alike
 DEFAULT_MAX_ITERS = 500  # iteration cap of each restart
 
@@ -66,6 +65,24 @@ def certified_upper_bound_A(b_value: float, delta: float, d: int) -> float:
     if b_value < 0.0:
         raise InvalidParameter(f"net supremum must be nonnegative, got {b_value}")
     return (b_value + 2.0 * delta / d) / (1.0 - 2.0 * delta)
+
+
+def spectral_upper_bound_A(ch: RandomUnitaryChannel) -> float:
+    """Net-free bound A <= (1 - 1/d) sigma_max(D), D = S - |I>><<I|/d, plus a rounding margin.
+
+    D vec(P) = vec(R(P) - I/d) for unit-trace P; a unital, trace-preserving R
+    leaves only the traceless parts Y of the pair, ||Y||_2 = sqrt(1 - 1/d).
+    At d = 2 the bound equals A. The margin makes it bound the computed B and
+    A_lower too: (2/d)(||D|I>>|| + ||<<I|D||) covers partial traces of C off
+    the identity within TOL.unitarity, 8 eps d^2 sigma_max the SVD, and
+    8 eps d^3 the roundoff of x†Cx, as |x|^T |C| |x| <= tr C = d.
+    """
+    d = ch.dim
+    ident = np.eye(d).reshape(-1)
+    dev = ch.superoperator - np.outer(ident, ident) / d
+    sigma = float(np.linalg.svd(dev, compute_uv=False)[0])
+    leak = np.linalg.norm(dev @ ident) + np.linalg.norm(ident @ dev)
+    return (1.0 - 1.0 / d) * sigma + 8.0 * _EPS * d * d * (d + sigma) + 2.0 * float(leak) / d
 
 
 class NetSupremum(NamedTuple):
@@ -227,52 +244,50 @@ def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = DEFAUL
 class DeviationCertificate:
     """Outcome of a two-sided certification run.
 
-    A_upper is trustworthy exactly when the net used for B truly covers at
-    its claimed radius; A_lower always comes with explicit witnesses. For a
-    covering net A_lower <= A_upper holds up to roundoff, and a violation is
-    evidence that the net undercovers.
+    A_upper holds unconditionally and A_lower comes with explicit witnesses;
+    delta, B and net_size describe the scanned net, None without one. The
+    margin of A_upper covers the roundoff of B and A_lower, so a certificate
+    with either above A_upper is refused.
     """
 
-    delta: float
-    B: float
+    delta: float | None
+    B: float | None
     A_upper: float
     A_lower: float
     epsilon: float
     verdict: Verdict
     witness_phi: np.ndarray
     witness_psi: np.ndarray
-    net_size: int
+    net_size: int | None
     timings: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.B > self.A_upper + 1e-12:
-            raise InvalidParameter(
-                f"inconsistent certificate: B={self.B} exceeds A_upper={self.A_upper}"
-            )
+        for name, value in (("B", self.B), ("A_lower", self.A_lower)):
+            if value is not None and value > self.A_upper:
+                raise InvalidParameter(
+                    f"inconsistent certificate: {name}={value} exceeds A_upper={self.A_upper}"
+                )
 
 
-def verdict(ch: RandomUnitaryChannel, epsilon: float, net: PureStateNet,
+def verdict(ch: RandomUnitaryChannel, epsilon: float, net: PureStateNet | None = None,
             restarts: int = DEFAULT_RESTARTS, max_iters: int = DEFAULT_MAX_ITERS,
             rng=None) -> DeviationCertificate:
     """Certify or refute the epsilon-randomizing property of a channel.
 
-    CertifiedNotRandomizing when the witnessed lower bound already exceeds
-    epsilon / d (this wins whenever both sides would fire, because witnesses
-    are unconditional); CertifiedRandomizing when the lifted net bound stays
-    within epsilon / d; otherwise Undetermined.
+    CertifiedNotRandomizing when the witnessed lower bound exceeds epsilon / d,
+    CertifiedRandomizing when the spectral upper bound stays within it, else
+    Undetermined. A given net is scanned for its supremum B, reported only.
     """
     if not 0.0 < epsilon < 1.0:
         raise InvalidParameter(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not net.delta < 0.5:
-        raise InvalidParameter(f"net delta {net.delta} leaves the lift vacuous (needs < 1/2)")
 
     t0 = time.perf_counter()
-    supremum = net_supremum_B(ch, net)
+    supremum = net_supremum_B(ch, net) if net is not None else None
     t1 = time.perf_counter()
     lower = alternating_max_lower_bound(ch, restarts=restarts, max_iters=max_iters, rng=rng)
     t2 = time.perf_counter()
 
-    a_upper = certified_upper_bound_A(supremum.value, net.delta, ch.dim)
+    a_upper = spectral_upper_bound_A(ch)
     threshold = epsilon / ch.dim
     if lower.value > threshold:
         result = Verdict.CERTIFIED_NOT_RANDOMIZING
@@ -282,15 +297,15 @@ def verdict(ch: RandomUnitaryChannel, epsilon: float, net: PureStateNet,
         result = Verdict.UNDETERMINED
 
     return DeviationCertificate(
-        delta=net.delta,
-        B=supremum.value,
+        delta=net.delta if net is not None else None,
+        B=supremum.value if supremum is not None else None,
         A_upper=a_upper,
         A_lower=lower.value,
         epsilon=epsilon,
         verdict=result,
         witness_phi=lower.phi,
         witness_psi=lower.psi,
-        net_size=net.size,
+        net_size=net.size if net is not None else None,
         timings={
             "net_supremum_seconds": t1 - t0,
             "optimizer_seconds": t2 - t1,

@@ -73,15 +73,16 @@ def _cmd_sample_channel(args) -> int:
 def _cmd_verify(args) -> int:
     stream = _resolve_stream(args)
     ch = load_channel(args.channel)
-    net = load_net(args.net)
+    net = load_net(args.net) if args.net is not None else None
     cert = verdict(ch, args.epsilon, net, restarts=args.restarts, max_iters=args.max_iters,
                    rng=stream.child(1))
     if args.report is not None:
         save_certificate(args.report, cert)
     destination = f" -> {args.report}" if args.report is not None else ""
+    b_value = f"{cert.B:.6g}" if cert.B is not None else None
     print(
         f"verify: verdict={cert.verdict.value} epsilon={cert.epsilon} d={ch.dim} N={ch.count} "
-        f"delta={cert.delta} B={cert.B:.6g} A_upper={cert.A_upper:.6g} "
+        f"delta={cert.delta} B={b_value} A_upper={cert.A_upper:.6g} "
         f"A_lower={cert.A_lower:.6g} net_size={cert.net_size} seed={stream.seed}{destination}"
     )
     return 0
@@ -142,10 +143,9 @@ def _cmd_sweep(args) -> int:
     report = run_randomizing_sweep(grid, stream)
     if args.out is not None:
         write_sweep_csv(args.out, report)
-    skipped = sum(1 for c in report.cells if c.skipped)
     destination = f" -> {args.out}" if args.out is not None else ""
     print(
-        f"sweep: cells={len(report.cells)} skipped={skipped} "
+        f"sweep: cells={len(report.cells)} "
         f"channels_per_cell={grid.channels_per_cell} seed={stream.seed}{destination}"
     )
     return 0
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="certify or refute the epsilon-randomizing property")
     p.add_argument("--channel", required=True, help="channel JSON path")
     p.add_argument("--epsilon", type=float, required=True, help="target epsilon in (0, 1)")
-    p.add_argument("--net", required=True, help="net JSON path, as written by `net`")
+    p.add_argument("--net", default=None, help="optional net JSON path; its supremum B is reported")
     p.add_argument("--restarts", type=int, default=DEFAULT_RESTARTS, help="optimizer restarts")
     p.add_argument("--max-iters", dest="max_iters", type=int, default=DEFAULT_MAX_ITERS,
                    help="optimizer iteration cap")
@@ -227,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="verdict fractions over a (d, epsilon, N) grid")
     p.add_argument("--dims", type=_int_list, default=[2], help="comma-separated dimensions")
     p.add_argument("--epsilons", type=_float_list, default=[0.5],
-                   help="comma-separated epsilon values; nets cover at epsilon/(3+2 epsilon)")
+                   help="comma-separated epsilon values in (0, 1)")
     p.add_argument("--counts", type=_int_list, default=[64], help="comma-separated N values")
     p.add_argument("--channels", type=int, default=DEFAULT_CHANNELS_PER_CELL,
                    help="channels per cell")

@@ -4,20 +4,18 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
 from .bounds import concentration_tail_bound
-from .certify import (DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, DeviationCertificate, Verdict,
-                      default_net_delta, verdict)
+from .certify import DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, DeviationCertificate, Verdict, verdict
 from .channel import RandomUnitaryChannel, build_random_channel
-from .errors import InvalidParameter, NetInfeasible, ParseError, require_positive_int
+from .errors import InvalidParameter, ParseError, require_positive_int
 from .haar import RngStream, as_stream
 from .haar import sample_haar_unitaries  # noqa: F401 (the benchmark wraps it here)
-from .netcover import PureStateNet, build_delta_net
+from .netcover import PureStateNet, build_delta_net  # noqa: F401 (the benchmark wraps it)
 from .workers import parallel_map, resolve_threads  # noqa: F401 (the benchmark reads it here)
 
 _DRAW_ENTRIES = 1 << 24  # uniforms drawn at once, 128 MB; one trial must fit
@@ -107,10 +105,7 @@ def run_concentration_trial(d: int, n: int, delta: float, trials: int,
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid of (d, epsilon, N) cells plus optimizer parameters.
-
-    Each cell's net covers at radius default_net_delta(epsilon) = epsilon/(3 + 2 epsilon).
-    """
+    """Grid of (d, epsilon, N) cells plus optimizer parameters; cells build no net."""
 
     dims: tuple[int, ...]
     epsilons: tuple[float, ...]
@@ -134,8 +129,6 @@ class SweepCell:
     frac_undetermined: float
     mean_A_upper: float
     mean_A_lower: float
-    skipped: bool = False
-    reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -150,18 +143,12 @@ def _run_sweep_cell(config: SweepConfig, stream: RngStream, index: int,
                     cell: tuple[int, float, int]) -> SweepCell:
     d, epsilon, n = cell
     cell_stream = stream.child(index)
-    try:
-        net = build_delta_net(d, default_net_delta(epsilon), cell_stream.child(0))
-    except NetInfeasible as exc:
-        return SweepCell(d, epsilon, n, 0, 0.0, 0.0, 0.0, math.nan, math.nan,
-                         skipped=True, reason=str(exc))
-
     tallies = {v: 0 for v in Verdict}
     uppers = []
     lowers = []
     for t in range(config.channels_per_cell):
         ch = build_random_channel(d, n, cell_stream.child(1, t))
-        cert = verdict(ch, epsilon, net, restarts=config.restarts, max_iters=config.max_iters,
+        cert = verdict(ch, epsilon, restarts=config.restarts, max_iters=config.max_iters,
                        rng=cell_stream.child(2, t))
         tallies[cert.verdict] += 1
         uppers.append(cert.A_upper)
@@ -182,7 +169,8 @@ def run_randomizing_sweep(config: SweepConfig, seed) -> SweepReport:
     """Run verdicts over the grid; deterministic per seed, cells independent.
 
     Cells are the parallel work items; each derives its own substreams for the
-    net, the channels and the optimizer, so thread count never changes results.
+    channels (``child(1, t)``) and the optimizer (``child(2, t)``), so thread
+    count never changes results.
     """
     require_positive_int(config.channels_per_cell, "channels_per_cell")
     stream = as_stream(seed)
@@ -340,11 +328,7 @@ def write_sweep_csv(path: str, report: SweepReport) -> None:
         writer = csv.writer(handle)
         writer.writerow(SWEEP_CSV_COLUMNS)
         for cell in report.cells:
-            if cell.skipped:
-                writer.writerow([cell.dim, repr(cell.epsilon), cell.count, 0,
-                                 "", "", "", "", "", report.seed])
-            else:
-                writer.writerow([cell.dim, repr(cell.epsilon), cell.count, cell.channels,
-                                 repr(cell.frac_certified), repr(cell.frac_not),
-                                 repr(cell.frac_undetermined), repr(cell.mean_A_upper),
-                                 repr(cell.mean_A_lower), report.seed])
+            writer.writerow([cell.dim, repr(cell.epsilon), cell.count, cell.channels,
+                             repr(cell.frac_certified), repr(cell.frac_not),
+                             repr(cell.frac_undetermined), repr(cell.mean_A_upper),
+                             repr(cell.mean_A_lower), report.seed])

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import randomizer.certify
 from conftest import stream
 from randomizer import (
+    DeviationCertificate,
     DimensionMismatch,
     InvalidParameter,
     PureStateNet,
@@ -20,6 +23,7 @@ from randomizer import (
     pair_statistic,
     random_pure_states,
     sample_haar_unitaries,
+    spectral_upper_bound_A,
     verdict,
 )
 from randomizer.certify import _ASCENT_TOL, _TIE_TOL, _ascend, _canonical_phase
@@ -340,9 +344,36 @@ def test_verdict_weyl_certified():
     net = build_delta_net(2, default_net_delta(0.5), RngStream(19), max_states=400)
     cert = verdict(build_weyl_channel(2), 0.5, net, rng=RngStream(20))
     assert cert.verdict is Verdict.CERTIFIED_RANDOMIZING
-    assert cert.A_upper == pytest.approx(1.0 / 6.0, abs=1e-6)
+    assert cert.A_upper <= 1e-12  # the spectral bound, not the lift's 1/6
     assert cert.epsilon == 0.5
-    assert cert.delta == 0.125
+    assert cert.delta == 0.125 and cert.net_size == net.size and cert.B <= cert.A_upper
+    bare = verdict(build_weyl_channel(2), 0.5, rng=RngStream(20))
+    assert bare.verdict is Verdict.CERTIFIED_RANDOMIZING
+    assert bare.delta is None and bare.B is None and bare.net_size is None
+    assert (bare.A_upper, bare.A_lower) == (cert.A_upper, cert.A_lower)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_spectral_bound_on_weyl_is_its_margin(d):
+    # S - |I>><<I|/d vanishes for the exact randomizer, so only the rounding margin is left
+    margin = 8.0 * np.finfo(float).eps * d ** 3
+    assert margin <= spectral_upper_bound_A(build_weyl_channel(d)) <= 2.0 * margin
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 5), n=st.integers(1, 60), seed=st.integers(0, 2**32))
+def test_witness_never_exceeds_spectral_bound(d, n, seed):
+    ch = build_random_channel(d, n, RngStream(seed))
+    lower = alternating_max_lower_bound(ch, restarts=4, rng=stream(seed, 1))
+    assert lower.value <= spectral_upper_bound_A(ch)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 2000])
+def test_spectral_bound_is_exact_at_d2(n):
+    for trial in range(3):
+        ch = build_random_channel(2, n, stream(37, n, trial))
+        lower = alternating_max_lower_bound(ch, rng=stream(38, n, trial))
+        assert 0.0 <= spectral_upper_bound_A(ch) - lower.value <= 1e-9
 
 
 def test_verdict_single_unitary_not_randomizing():
@@ -362,7 +393,7 @@ def test_verdict_dim_one_certified():
 
 def test_verdict_witness_beats_undercovering_net():
     # shift channel with a single net state whose statistic sits exactly at 1/d:
-    # the lifted bound alone would certify, but the witness proves otherwise
+    # the lift of B alone would certify, but neither side of the verdict reads the lift
     shift = np.array([[0, 1], [1, 0]], dtype=complex)
     ch = channel_from_unitaries(shift[None, :, :])
     t = np.pi / 8.0
@@ -370,18 +401,40 @@ def test_verdict_witness_beats_undercovering_net():
     net = PureStateNet(2, default_net_delta(0.5), x[None, :])
     cert = verdict(ch, 0.5, net, rng=RngStream(26))
     assert cert.B <= 1e-12
-    assert cert.A_upper < 0.5 / 2
+    assert certified_upper_bound_A(cert.B, net.delta, 2) < 0.5 / 2
+    assert cert.A_upper == pytest.approx(0.5, abs=1e-9)
     assert cert.A_lower == pytest.approx(0.5, abs=1e-9)
     assert cert.verdict is Verdict.CERTIFIED_NOT_RANDOMIZING
 
 
-def test_verdict_undetermined_band():
-    # loose net on a moderate channel: upper bound too big, witness too small
-    ch = build_random_channel(2, 64, RngStream(27))
-    net = small_net(2, 0.4, seed=28, size=6)
-    cert = verdict(ch, 0.5, net, rng=RngStream(29))
-    assert cert.A_lower <= 0.25 < cert.A_upper
+def test_budget_net_never_certifies_d16():
+    # the lift of this 4-state budget net's B reads d A_upper = 0.67 < 0.9, although the net
+    # cannot cover; the spectral bound reads 0.915 and the witness 0.413
+    ch = build_random_channel(16, 1024, RngStream(1))
+    net = build_delta_net(16, default_net_delta(0.9), RngStream(101), max_states=4)
+    assert net.provenance["stopped_by"] == "budget"
+    cert = verdict(ch, 0.9, net)
+    assert certified_upper_bound_A(cert.B, net.delta, 16) <= 0.9 / 16
+    assert cert.A_lower <= 0.9 / 16 < cert.A_upper
     assert cert.verdict is Verdict.UNDETERMINED
+
+
+def test_verdict_undetermined_band():
+    # at d = 2 the spectral bound is A itself, so the band opens from d = 3 on:
+    # here d A_lower = 0.373 and d A_upper = 0.426
+    ch = build_random_channel(3, 64, RngStream(27))
+    cert = verdict(ch, 0.4, rng=RngStream(29))
+    assert cert.A_lower <= 0.4 / 3 < cert.A_upper
+    assert cert.verdict is Verdict.UNDETERMINED
+
+
+def test_certificate_refuses_bounds_above_upper():
+    cert = verdict(build_random_channel(2, 8, RngStream(39)), 0.5, rng=RngStream(40))
+    fields = {name: getattr(cert, name) for name in DeviationCertificate.__dataclass_fields__}
+    DeviationCertificate(**fields)
+    for name, value in (("A_lower", cert.A_upper * 1.001), ("B", cert.A_upper * 1.001)):
+        with pytest.raises(InvalidParameter, match=f"{name}=.* exceeds A_upper"):
+            DeviationCertificate(**{**fields, name: value})
 
 
 def test_verdict_parameter_validation():
@@ -389,9 +442,9 @@ def test_verdict_parameter_validation():
     net = small_net(2, 0.125, seed=31, size=4)
     with pytest.raises(InvalidParameter):
         verdict(ch, 1.0, net, rng=RngStream(32))
+    # no lift, so a net of any radius only reports its B
     coarse = small_net(2, 0.6, seed=33, size=4)
-    with pytest.raises(InvalidParameter):
-        verdict(ch, 0.5, coarse, rng=RngStream(34))
+    assert verdict(ch, 0.5, coarse, rng=RngStream(34)).delta == 0.6
     with pytest.raises(DimensionMismatch, match="net dimension 3 != channel dimension 2"):
         verdict(ch, 0.5, small_net(3, 0.125, seed=35, size=4), rng=RngStream(36))
 

@@ -53,9 +53,8 @@ def test_removed_flags_are_usage_errors(tmp_path, capsys):
                  sweep + ["--stop-k", "200"], sweep + ["--config", str(grid)],
                  ["bounds", "--dim", "2", "--epsilon", "0.5", "--constant-c", "0.3"],
                  ["bounds", "--dim", "2", "--epsilon", "0.5", "--constant-C", "300"],
-                 # verify reads its net from a file only, and a sweep cell's net radius is
-                 # epsilon/(3 + 2 epsilon)
-                 verify, verify + ["--delta", "0.1"], verify + ["--max-net-states", "3"],
+                 # verify reads its net, if any, from a file only, and a sweep cell builds no net
+                 verify + ["--delta", "0.1"], verify + ["--max-net-states", "3"],
                  with_net + ["--delta", "0.1"], with_net + ["--max-net-states", "3"],
                  with_net + ["--delta", "0.1", "--max-net-states", "3"],
                  sweep + ["--delta", "0.35"], sweep + ["--max-net-states", "200"]):
@@ -227,6 +226,20 @@ def test_verify_writes_certificate(tmp_path, capsys):
     assert payload["delta"] == 0.125  # the net file's radius
     assert payload["verdict"] in ("CertifiedRandomizing", "CertifiedNotRandomizing",
                                   "Undetermined")
+
+
+def test_verify_without_net(tmp_path, capsys):
+    ch_path = tmp_path / "ch.json"
+    cert_path = tmp_path / "cert.json"
+    assert run(["sample-channel", "--dim", "2", "--count", "64", "--seed", "3",
+                "--out", str(ch_path)]) == 0
+    assert run(["verify", "--channel", str(ch_path), "--epsilon", "0.5", "--seed", "4",
+                "--report", str(cert_path)]) == 0
+    summary = capsys.readouterr().out
+    assert " delta=None B=None " in summary and " net_size=None " in summary
+    payload = json.loads(cert_path.read_text())
+    assert payload["B"] is None and payload["delta"] is None
+    assert payload["A_lower"] <= payload["A_upper"]
 
 
 def test_verify_deterministic_module_timings(tmp_path):

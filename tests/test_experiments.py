@@ -32,6 +32,7 @@ from randomizer import (
     write_sweep_csv,
 )
 import randomizer.experiments as experiments
+import randomizer.netcover as netcover
 from randomizer.experiments import parallel_map, resolve_threads
 
 
@@ -183,23 +184,30 @@ def test_sweep_trivial_cells():
         assert cell.frac_certified + cell.frac_not + cell.frac_undetermined == pytest.approx(1.0)
 
 
-def test_sweep_skips_infeasible_cells():
-    config = SweepConfig(dims=(6,), epsilons=(0.5,), counts=(4,), channels_per_cell=2)
+def test_sweep_cell_at_d6_reports_verdicts(monkeypatch):
+    # a cell builds no net, so no dimension is out of reach for the feasibility guard
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep cell built a net")
+
+    monkeypatch.setattr(experiments, "build_delta_net", refuse)
+    monkeypatch.setattr(netcover, "build_delta_net", refuse)
+    config = SweepConfig(dims=(6,), epsilons=(0.5,), counts=(4, 400), channels_per_cell=2,
+                         restarts=4)
     report = run_randomizing_sweep(config, RngStream(7))
-    cell = report.cells[0]
-    assert cell.skipped
-    assert "ceiling" in cell.reason or "max_states" in cell.reason
+    for cell in report.cells:
+        assert cell.channels == 2
+        assert cell.frac_certified + cell.frac_not + cell.frac_undetermined == pytest.approx(1.0)
+        assert 0.0 <= cell.mean_A_lower <= cell.mean_A_upper
+    assert report.cells[0].frac_not == 1.0  # 4 unitaries on C^6 are far from randomizing
 
 
 def test_sweep_reproducible_and_thread_invariant(monkeypatch):
-    # at d=2 the default radius is guard-feasible from epsilon ~ 0.35 up
-    config = SweepConfig(dims=(2,), epsilons=(0.5, 0.9), counts=(4, 16),
+    config = SweepConfig(dims=(2, 3), epsilons=(0.5, 0.9), counts=(4, 16),
                          channels_per_cell=2, restarts=4)
     monkeypatch.setenv("RANDOMIZER_THREADS", "1")
     a = run_randomizing_sweep(config, RngStream(8))
     monkeypatch.setenv("RANDOMIZER_THREADS", "4")
     b = run_randomizing_sweep(config, RngStream(8))
-    assert not any(cell.skipped for cell in a.cells)
     assert a.cells == b.cells
 
 
@@ -416,5 +424,8 @@ def test_sweep_csv(tmp_path):
     assert rows[0] == ["d", "epsilon", "N", "channels", "frac_certified", "frac_not",
                        "frac_undetermined", "mean_A_upper", "mean_A_lower", "seed"]
     assert len(rows) == 3
-    skipped_row = [r for r in rows[1:] if r[0] == "6"][0]
-    assert skipped_row[3] == "0" and skipped_row[4] == ""
+    for row, cell in zip(rows[1:], report.cells):  # the d=6 row too: no cell is skipped
+        assert row[3] == "2"
+        assert [float(v) for v in row[4:9]] == [cell.frac_certified, cell.frac_not,
+                                                cell.frac_undetermined, cell.mean_A_upper,
+                                                cell.mean_A_lower]
