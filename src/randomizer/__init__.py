@@ -11,7 +11,6 @@ from .bounds import (
 from .certify import (
     DeviationCertificate,
     LowerBound,
-    NetSupremum,
     Verdict,
     alternating_max_lower_bound,
     certified_upper_bound_A,
@@ -27,7 +26,6 @@ from .channel import (
     build_random_channel,
     build_weyl_channel,
     channel_from_unitaries,
-    deviation,
     maximally_mixed,
     pair_statistic,
     pure_projector,
@@ -68,7 +66,6 @@ from .linalg import (
     TOL,
     Tolerances,
     hermitian_part,
-    operator_norm,
 )
 from .netcover import (
     CoverageReport,

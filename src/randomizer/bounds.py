@@ -11,16 +11,11 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidParameter, require_nonnegative_int, require_positive_int
+from .errors import (InvalidParameter, require_nonnegative_int, require_open_interval,
+                     require_positive_int)
 
 CONCENTRATION_EXPONENT = 1.0 / (6.0 * math.log(2.0))  # c, in natural-log units
 SAMPLE_SIZE_PREFACTOR = 150.0  # C
-
-
-def _require_epsilon(epsilon: float) -> float:
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameter(f"epsilon must lie in (0, 1), got {epsilon}")
-    return float(epsilon)
 
 
 def _finite(formula, what: str, d: int, epsilon: float) -> float:
@@ -41,7 +36,7 @@ def required_N(d: int, epsilon: float) -> int:
     a different base only rescales C.
     """
     d = require_positive_int(d, "dimension")
-    epsilon = _require_epsilon(epsilon)
+    epsilon = require_open_interval(epsilon, "epsilon")
     raw = _finite(lambda: SAMPLE_SIZE_PREFACTOR * d / (epsilon * epsilon) * math.log(1.0 / epsilon),
                   "required N", d, epsilon)
     return max(1, math.ceil(raw))
@@ -52,8 +47,7 @@ def concentration_tail_bound(delta: float, n: int) -> float:
 
     n = 0 is allowed for reporting and yields the vacuous value 2.
     """
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameter(f"delta must lie in (0, 1), got {delta}")
+    require_open_interval(delta, "delta")
     n = require_nonnegative_int(n, "n")
     return math.exp(math.log(2.0) - CONCENTRATION_EXPONENT * delta * delta * n)
 
@@ -65,7 +59,7 @@ def failure_log_bound(d: int, epsilon: float, n: int) -> float:
     n = 0 is allowed and always gives a positive (vacuous) value.
     """
     d = require_positive_int(d, "dimension")
-    epsilon = _require_epsilon(epsilon)
+    epsilon = require_open_interval(epsilon, "epsilon")
     n = require_nonnegative_int(n, "n")
     return (math.log(2.0) + 4.0 * d * math.log(25.0 / epsilon)
             - CONCENTRATION_EXPONENT * epsilon * epsilon * n / 25.0)
@@ -80,7 +74,7 @@ def min_N_for_success(d: int, epsilon: float) -> int:
     it, also past 2^53, where consecutive n share one float value.
     """
     d = require_positive_int(d, "dimension")
-    epsilon = _require_epsilon(epsilon)
+    epsilon = require_open_interval(epsilon, "epsilon")
     threshold = _finite(lambda: 25.0 * (math.log(2.0) + 4.0 * d * math.log(25.0 / epsilon))
                         / (CONCENTRATION_EXPONENT * epsilon * epsilon),
                         "the N of min_N_for_success", d, epsilon)

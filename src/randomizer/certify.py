@@ -22,7 +22,8 @@ import numpy as np
 
 from .channel import (RandomUnitaryChannel, apply_adjoint, apply_channel, maximally_mixed,
                       pair_statistic, pure_projector, random_pure_states)
-from .errors import DimensionMismatch, InvalidParameter, require_positive_int
+from .errors import (DimensionMismatch, InvalidParameter, require_open_interval,
+                     require_positive_int)
 from .haar import RngStream, as_stream
 from .netcover import PureStateNet
 
@@ -47,8 +48,7 @@ def default_net_delta(epsilon: float) -> float:
     With B = delta / d this delta turns the certified bound into exactly
     epsilon / d; it always satisfies delta >= epsilon / 5.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameter(f"epsilon must lie in (0, 1), got {epsilon}")
+    require_open_interval(epsilon, "epsilon")
     return epsilon / (3.0 + 2.0 * epsilon)
 
 
@@ -85,16 +85,16 @@ def spectral_upper_bound_A(ch: RandomUnitaryChannel) -> float:
     return (1.0 - 1.0 / d) * sigma + 8.0 * _EPS * d * d * (d + sigma) + 2.0 * float(leak) / d
 
 
-class NetSupremum(NamedTuple):
+class LowerBound(NamedTuple):
     value: float
     phi: np.ndarray
     psi: np.ndarray
-    phi_index: int
-    psi_index: int
 
 
-def net_supremum_B(ch: RandomUnitaryChannel, net: PureStateNet) -> NetSupremum:
-    """Exact maximum of |pair statistic - 1/d| over all ordered net pairs.
+def net_supremum_B(ch: RandomUnitaryChannel, net: PureStateNet) -> LowerBound:
+    """Exact maximum of |pair statistic - 1/d| over all ordered net pairs, with its pair.
+
+    B is attained at a pair of net states, so it is a witnessed lower bound on A.
 
     The statistic is not symmetric in (phi, psi), so all size^2 ordered pairs
     are scanned. With P the (size, d^2) matrix whose rows are vec|x><x|, the
@@ -130,13 +130,7 @@ def net_supremum_B(ch: RandomUnitaryChannel, net: PureStateNet) -> NetSupremum:
     # re-evaluate at the witness pair so the reported B is definitionally
     # |pair_statistic - 1/d| there, whatever the rounding of the sandwich
     value = abs(pair_statistic(ch, phi, psi) - inv_d)
-    return NetSupremum(value, phi, psi, best_i, best_j)
-
-
-class LowerBound(NamedTuple):
-    value: float
-    phi: np.ndarray
-    psi: np.ndarray
+    return LowerBound(value, phi, psi)
 
 
 def _extreme_eigvecs(h: np.ndarray):
@@ -278,16 +272,16 @@ def verdict(ch: RandomUnitaryChannel, epsilon: float, net: PureStateNet | None =
     CertifiedRandomizing when the spectral upper bound stays within it, else
     Undetermined. A given net is scanned for its supremum B, reported only.
     """
-    if not 0.0 < epsilon < 1.0:
-        raise InvalidParameter(f"epsilon must lie in (0, 1), got {epsilon}")
+    require_open_interval(epsilon, "epsilon")
 
     t0 = time.perf_counter()
     supremum = net_supremum_B(ch, net) if net is not None else None
     t1 = time.perf_counter()
     lower = alternating_max_lower_bound(ch, restarts=restarts, max_iters=max_iters, rng=rng)
     t2 = time.perf_counter()
-
     a_upper = spectral_upper_bound_A(ch)
+    t3 = time.perf_counter()
+
     threshold = epsilon / ch.dim
     if lower.value > threshold:
         result = Verdict.CERTIFIED_NOT_RANDOMIZING
@@ -309,5 +303,6 @@ def verdict(ch: RandomUnitaryChannel, epsilon: float, net: PureStateNet | None =
         timings={
             "net_supremum_seconds": t1 - t0,
             "optimizer_seconds": t2 - t1,
+            "spectral_bound_seconds": t3 - t2,
         },
     )

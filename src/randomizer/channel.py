@@ -36,10 +36,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidDimension, InvalidMatrix, require_positive_int
+from .errors import (DimensionMismatch, InvalidDimension, InvalidMatrix, NumericalFailure,
+                     require_positive_int)
 from .haar import (as_stream, complex_standard_normal, sample_haar_unitaries, tile_rows,
                    unitarity_defect)
-from .linalg import TOL, hermitian_eigenvalues, hermitian_part, max_abs, operator_norm, require_finite
+from .linalg import TOL, hermitian_part, max_abs, require_finite
 from .workers import map_tiles
 
 # Sampling tiles per Gram block: 2^19 stack entries at d = 1, 2, 4, 8 and 16
@@ -100,7 +101,14 @@ class RandomUnitaryChannel:
         if d < 1 or c.shape != (d * d, d * d):
             raise InvalidDimension(f"channel matrix C must be d^2 x d^2, got shape {c.shape}")
         require_positive_int(self.provenance.get("count"), "provenance count N")
-        lowest = hermitian_eigenvalues(c)[-1]  # also checks Hermiticity within TOL.hermiticity
+        drift = max_abs(c - np.conj(c.T))
+        if drift > TOL.hermiticity:
+            raise InvalidMatrix(f"matrix is not Hermitian: max|H - H^dag| = {drift:.3e} "
+                                f"> {TOL.hermiticity:.1e}")
+        try:
+            lowest = np.linalg.eigvalsh(c)[0]
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
         if lowest < -TOL.unitarity:
             raise InvalidMatrix(f"channel matrix C is not positive semidefinite: "
                                 f"smallest eigenvalue {lowest:.3e}")
@@ -254,8 +262,3 @@ def pair_statistic(ch: RandomUnitaryChannel, phi: np.ndarray, psi: np.ndarray) -
     _check_dim(ch, phi.shape[0])
     x = np.outer(psi, np.conj(phi)).reshape(-1)
     return float(np.vdot(x, ch.gram @ x).real)
-
-
-def deviation(ch: RandomUnitaryChannel, phi: np.ndarray) -> float:
-    """Operator-norm distance of R(|phi><phi|) from the maximally mixed state."""
-    return operator_norm(apply_channel(ch, pure_projector(phi)) - maximally_mixed(ch.dim))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the checks of integer counts."""
+"""Exception types shared across the package, and the checks of integer counts and open ranges."""
 
 import numbers
 
@@ -52,3 +52,10 @@ def require_positive_int(value, name: str) -> int:
 def require_nonnegative_int(value, name: str) -> int:
     """``value``, a count that may be 0, as an int; refused as ``require_positive_int`` refuses."""
     return _require_int(value, name, 0, "a non-negative integer")
+
+
+def require_open_interval(value, name: str, upper: int = 1) -> float:
+    """``value`` as a float; outside the open range (0, upper), NaN included: InvalidParameter."""
+    if not 0.0 < value < upper:
+        raise InvalidParameter(f"{name} must lie in (0, {upper}), got {value}")
+    return float(value)

@@ -12,7 +12,7 @@ import numpy as np
 from .bounds import concentration_tail_bound
 from .certify import DEFAULT_MAX_ITERS, DEFAULT_RESTARTS, DeviationCertificate, Verdict, verdict
 from .channel import RandomUnitaryChannel, build_random_channel
-from .errors import InvalidParameter, ParseError, require_positive_int
+from .errors import InvalidParameter, ParseError, require_open_interval, require_positive_int
 from .haar import RngStream, as_stream
 from .haar import sample_haar_unitaries  # noqa: F401 (the benchmark wraps it here)
 from .netcover import PureStateNet, build_delta_net  # noqa: F401 (the benchmark wraps it)
@@ -64,8 +64,7 @@ def run_concentration_trial(d: int, n: int, delta: float, trials: int,
     """
     d, n = require_positive_int(d, "dimension"), require_positive_int(n, "count")
     trials = require_positive_int(trials, "trials")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameter(f"delta must lie in (0, 1), got {delta}")
+    require_open_interval(delta, "delta")
     if n > _DRAW_ENTRIES:
         raise InvalidParameter(f"count N = {n} exceeds the desk-scale ceiling {_DRAW_ENTRIES}")
     stream = as_stream(seed)

@@ -1,4 +1,4 @@
-"""Dense complex linear algebra: Hermitian spectra, the operator norm, phase-fixed QR.
+"""Dense complex linear algebra: tolerances, finiteness, the Hermitian part, phase-fixed QR.
 
 Everything operates on plain ``numpy`` arrays with ``complex128`` entries.
 Matrices may be stacked along leading axes where noted.
@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidMatrix, NumericalFailure
+from .errors import InvalidMatrix
 
 
 @dataclass(frozen=True)
@@ -44,34 +44,6 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     """Return (A + A†)/2."""
     a = np.asarray(a, dtype=complex)
     return (a + np.conj(np.swapaxes(a, -2, -1))) / 2.0
-
-
-def require_hermitian(a: np.ndarray) -> np.ndarray:
-    """Validate ``max|A - A†| <= TOL.hermiticity`` and return the symmetrized matrix."""
-    arr = require_finite(a, "hermitian matrix")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise InvalidMatrix(f"expected a square matrix, got shape {arr.shape}")
-    drift = max_abs(arr - np.conj(arr.T))
-    if drift > TOL.hermiticity:
-        raise InvalidMatrix(f"matrix is not Hermitian: max|H - H^dag| = {drift:.3e} "
-                            f"> {TOL.hermiticity:.1e}")
-    return hermitian_part(arr)
-
-
-def hermitian_eigenvalues(h: np.ndarray) -> np.ndarray:
-    """Eigenvalues only (descending), cheaper when eigenvectors are not needed."""
-    h = require_hermitian(h)
-    try:
-        values = np.linalg.eigvalsh(h)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"eigensolver did not converge: {exc}") from exc
-    return values[::-1]
-
-
-def operator_norm(h: np.ndarray) -> float:
-    """max_i |lambda_i| for Hermitian H."""
-    values = hermitian_eigenvalues(h)
-    return float(np.max(np.abs(values))) if values.size else 0.0
 
 
 def qr_positive_stacked(mats: np.ndarray):

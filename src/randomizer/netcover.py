@@ -71,7 +71,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import random_pure_states
-from .errors import InvalidParameter, NetInfeasible, require_positive_int
+from .errors import InvalidParameter, NetInfeasible, require_open_interval, require_positive_int
 from .haar import as_stream
 from .linalg import TOL, require_finite
 
@@ -89,8 +89,7 @@ _ROUNDOFF = 1e-9
 def log_cardinality_bound(d: int, delta: float) -> float:
     """Natural log of the covering-number bound (5/delta)^(2d), kept in log domain."""
     d = require_positive_int(d, "dimension")
-    if not 0.0 < delta < 1.0:
-        raise InvalidParameter(f"delta must lie in (0, 1), got {delta}")
+    require_open_interval(delta, "delta")
     return 2.0 * d * math.log(5.0 / delta)
 
 
@@ -199,8 +198,7 @@ class PureStateNet:
 
     def __post_init__(self):
         require_positive_int(self.dim, "dimension")
-        if not 0.0 < self.delta < 2.0:
-            raise InvalidParameter(f"delta must lie in (0, 2), got {self.delta}")
+        require_open_interval(self.delta, "delta", 2)
         states = require_finite(np.asarray(self.states, dtype=complex), "net states")
         if states.ndim != 2 or states.shape[0] < 1 or states.shape[1] != self.dim:
             raise InvalidParameter(f"states must have shape (M, {self.dim}) with M >= 1")
@@ -271,8 +269,7 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
     the result equals a candidate-by-candidate loop.
     """
     d = require_positive_int(d, "dimension")
-    if not 0.0 < delta < 2.0:
-        raise InvalidParameter(f"delta must lie in (0, 2), got {delta}")
+    require_open_interval(delta, "delta", 2)
     if max_states is not None:
         max_states = require_positive_int(max_states, "max_states")
     else:

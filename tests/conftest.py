@@ -4,9 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from randomizer import RngStream
+from randomizer import RngStream, apply_channel, pure_projector
 from randomizer.haar import complex_standard_normal
-from randomizer.linalg import hermitian_eigenvalues
 
 
 def random_hermitian(d: int, rng, scale: float = 1.0) -> np.ndarray:
@@ -31,7 +30,13 @@ def random_unit_vector(d: int, rng) -> np.ndarray:
 
 def trace_norm(h: np.ndarray) -> float:
     """Oracle: sum_i |lambda_i| for Hermitian H."""
-    return float(np.sum(np.abs(hermitian_eigenvalues(h))))
+    return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
+
+
+def output_deviation(ch, phi: np.ndarray) -> float:
+    """Oracle: ||R(|phi><phi|) - I/d||_op, numpy's matrix 2-norm of the channel's output."""
+    d = ch.dim
+    return float(np.linalg.norm(apply_channel(ch, pure_projector(phi)) - np.eye(d) / d, 2))
 
 
 def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:

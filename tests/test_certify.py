@@ -133,7 +133,8 @@ def test_net_supremum_spans_chunks(monkeypatch):
     net = small_net(3, 0.35, seed=45, size=25)
     result = net_supremum_B(ch, net)
     assert result.value == pytest.approx(_bruteforce_B(ch, net), abs=1e-12)
-    assert result.phi_index >= 2  # the winning row lies outside the first chunk
+    # the winning row lies outside the first chunk
+    assert not any(np.array_equal(result.phi, state) for state in net.states[:2])
 
 
 def test_net_supremum_dimension_mismatch():
@@ -374,6 +375,42 @@ def test_spectral_bound_is_exact_at_d2(n):
         ch = build_random_channel(2, n, stream(37, n, trial))
         lower = alternating_max_lower_bound(ch, rng=stream(38, n, trial))
         assert 0.0 <= spectral_upper_bound_A(ch) - lower.value <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 50, 2000])
+def test_net_of_the_witnesses_stays_below_spectral_bound(n):
+    # at d = 2 a net holding the ascent's witness pair reads B within roundoff of (a) = A,
+    # the case the rounding margin of the spectral bound exists for
+    delta = default_net_delta(0.5)
+    for trial in range(3):
+        ch = build_random_channel(2, n, stream(46, n, trial))
+        lower = alternating_max_lower_bound(ch, rng=stream(47, n, trial))
+        try:
+            net = PureStateNet(2, delta, np.stack([lower.phi, lower.psi]))
+        except InvalidParameter:  # the pair is not delta/2-separated: keep phi alone
+            net = PureStateNet(2, delta, lower.phi[None, :])
+        b = net_supremum_B(ch, net).value
+        assert b <= spectral_upper_bound_A(ch)
+        if net.size == 2:
+            assert b >= lower.value - 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(2, 5), n=st.integers(1, 60), size=st.integers(1, 16),
+       seed=st.integers(0, 2**32))
+def test_net_supremum_never_exceeds_spectral_bound(d, n, size, seed):
+    ch = build_random_channel(d, n, RngStream(seed))
+    net = build_delta_net(d, 0.5, stream(seed, 1), max_states=size)
+    assert net_supremum_B(ch, net).value <= spectral_upper_bound_A(ch)
+
+
+def test_verdict_times_each_layer():
+    ch = build_random_channel(2, 8, RngStream(48))
+    net = small_net(2, 0.35, seed=49, size=4)
+    keys = {"net_supremum_seconds", "optimizer_seconds", "spectral_bound_seconds"}
+    for cert in (verdict(ch, 0.5, net, rng=RngStream(50)), verdict(ch, 0.5, rng=RngStream(50))):
+        assert set(cert.timings) == keys
+        assert all(seconds >= 0.0 for seconds in cert.timings.values())
 
 
 def test_verdict_single_unitary_not_randomizing():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_density, stream
+from conftest import output_deviation, random_density, stream
 from randomizer import (
     DimensionMismatch,
     InvalidDimension,
@@ -18,9 +18,7 @@ from randomizer import (
     build_random_channel,
     build_weyl_channel,
     channel_from_unitaries,
-    deviation,
     maximally_mixed,
-    operator_norm,
     pair_statistic,
     pure_projector,
     random_pure_states,
@@ -338,7 +336,7 @@ def test_pure_output_matches_apply():
 def test_weyl_deviation_vanishes(d):
     w = build_weyl_channel(d)
     for trial in range(10):
-        assert deviation(w, random_pure_states(d, 1, stream(65, d, trial))[0]) <= 1e-10
+        assert output_deviation(w, random_pure_states(d, 1, stream(65, d, trial))[0]) <= 1e-10
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])
@@ -346,19 +344,19 @@ def test_single_unitary_deviation(d):
     # R(phi) stays pure, so the spectrum of R(phi) - I/d is {1 - 1/d, -1/d, ...}
     ch = build_random_channel(d, 1, RngStream(66 + d))
     phi = random_pure_states(d, 1, stream(67, d))[0]
-    assert abs(deviation(ch, phi) - (1.0 - 1.0 / d)) <= 1e-12
+    assert abs(output_deviation(ch, phi) - (1.0 - 1.0 / d)) <= 1e-12
 
 
 def test_deviation_dim_one():
     ch = build_random_channel(1, 3, RngStream(68))
-    assert deviation(ch, np.array([1.0 + 0j])) <= 1e-15
+    assert output_deviation(ch, np.array([1.0 + 0j])) <= 1e-15
 
 
 def test_variational_identity():
     # sup over psi of |statistic - 1/d| is the extreme eigenvalue magnitude
     ch = build_random_channel(3, 8, RngStream(69))
     phi = random_pure_states(3, 1, stream(70))[0]
-    dev = deviation(ch, phi)
+    dev = output_deviation(ch, phi)
     values, vectors = np.linalg.eigh(apply_channel(ch, pure_projector(phi)) - maximally_mixed(3))
     psi_star = vectors[:, int(np.argmax(np.abs(values)))]
     assert abs(abs(pair_statistic(ch, phi, psi_star) - 1.0 / 3.0) - dev) <= 1e-9
@@ -373,9 +371,9 @@ def test_convexity_restriction():
     eye = maximally_mixed(3)
     for trial in range(200):
         rho = random_density(3, stream(73, trial))
-        mixed_dev = operator_norm(apply_channel(ch, rho) - eye)
+        mixed_dev = float(np.linalg.norm(apply_channel(ch, rho) - eye, 2))
         _, vectors = np.linalg.eigh(rho)
-        pure_best = max(deviation(ch, vectors[:, k]) for k in range(3))
+        pure_best = max(output_deviation(ch, vectors[:, k]) for k in range(3))
         assert mixed_dev <= pure_best + 1e-9
 
 
@@ -421,7 +419,7 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         pair_statistic(ch, basis_state(3), basis_state(2))
     with pytest.raises(DimensionMismatch):
-        deviation(ch, basis_state(4))
+        apply_channel(ch, pure_projector(basis_state(4)))
 
 
 def test_channel_equality_is_identity():

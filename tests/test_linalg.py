@@ -6,26 +6,22 @@ from conftest import random_hermitian, random_unit_vector, stream, trace_norm
 from randomizer import (
     InvalidMatrix,
     NumericalFailure,
+    RandomUnitaryChannel,
     channel_from_unitaries,
-    operator_norm,
     sample_haar_unitaries,
 )
 from randomizer.certify import _extreme_eigvecs
-from randomizer.linalg import hermitian_eigenvalues, qr_positive_stacked
+from randomizer.linalg import qr_positive_stacked
 
 
-def test_identity_eigensystem():
-    assert np.allclose(hermitian_eigenvalues(np.eye(3, dtype=complex)), [1.0, 1.0, 1.0])
-
-
-def test_diagonal_eigensystem_sorted_descending():
-    assert hermitian_eigenvalues(np.diag([3.0, -1.0]).astype(complex)).tolist() == [3.0, -1.0]
+def operator_norm(h):
+    """Oracle: numpy's matrix 2-norm."""
+    return float(np.linalg.norm(h, 2))
 
 
 def test_pauli_x_eigensystem():
     # by hand: characteristic polynomial lambda^2 - 1, eigenvectors (1, +-1)/sqrt(2)
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    assert np.allclose(hermitian_eigenvalues(x), [1.0, -1.0], atol=1e-12)
     # +-1 tie exactly in magnitude: the extreme eigenpair takes the positive branch
     (value,), (vector,) = _extreme_eigvecs(x[None])
     plus = np.array([1, 1]) / np.sqrt(2)
@@ -35,18 +31,9 @@ def test_pauli_x_eigensystem():
 
 def test_eigensystem_deterministic():
     h = random_hermitian(6, stream(3))
-    assert np.array_equal(hermitian_eigenvalues(h), hermitian_eigenvalues(h))
     first, second = _extreme_eigvecs(h[None]), _extreme_eigvecs(h[None])
     assert first[0] == second[0]
     assert np.array_equal(first[1], second[1])
-
-
-def test_operator_norm_examples():
-    assert operator_norm(np.zeros((3, 3), dtype=complex)) == 0.0
-    pauli_z = np.diag([1.0, -1.0]).astype(complex)
-    assert operator_norm(pauli_z) == pytest.approx(1.0, abs=1e-14)
-    proj_minus_half = np.diag([0.5, -0.5]).astype(complex)
-    assert operator_norm(proj_minus_half) == pytest.approx(0.5, abs=1e-14)
 
 
 def test_trace_norm_examples():
@@ -81,19 +68,20 @@ def test_reconstruction_random_hermitian(d):
         h = random_hermitian(d, gen.child(trial), scale=1.0 + trial % 3)
         values, vectors = np.linalg.eigh(h)
         recon = (vectors * values) @ np.conj(vectors.T)
-        scale = max(1.0, operator_norm(h))
+        scale = max(1.0, float(np.max(np.abs(values))))
         assert np.max(np.abs(h - recon)) <= 1e-10 * scale
-        descending = hermitian_eigenvalues(h)
-        assert np.all(np.diff(descending) <= 1e-12)
-        assert np.max(np.abs(descending - values[::-1])) <= 1e-12 * scale
+        # the ascent's extreme eigenpair: largest magnitude, and an eigenpair of h
+        (value,), (vector,) = _extreme_eigvecs(h[None])
+        assert abs(value) == pytest.approx(operator_norm(h), abs=1e-12 * scale)
+        assert np.max(np.abs(h @ vector - value * vector)) <= 1e-10 * scale
 
 
 def test_unitary_invariance_of_spectrum():
     h = random_hermitian(6, stream(30))
     w = sample_haar_unitaries(6, 1, stream(31))[0]
     rotated = w @ h @ np.conj(w.T)
-    lam = hermitian_eigenvalues(h)
-    lam_rot = hermitian_eigenvalues((rotated + np.conj(rotated.T)) / 2)
+    lam = np.linalg.eigvalsh(h)
+    lam_rot = np.linalg.eigvalsh((rotated + np.conj(rotated.T)) / 2)
     assert np.max(np.abs(lam - lam_rot)) <= 1e-9
     assert trace_norm(h) == pytest.approx(trace_norm(rotated), abs=1e-9)
     assert operator_norm(h) == pytest.approx(operator_norm(rotated), abs=1e-9)
@@ -145,13 +133,15 @@ def test_qr_rank_deficient_raises(monkeypatch):
 
 def test_non_finite_rejected():
     bad = np.array([[np.nan, 0], [0, 1]], dtype=complex)
-    with pytest.raises(InvalidMatrix):
-        operator_norm(bad)
+    with pytest.raises(InvalidMatrix, match="non-finite"):
+        RandomUnitaryChannel(np.kron(bad, bad), {"count": 1})
     with pytest.raises(InvalidMatrix):
         channel_from_unitaries(bad[None, :, :])
 
 
 def test_non_hermitian_rejected():
-    skew = np.array([[0, 1], [-1, 0]], dtype=complex)
-    with pytest.raises(InvalidMatrix):
-        operator_norm(skew)
+    # the identity channel's C plus a skew-Hermitian perturbation far above TOL.hermiticity
+    c = np.outer(np.eye(2).reshape(-1), np.eye(2).reshape(-1)).astype(complex)
+    c[0, 1], c[1, 0] = 1e-6, -1e-6
+    with pytest.raises(InvalidMatrix, match="not Hermitian"):
+        RandomUnitaryChannel(c, {"count": 1})
