@@ -58,11 +58,10 @@ def certified_upper_bound_A(b_value: float, delta: float, d: int) -> float:
     The formula has a pole at delta = 1/2 where the bound becomes vacuous,
     so delta must stay below it. delta = 0 returns B unchanged.
     """
-    if d < 1:
-        raise InvalidParameter(f"dimension must be positive, got {d}")
+    d = require_positive_int(d, "dimension")
     if not 0.0 <= delta < 0.5:
         raise InvalidParameter(f"delta must lie in [0, 1/2), got {delta}")
-    if b_value < 0.0:
+    if not b_value >= 0.0:  # NaN fails it too
         raise InvalidParameter(f"net supremum must be nonnegative, got {b_value}")
     return (b_value + 2.0 * delta / d) / (1.0 - 2.0 * delta)
 

@@ -10,9 +10,11 @@ ascent. The pair statistic is the form x†Cx with x = psi ⊗ conj(phi).
 
 C is folded in fixed blocks of ``_GRAM_BLOCK_TILES`` sampling tiles (whole
 rows, ``haar.tile_rows``) on the package's worker threads, by one reducer for
-both sources of unitaries. ``build_random_channel`` samples each block's own
-tiles into a block-sized buffer (``sample_haar_unitaries`` from the block's
-first row), so no ``(N, d, d)`` stack is ever allocated;
+both sources of unitaries. A block holds 2^18 stack entries at d = 1, 2, 4,
+8 and 16: 1024 unitaries, 4 MB, at d = 16, where N = 16000 gives 16 blocks.
+``build_random_channel`` samples each block's own tiles into a block-sized
+buffer (``sample_haar_unitaries`` from the block's first row), so no
+``(N, d, d)`` stack is ever allocated;
 ``channel_from_unitaries`` reads the blocks of a given stack. Each block runs
 the tiled unitarity check (``haar.unitarity_defect``) and its real product
 ``x.T @ x`` over the block viewed as ``(rows, 2 d^2)`` interleaved (Re, Im)
@@ -43,11 +45,13 @@ from .haar import (as_stream, complex_standard_normal, sample_haar_unitaries, ti
 from .linalg import TOL, hermitian_part, max_abs, require_finite
 from .workers import map_tiles
 
-# Sampling tiles per Gram block: 2^19 stack entries at d = 1, 2, 4, 8 and 16
-# (2048 unitaries, 8 MB, at d = 16). Each block's partial product is
-# (2 d^2)^2 reals (2 MB at d = 16), so blocks are large; a 16000-unitary
-# stack at d = 16 still gives the worker threads eight.
-_GRAM_BLOCK_TILES = 32
+# Sampling tiles per Gram block: 2^18 stack entries at d = 1, 2, 4, 8 and 16
+# (1024 unitaries, 4 MB, at d = 16). One block is live per worker thread, so
+# the block size sets the build's working set; a 16000-unitary stack at d = 16
+# gives the worker threads sixteen. Each block's partial product is (2 d^2)^2
+# reals (2 MB at d = 16). Not 8 tiles: the symmetric rank-k update x.T @ x
+# costs 15-20% more BLAS time per row over 512 rows than over 1024 or 2048.
+_GRAM_BLOCK_TILES = 16
 
 
 def maximally_mixed(d: int) -> np.ndarray:

@@ -2,6 +2,8 @@
 
 import numbers
 
+import numpy as np
+
 
 class RandomizerError(Exception):
     """Base class for all errors raised by this package."""
@@ -55,7 +57,11 @@ def require_nonnegative_int(value, name: str) -> int:
 
 
 def require_open_interval(value, name: str, upper: int = 1) -> float:
-    """``value`` as a float; outside the open range (0, upper), NaN included: InvalidParameter."""
-    if not 0.0 < value < upper:
+    """``value`` as a float; outside the open range (0, upper), NaN included: InvalidParameter.
+
+    A bool, Python's or NumPy's, is refused too, as the integer checks refuse it, even where
+    ``True`` lies in the range.
+    """
+    if isinstance(value, (bool, np.bool_)) or not 0.0 < value < upper:
         raise InvalidParameter(f"{name} must lie in (0, {upper}), got {value}")
     return float(value)

@@ -8,6 +8,7 @@ from conftest import stream
 from randomizer import (
     DeviationCertificate,
     DimensionMismatch,
+    InvalidDimension,
     InvalidParameter,
     PureStateNet,
     RngStream,
@@ -66,6 +67,11 @@ def test_certified_upper_bound_arithmetic():
         certified_upper_bound_A(0.1, 0.5, 2)
     with pytest.raises(InvalidParameter):
         certified_upper_bound_A(-0.1, 0.1, 2)
+    with pytest.raises(InvalidParameter, match="net supremum must be nonnegative, got nan"):
+        certified_upper_bound_A(float("nan"), 0.1, 2)
+    for d in (0, 2.5, 2.0, True):
+        with pytest.raises(InvalidDimension, match="dimension must be a positive integer"):
+            certified_upper_bound_A(0.1, 0.1, d)
 
 
 @pytest.mark.parametrize("epsilon", [0.1, 0.3, 0.5, 0.7, 0.9])

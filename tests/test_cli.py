@@ -92,7 +92,7 @@ def test_thread_pools_started_per_command(tmp_path, capsys, monkeypatch, threads
     argvs = {
         "sample-channel d=2": ["sample-channel", "--dim", "2", "--count", "64", "--seed", "1",
                                "--out", ch2],
-        # 2000 unitaries at d=16: 32 sampling tiles, one Gram block
+        # 2000 unitaries at d=16: 32 sampling tiles, one full Gram block and a partial one
         "sample-channel d=16": ["sample-channel", "--dim", "16", "--count", "2000", "--seed", "2",
                                 "--out", ch16],
         "net": ["net", "--dim", "2", "--delta", "0.45", "--seed", "3", "--out", net],
@@ -113,7 +113,8 @@ def test_thread_pools_started_per_command(tmp_path, capsys, monkeypatch, threads
     if threads == "1":
         assert started == dict.fromkeys(argvs, 0)
     else:
-        # the unitarity check in the Gram block and the samples of a sweep cell start no pool
+        # the sampling and unitarity check inside each Gram block, and the samples of a sweep
+        # cell, start no pool
         want = dict.fromkeys(argvs, 0)
         want.update({"sample-channel d=16": 1, "concentration": 1, "sweep": 1})
         assert started == want

@@ -193,6 +193,12 @@ def test_invalid_parameters():
         build_delta_net(2, 0.0, RngStream(16))
     with pytest.raises(InvalidParameter):
         build_delta_net(2, 2.0, RngStream(16))
+    # a bool is no radius, though True lies in (0, 2)
+    for flag in (True, np.True_):
+        with pytest.raises(InvalidParameter, match=r"delta must lie in \(0, 2\), got True"):
+            PureStateNet(2, flag, np.array([[1, 0j]]))
+    with pytest.raises(InvalidParameter):
+        build_delta_net(2, True, RngStream(16))
 
 
 def test_uniform_sampling_first_component():
