@@ -9,10 +9,15 @@ eigenvector ascent and returns an explicit state pair, so it is a true lower
 bound unconditionally. All restarts advance together, one stacked iteration
 for every restart still running, and each ends exactly where it would alone.
 A verdict compares both sides against epsilon / d.
+
+The net scan and the spectral bound both read the channel through its real
+``transfer`` matrix T, R on Hermitian inputs in an orthonormal basis: real
+GEMMs for the scan, a real SVD for the bound.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,6 +30,7 @@ from .channel import (RandomUnitaryChannel, apply_adjoint, apply_channel, maxima
 from .errors import (DimensionMismatch, InvalidParameter, require_open_interval,
                      require_positive_int)
 from .haar import RngStream, as_stream
+from .linalg import hermitian_coordinates
 from .netcover import PureStateNet
 
 _SCAN_BUDGET = 1_000_000  # entries of the (chunk, net size) statistic block per B-scan step
@@ -67,21 +73,33 @@ def certified_upper_bound_A(b_value: float, delta: float, d: int) -> float:
 
 
 def spectral_upper_bound_A(ch: RandomUnitaryChannel) -> float:
-    """Net-free bound A <= (1 - 1/d) sigma_max(D), D = S - |I>><<I|/d, plus a rounding margin.
+    """Net-free bound A <= (1 - 1/d) sigma_max(D), D = T - c c^T/d, plus a rounding margin.
 
-    D vec(P) = vec(R(P) - I/d) for unit-trace P; a unital, trace-preserving R
-    leaves only the traceless parts Y of the pair, ||Y||_2 = sqrt(1 - 1/d).
-    At d = 2 the bound equals A. The margin makes it bound the computed B and
-    A_lower too: (2/d)(||D|I>>|| + ||<<I|D||) covers partial traces of C off
-    the identity within TOL.unitarity, 8 eps d^2 sigma_max the SVD, and
-    8 eps d^3 the roundoff of x†Cx, as |x|^T |C| |x| <= tr C = d.
+    T is the channel's real ``transfer`` matrix and c the coordinates of the
+    identity, ones on the d diagonal entries: D F(P) = F(R(P) - I/d) for
+    unit-trace Hermitian P, the basis is orthonormal, and a unital,
+    trace-preserving R leaves only the traceless parts Y of the pair,
+    ||Y||_2 = sqrt(1 - 1/d). T is S in an orthonormal basis, so D has the
+    singular values of S - |I>><<I|/d, here from a real SVD. At d = 2 the
+    bound equals A. The margin makes it bound the computed B and A_lower too:
+    (2/d)(||D c|| + ||c^T D||) covers partial traces of C off the identity
+    within TOL.unitarity; 8 eps d^2 sigma_max the SVD; 8 eps d^3 the roundoff
+    of x†Cx, as |x|^T |C| |x| <= tr C = d, and that of the gather of T, at
+    most 2 eps d. For a loaded C with a Hermiticity drift, T keeps only the
+    real part of S's basis change; (1 - 1/d) ||Im T||_F, with ||Im T||_F =
+    ||C - C†||_F / 2 and 0 for every built or saved channel, covers the part
+    dropped.
     """
     d = ch.dim
-    ident = np.eye(d).reshape(-1)
-    dev = ch.superoperator - np.outer(ident, ident) / d
+    dev = np.array(ch.transfer)
+    dev[:d, :d] -= 1.0 / d
     sigma = float(np.linalg.svd(dev, compute_uv=False)[0])
-    leak = np.linalg.norm(dev @ ident) + np.linalg.norm(ident @ dev)
-    return (1.0 - 1.0 / d) * sigma + 8.0 * _EPS * d * d * (d + sigma) + 2.0 * float(leak) / d
+    leak = np.linalg.norm(dev[:, :d].sum(axis=1)) + np.linalg.norm(dev[:d].sum(axis=0))
+    gram = ch.gram  # ||C - C†||_F / 2, from d rows of C - C† at a time
+    rows = (gram[k:k + d] - np.conj(gram[:, k:k + d].T) for k in range(0, d * d, d))
+    dropped = math.sqrt(sum(float(np.vdot(x, x).real) for x in rows)) / 2.0
+    return ((1.0 - 1.0 / d) * (sigma + dropped) + 8.0 * _EPS * d * d * (d + sigma)
+            + 2.0 * float(leak) / d)
 
 
 class LowerBound(NamedTuple):
@@ -96,27 +114,28 @@ def net_supremum_B(ch: RandomUnitaryChannel, net: PureStateNet) -> LowerBound:
     B is attained at a pair of net states, so it is a witnessed lower bound on A.
 
     The statistic is not symmetric in (phi, psi), so all size^2 ordered pairs
-    are scanned. With P the (size, d^2) matrix whose rows are vec|x><x|, the
-    statistics of all pairs are P S^T P†, evaluated in chunks of phi rows, two
-    GEMMs per chunk, so that one (chunk, size) block is the largest temporary.
-    The value returned is ``pair_statistic`` (the form x†Cx) at the
-    maximizing pair.
+    are scanned. With F the (size, d^2) real coordinates of the net states
+    (``hermitian_coordinates``) and T the channel's real ``transfer`` matrix,
+    the statistics of all pairs are F T^T F^T, evaluated in chunks of phi rows,
+    two real GEMMs per chunk, so that one real (chunk, size) block is the
+    largest temporary. The value returned is ``pair_statistic`` (the form
+    x†Cx) at the maximizing pair.
     """
     if net.dim != ch.dim:
         raise DimensionMismatch(f"net dimension {net.dim} != channel dimension {ch.dim}")
     states = net.states
     m, d = states.shape
     inv_d = 1.0 / d
-    vecs = pure_projector(states).reshape(m, d * d)
-    proj_h = np.conj(vecs.T)
+    feats = hermitian_coordinates(states)
 
     chunk = max(1, _SCAN_BUDGET // max(m, d * d))
     best = -1.0
     best_i = best_j = 0
     for start in range(0, m, chunk):
-        images = vecs[start:start + chunk] @ ch.superoperator.T  # row k: vec R(|x_k><x_k|)
-        stats = (images @ proj_h).real  # (k, m): row phi, column psi
-        dev = np.abs(stats - inv_d)
+        # row k: F(R(|x_k><x_k|)); the product's (k, j) entry is the statistic of (x_k, x_j)
+        dev = (feats[start:start + chunk] @ ch.transfer.T) @ feats.T
+        dev -= inv_d
+        np.abs(dev, out=dev)
         flat = int(np.argmax(dev))
         k_i, j = divmod(flat, m)
         if dev[k_i, j] > best:

@@ -5,8 +5,11 @@ row-major pairs (i, j): R depends on nothing else, and at the N >= d / eps^2
 the randomizing regime needs, C (65536 entries at d = 16) is far smaller than
 the stack (N d^2). Regrouping its pairs (i, j), (k, l) to (i, k), (j, l) gives
 the superoperator S = (1/N) sum_i U_i ⊗ conj(U_i), which maps the row-major
-vec of rho to the vec of R(rho) and drives ``apply_*``, the net scan and the
-ascent. The pair statistic is the form x†Cx with x = psi ⊗ conj(phi).
+vec of rho to the vec of R(rho) and drives ``apply_*`` and the ascent. On
+Hermitian inputs R is the real d^2 x d^2 matrix T, S in the orthonormal
+Hermitian basis of ``linalg``, gathered from S's entries at construction;
+T drives the net scan and the spectral bound. The pair statistic is the form
+x†Cx with x = psi ⊗ conj(phi).
 
 C is folded in fixed blocks of ``_GRAM_BLOCK_TILES`` sampling tiles (whole
 rows, ``haar.tile_rows``) on the package's worker threads, by one reducer for
@@ -42,7 +45,7 @@ from .errors import (DimensionMismatch, InvalidDimension, InvalidMatrix, Numeric
                      require_positive_int)
 from .haar import (as_stream, complex_standard_normal, sample_haar_unitaries, tile_rows,
                    unitarity_defect)
-from .linalg import TOL, hermitian_part, max_abs, require_finite
+from .linalg import TOL, hermitian_part, hermitian_transfer, max_abs, require_finite
 from .workers import map_tiles
 
 # Sampling tiles per Gram block: 2^18 stack entries at d = 1, 2, 4, 8 and 16
@@ -90,14 +93,17 @@ class RandomUnitaryChannel:
     """A channel given by its matrix C = (1/N) sum_i vec(U_i) vec(U_i)†, shape ``(d^2, d^2)``.
 
     ``gram`` is C, validated and stored read-only; ``superoperator`` is S, the
-    same entries regrouped. ``provenance`` records where C came from and must
-    hold ``count``, the number N of unitaries. Build a channel from a unitary
+    same entries regrouped; ``transfer`` is the real matrix T[a, b] =
+    tr(B_a R(B_b)) of R on Hermitian inputs, in the orthonormal Hermitian basis
+    of ``linalg``, also read-only. ``provenance`` records where C came from and
+    must hold ``count``, the number N of unitaries. Build a channel from a unitary
     stack with ``channel_from_unitaries``. Equality is identity.
     """
 
     gram: np.ndarray
     provenance: dict = field(default_factory=dict)
     superoperator: np.ndarray = field(init=False, repr=False)
+    transfer: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         c = require_finite(np.array(self.gram, dtype=complex), "channel matrix C")
@@ -129,6 +135,9 @@ class RandomUnitaryChannel:
         sup = blocks.transpose(0, 2, 1, 3).reshape(d * d, d * d)
         sup.setflags(write=False)
         object.__setattr__(self, "superoperator", sup)
+        transfer = hermitian_transfer(sup)
+        transfer.setflags(write=False)
+        object.__setattr__(self, "transfer", transfer)
 
     @property
     def dim(self) -> int:

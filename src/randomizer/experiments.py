@@ -190,13 +190,23 @@ def _complex_to_pairs(arr: np.ndarray) -> list:
 
 
 def _pairs_to_complex(data, expected_ndim: int, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(data, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ParseError(f"{what}: entries are not [re, im] pairs") from exc
+    """Nested lists of [re, im] pairs as a complex array; every entry must be a JSON number.
+
+    A string, bool, null or nested entry is a ParseError, as for the scalar fields.
+    Ragged nesting leaves lists as entries of the object array, which are refused too.
+    """
+    arr = np.array(data, dtype=object)
     if arr.ndim != expected_ndim + 1 or arr.shape[-1] != 2:
         raise ParseError(f"{what}: expected [re, im] pairs, got shape {arr.shape}")
-    return arr.view(complex)[..., 0]  # bit for bit, signed zeros included
+    kinds = set(map(type, arr.flat))
+    if not kinds <= {int, float}:  # type(True) is bool, not int
+        odd = next(x for x in arr.flat if type(x) not in (int, float))
+        raise ParseError(f"{what}: entry {odd!r} is not a number")
+    try:
+        values = arr.astype(float)
+    except OverflowError as exc:  # an integer beyond the float range
+        raise ParseError(f"{what}: an entry is beyond the float range") from exc
+    return values.view(complex)[..., 0]  # bit for bit, signed zeros included
 
 
 def _number(payload: dict, key: str, path: str) -> float:

@@ -1,11 +1,25 @@
-"""Dense complex linear algebra: tolerances, finiteness, the Hermitian part, phase-fixed QR.
+"""Dense linear algebra: tolerances, finiteness, the Hermitian part, phase-fixed QR, and one
+orthonormal basis of the Hermitian matrices.
 
-Everything operates on plain ``numpy`` arrays with ``complex128`` entries.
-Matrices may be stacked along leading axes where noted.
+Inputs are plain ``numpy`` arrays with ``complex128`` entries. Matrices may
+be stacked along leading axes where noted.
+
+The basis B_a of the d x d Hermitian matrices, orthonormal under the
+Hilbert-Schmidt inner product, lists E_jj for each j, then
+(E_jk + E_kj)/sqrt(2) and then i(E_jk - E_kj)/sqrt(2) for each pair j < k in
+``np.triu_indices`` order. ``hermitian_coordinates`` gives the real
+coordinates tr(B_a |x><x|) of pure states, so the dot product of two rows is
+the squared overlap of their states; ``hermitian_transfer`` gives the real
+d^2 x d^2 matrix T[a, b] = tr(B_a R(B_b)) of a Hermiticity-preserving map R
+from its row-major superoperator. Then tr(R(|phi><phi|) |psi><psi|) =
+F(psi) . T F(phi), and the coordinates of the identity are ones on the d
+diagonal entries, zeros elsewhere.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,3 +80,65 @@ def qr_positive_stacked(mats: np.ndarray):
     phases = diag / safe
     q *= phases[..., None, :]
     return q, degenerate
+
+
+@functools.cache
+def _pair_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index pairs j < k of a dimension, read-only and shared by every caller."""
+    pairs = np.triu_indices(d, 1)
+    for index in pairs:
+        index.setflags(write=False)
+    return pairs
+
+
+def hermitian_coordinates(states: np.ndarray) -> np.ndarray:
+    """Real rows F(x) of length d^2 with F(x) . F(y) = |<x|y>|^2 for every pair of rows.
+
+    F(x) lists |x_j|^2, then sqrt(2) Re(x_j conj(x_k)) and sqrt(2) Im(x_j conj(x_k))
+    for j < k: the coordinates tr(B_a |x><x|) of |x><x| in the module's basis.
+    """
+    rows, cols = _pair_indices(states.shape[1])
+    cross = math.sqrt(2.0) * (states[:, rows] * np.conj(states[:, cols]))
+    return np.concatenate([states.real ** 2 + states.imag ** 2, cross.real, cross.imag], axis=1)
+
+
+def hermitian_transfer(sup: np.ndarray) -> np.ndarray:
+    """The real matrix T[a, b] = tr(B_a R(B_b)) of the map whose row-major superoperator is ``sup``.
+
+    An index gather, no product, one block of basis columns at a time: the
+    columns S vec(B_b) are read first, then their coordinates, each from the
+    diagonal entries, x + y and i(x - y) at the pair entries x = (j, k),
+    y = (k, j), and the 1/sqrt(2) factors are applied once per block at the
+    end, so the identity map gives T = I exactly. Returns the real part, which
+    is all of T when R preserves Hermiticity exactly (C exactly Hermitian).
+    The largest temporaries are the real and imaginary parts of one column
+    block's images, two real d^2 x d(d - 1)/2 arrays beside T.
+    """
+    d = math.isqrt(sup.shape[0])
+    rows, cols = _pair_indices(d)
+    diag, jk, kj = np.arange(d) * (d + 1), rows * d + cols, cols * d + rows
+    n = d * d
+    sym, anti = slice(d, d + rows.size), slice(d + rows.size, n)
+    a, b = sup.real, sup.imag
+    t = np.empty((n, n))
+    for block in (slice(0, d), sym, anti):
+        # S vec(B_b) for the b of this block, unscaled, as its real and imaginary parts
+        if block is sym:
+            re, im = a[:, jk], b[:, jk]
+            re += a[:, kj]
+            im += b[:, kj]
+        elif block is anti:  # i(x - y)
+            re, im = b[:, kj], a[:, jk]
+            re -= b[:, jk]
+            im -= a[:, kj]
+        else:
+            re, im = a[:, diag], b[:, diag]
+        # Re tr(B_a Y) at a pair row: Re(x + y) for the symmetric element, Im(x - y) for the other
+        t[:d, block] = re[diag]
+        np.add(re[jk], re[kj], out=t[sym, block])
+        np.subtract(im[jk], im[kj], out=t[anti, block])
+    scale = math.sqrt(0.5)
+    t[:d, d:] *= scale
+    t[d:, :d] *= scale
+    t[d:, d:] *= 0.5
+    return t

@@ -8,14 +8,16 @@ actually covers.
 
 Every pure-state overlap in this module (the builder's screening, the
 separation certificate and the audit) goes through one real kernel. A state x
-maps to the real vector F(x) of length d^2 that lists the coordinates of
-|x><x| in an orthonormal basis of the Hermitian matrices under the
-Hilbert-Schmidt inner product: |x_j|^2, and for j < k, sqrt(2) Re(x_j conj(x_k))
-and sqrt(2) Im(x_j conj(x_k)). Then F(x) . F(y) = tr(|x><x| |y><y|) = |<x|y>|^2
-is an identity, not an approximation, so one real matrix product yields the
-squared overlaps of whole blocks of states directly. The price grows with d: a
-feature row holds d^2 reals where a state holds 2d, so at d = 16 the real
-product does four times the arithmetic of the complex one.
+maps to the real vector F(x) = ``linalg.hermitian_coordinates(x)`` of length
+d^2 that lists the coordinates of |x><x| in an orthonormal basis of the
+Hermitian matrices under the Hilbert-Schmidt inner product: |x_j|^2, and for
+j < k, sqrt(2) Re(x_j conj(x_k)) and sqrt(2) Im(x_j conj(x_k)); the net scan
+of ``certify`` reads the same coordinates. Then F(x) . F(y) =
+tr(|x><x| |y><y|) = |<x|y>|^2 is an identity, not an approximation, so one
+real matrix product yields the squared overlaps of whole blocks of states
+directly. The price grows with d: a feature row holds d^2 reals where a state
+holds 2d, so at d = 16 the real product does four times the arithmetic of the
+complex one.
 
 Both scans look only at the net states that can matter. For unit vectors x
 and y, with P = |0><0|,
@@ -64,7 +66,6 @@ that of a candidate-by-candidate loop.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -73,7 +74,7 @@ import numpy as np
 from .channel import random_pure_states
 from .errors import InvalidParameter, NetInfeasible, require_open_interval, require_positive_int
 from .haar import as_stream
-from .linalg import TOL, require_finite
+from .linalg import TOL, hermitian_coordinates, require_finite
 
 _SIZE_CEILING = 10_000_000  # desk-scale memory ceiling on materialized nets
 _CANDIDATE_BATCH = 512  # survivors decided by one pairwise product in the greedy pass
@@ -96,26 +97,6 @@ def log_cardinality_bound(d: int, delta: float) -> float:
 def _overlap_threshold(delta: float) -> float:
     # separation >= delta/2 in trace distance <=> |<x|y>|^2 <= 1 - (delta/4)^2
     return 1.0 - (delta * delta) / 16.0
-
-
-@functools.cache
-def _pair_indices(d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index pairs j < k of a dimension, read-only and shared by every caller."""
-    pairs = np.triu_indices(d, 1)
-    for index in pairs:
-        index.setflags(write=False)
-    return pairs
-
-
-def _bloch_features(states: np.ndarray) -> np.ndarray:
-    """Real rows F(x) of length d^2 with F(x) . F(y) = |<x|y>|^2 for every pair of rows.
-
-    F(x) lists |x_j|^2, then sqrt(2) Re(x_j conj(x_k)) and sqrt(2) Im(x_j conj(x_k))
-    for j < k: the entries of |x><x| in an orthonormal Hermitian basis.
-    """
-    rows, cols = _pair_indices(states.shape[1])
-    cross = math.sqrt(2.0) * (states[:, rows] * np.conj(states[:, cols]))
-    return np.concatenate([states.real ** 2 + states.imag ** 2, cross.real, cross.imag], axis=1)
 
 
 def _column_max(net_feats: np.ndarray, cols: np.ndarray, out: np.ndarray,
@@ -223,7 +204,7 @@ def _require_separated(states: np.ndarray, delta: float):
     of reach delta/4, its own entry skipped.
     """
     threshold = _overlap_threshold(delta)
-    feats = _sorted_by_key(_bloch_features(states))
+    feats = _sorted_by_key(hermitian_coordinates(states))
     cols = feats.T.copy()
     best = np.empty(feats.shape[0])
     for start, end, a, b in _windows(cols[0], cols[0], _window_reach(1.0 - threshold)):
@@ -294,7 +275,7 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
         # must reach the stop rule, and each accept is one candidate
         n = max(1, min(_BLOCK_ENTRIES // (d * d), _stop_run(size) - consecutive, ceiling - size))
         block = random_pure_states(d, n, gen)
-        feats = _bloch_features(block)
+        feats = hermitian_coordinates(block)
         survivors = np.flatnonzero(_window_max(feats, kept_sorted, reach) <= threshold)
         # greedy over the survivors, a chunk at a time: a chunk is screened against the
         # states accepted earlier in the block, then its first live survivor is kept and
@@ -380,14 +361,14 @@ def audit_covering(net: PureStateNet, trials: int, rng) -> CoverageReport:
     """
     trials = require_positive_int(trials, "trials")
     gen = as_stream(rng).generator()
-    net_sorted = _sorted_by_key(_bloch_features(net.states))
+    net_sorted = _sorted_by_key(hermitian_coordinates(net.states))
     chunk = max(1, _AUDIT_ENTRIES // (net.dim * net.dim))
     max_gap = 0.0
     failures = 0
     remaining = trials
     while remaining > 0:
         k = min(chunk, remaining)
-        feats = _bloch_features(random_pure_states(net.dim, k, gen))
+        feats = hermitian_coordinates(random_pure_states(net.dim, k, gen))
         best_ov2 = _nearest_overlap(feats, net_sorted, net.delta)
         gaps = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - best_ov2))
         max_gap = max(max_gap, float(np.max(gaps)))

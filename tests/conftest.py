@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from randomizer import RngStream, apply_channel, pure_projector
+import randomizer.certify
+from randomizer import RngStream, apply_channel, pair_statistic, pure_projector
 from randomizer.haar import complex_standard_normal
 
 
@@ -37,6 +38,38 @@ def output_deviation(ch, phi: np.ndarray) -> float:
     """Oracle: ||R(|phi><phi|) - I/d||_op, numpy's matrix 2-norm of the channel's output."""
     d = ch.dim
     return float(np.linalg.norm(apply_channel(ch, pure_projector(phi)) - np.eye(d) / d, 2))
+
+
+def complex_scan_B(ch, net):
+    """Oracle: the net scan through complex GEMMs on S, in ``_SCAN_BUDGET`` chunks of phi rows.
+
+    With P the rows vec|x><x|, the statistics of all ordered pairs are P S^T P†; returns
+    (B, phi index, psi index), B re-evaluated through ``pair_statistic`` at the first maximum.
+    """
+    states = net.states
+    m, d = states.shape
+    vecs = pure_projector(states).reshape(m, d * d)
+    chunk = max(1, randomizer.certify._SCAN_BUDGET // max(m, d * d))
+    best, best_i, best_j = -1.0, 0, 0
+    for start in range(0, m, chunk):
+        dev = np.abs(((vecs[start:start + chunk] @ ch.superoperator.T) @ np.conj(vecs.T)).real
+                     - 1.0 / d)
+        k, j = divmod(int(np.argmax(dev)), m)
+        if dev[k, j] > best:
+            best, best_i, best_j = float(dev[k, j]), start + k, j
+    value = abs(pair_statistic(ch, states[best_i], states[best_j]) - 1.0 / d)
+    return value, best_i, best_j
+
+
+def complex_spectral_bound(ch) -> float:
+    """Oracle: the spectral bound from a complex SVD of D = S - |I>><<I|/d, with its margin."""
+    d = ch.dim
+    eps = np.finfo(float).eps
+    ident = np.eye(d).reshape(-1)
+    dev = ch.superoperator - np.outer(ident, ident) / d
+    sigma = float(np.linalg.svd(dev, compute_uv=False)[0])
+    leak = np.linalg.norm(dev @ ident) + np.linalg.norm(ident @ dev)
+    return (1.0 - 1.0 / d) * sigma + 8.0 * eps * d * d * (d + sigma) + 2.0 * float(leak) / d
 
 
 def two_sample_ks(a: np.ndarray, b: np.ndarray) -> float:

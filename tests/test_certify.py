@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randomizer.certify
-from conftest import stream
+from conftest import complex_scan_B, complex_spectral_bound, stream
 from randomizer import (
     DeviationCertificate,
     DimensionMismatch,
@@ -20,15 +22,19 @@ from randomizer import (
     certified_upper_bound_A,
     channel_from_unitaries,
     default_net_delta,
+    load_channel,
     net_supremum_B,
     pair_statistic,
     random_pure_states,
     sample_haar_unitaries,
+    save_channel,
     spectral_upper_bound_A,
     verdict,
 )
 from randomizer.certify import _ASCENT_TOL, _TIE_TOL, _ascend, _canonical_phase
 from randomizer.channel import apply_adjoint, apply_channel, pure_projector
+from randomizer.haar import complex_standard_normal
+from randomizer.linalg import max_abs
 from randomizer.netcover import _require_separated
 
 
@@ -141,6 +147,22 @@ def test_net_supremum_spans_chunks(monkeypatch):
     assert result.value == pytest.approx(_bruteforce_B(ch, net), abs=1e-12)
     # the winning row lies outside the first chunk
     assert not any(np.array_equal(result.phi, state) for state in net.states[:2])
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("budget", [None, 50])
+def test_real_scan_matches_the_complex_scan(d, budget, monkeypatch):
+    # a budget of 50 splits a 30-state net into chunks of one or two phi rows
+    if budget is not None:
+        monkeypatch.setattr(randomizer.certify, "_SCAN_BUDGET", budget)
+    for trial, n in enumerate((1, 3, 20, 200)):
+        ch = build_random_channel(d, n, stream(62, d, trial))
+        net = build_delta_net(d, 0.5, stream(63, d, trial), max_states=30)
+        value, i, j = complex_scan_B(ch, net)
+        result = net_supremum_B(ch, net)
+        assert result.value == value
+        assert np.array_equal(result.phi, net.states[i])
+        assert np.array_equal(result.psi, net.states[j])
 
 
 def test_net_supremum_dimension_mismatch():
@@ -365,6 +387,38 @@ def test_spectral_bound_on_weyl_is_its_margin(d):
     # S - |I>><<I|/d vanishes for the exact randomizer, so only the rounding margin is left
     margin = 8.0 * np.finfo(float).eps * d ** 3
     assert margin <= spectral_upper_bound_A(build_weyl_channel(d)) <= 2.0 * margin
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 16])
+def test_real_spectral_bound_matches_the_complex_svd(d):
+    for n in (1, 4, 50):
+        ch = build_random_channel(d, n, stream(64, d, n))
+        assert abs(spectral_upper_bound_A(ch) - complex_spectral_bound(ch)) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_spectral_bound_covers_a_loaded_hermitian_drift(d, tmp_path):
+    # C + i H with H = A ⊗ B, A and B traceless Hermitian: the partial traces stay the
+    # identity and max|C - C†| = 5e-13; T keeps the real part, and the dropped one is
+    # covered, for a degenerate top singular value (the identity map) and a random channel
+    gen = RngStream(65 + d).generator()
+    a, b = (complex_standard_normal(gen, (d, d)) for _ in range(2))
+    a, b = (m + np.conj(m.T) for m in (a, b))
+    a, b = (m - np.trace(m) / d * np.eye(d) for m in (a, b))
+    h = np.kron(a, b)
+    drift = 2.5e-13 * 1j * h / np.max(np.abs(h))
+    for base in (channel_from_unitaries(np.eye(d, dtype=complex)[None]),
+                 build_random_channel(d, 5, RngStream(70 + d))):
+        path = tmp_path / "drift.json"
+        save_channel(path, base)
+        payload = json.loads(path.read_text())
+        gram = base.gram + drift
+        payload["gram"] = np.stack([gram.real, gram.imag], axis=-1).tolist()
+        path.write_text(json.dumps(payload))
+        loaded = load_channel(path)
+        assert max_abs(loaded.gram - np.conj(loaded.gram.T)) == pytest.approx(5e-13, rel=1e-3)
+        assert spectral_upper_bound_A(loaded) >= complex_spectral_bound(loaded)
+        assert spectral_upper_bound_A(loaded) >= complex_spectral_bound(base)
 
 
 @settings(max_examples=40, deadline=None)

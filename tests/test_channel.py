@@ -25,6 +25,7 @@ from randomizer import (
     sample_haar_unitaries,
 )
 from randomizer import channel, haar
+from randomizer.linalg import TOL, hermitian_coordinates
 
 
 def haar_stack(d, n, seed):
@@ -321,6 +322,57 @@ def test_channel_matrix_contract():
     wide = np.zeros((5, 3, 6), dtype=complex)
     wide[:, :, ::2] = haar_stack(3, 5, 81)
     assert np.array_equal(channel_from_unitaries(wide[:, :, ::2]).gram, ch.gram)
+
+
+def _coordinate_of_identity(d):
+    return np.concatenate([np.ones(d), np.zeros(d * d - d)])
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (2, 7), (3, 20), (5, 40), (16, 40)])
+def test_transfer_has_the_singular_values_of_s(d, n):
+    # T is S in an orthonormal basis, a unitary change of basis
+    ch = build_random_channel(d, n, RngStream(90 + d))
+    assert ch.transfer.dtype == np.float64 and ch.transfer.shape == (d * d, d * d)
+    assert not ch.transfer.flags.writeable
+    want = np.linalg.svd(ch.superoperator, compute_uv=False)
+    assert np.max(np.abs(np.linalg.svd(ch.transfer, compute_uv=False) - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_transfer_reads_the_pair_statistic(d):
+    # tr(R(|phi><phi|) |psi><psi|) = F(psi) . T F(phi), the form the net scan evaluates
+    ch = build_random_channel(d, 6, RngStream(95 + d))
+    states = random_pure_states(d, 12, RngStream(96 + d))
+    feats = hermitian_coordinates(states)
+    stats = feats @ ch.transfer @ feats.T  # row psi, column phi
+    want = [[pair_statistic(ch, phi, psi) for phi in states] for psi in states]
+    assert np.max(np.abs(stats - np.array(want))) <= 1e-14
+    # the identity has coordinates c, and a unital, trace-preserving R fixes it both ways
+    c = _coordinate_of_identity(d)
+    assert np.max(np.abs(ch.transfer @ c - c)) <= 1e-14
+    assert np.max(np.abs(c @ ch.transfer - c)) <= 1e-14
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_transfer_of_weyl_and_identity_channels(d):
+    c = _coordinate_of_identity(d)
+    assert np.max(np.abs(build_weyl_channel(d).transfer - np.outer(c, c) / d)) <= 1e-16
+    identity = channel_from_unitaries(np.eye(d, dtype=complex)[None])
+    assert np.array_equal(identity.transfer, np.eye(d * d))
+
+
+def _zz_channel(t):
+    """C = I/2 + t (Z ⊗ Z)/2 at d = 2: partial traces I, lowest eigenvalue (1 - t)/2."""
+    z = np.diag([1.0, -1.0])
+    return (np.eye(4) + t * np.kron(z, z)) / 2.0
+
+
+def test_positivity_check_keeps_its_tolerance():
+    tol = TOL.unitarity
+    RandomUnitaryChannel(_zz_channel(1.0 + tol), {"count": 1})  # lowest eigenvalue -tol/2
+    with pytest.raises(InvalidMatrix, match="not positive semidefinite: smallest eigenvalue "
+                                            "-2.000e-10"):
+        RandomUnitaryChannel(_zz_channel(1.0 + 4.0 * tol), {"count": 1})
 
 
 def test_pure_output_matches_apply():

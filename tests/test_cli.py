@@ -429,3 +429,32 @@ def test_verify_malformed_channel_number_exits_two(tmp_path, capsys, net_file, k
                 "--seed", "4"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
+
+
+@pytest.mark.parametrize("entry", [["1.0", "0"], [True, 0.0], [1.0, None], [1.0, [0.0]],
+                                   [10 ** 400, 0]])
+def test_verify_channel_entry_that_is_no_number_exits_two(tmp_path, capsys, net_file, entry):
+    ch_path = tmp_path / "ch.json"
+    assert run(["sample-channel", "--dim", "1", "--count", "1", "--seed", "3",
+                "--out", str(ch_path)]) == 0
+    payload = json.loads(ch_path.read_text())
+    payload["gram"] = [[entry]]
+    ch_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["verify", "--channel", str(ch_path), "--epsilon", "0.5", "--seed", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "gram" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("entry", [["1.0", 0.0], [True, 0.0], [1.0, False], [None, 0.0]])
+def test_audit_net_state_entry_that_is_no_number_exits_two(tmp_path, capsys, entry):
+    net_path = tmp_path / "net.json"
+    assert run(["net", "--dim", "1", "--delta", "1.5", "--seed", "8",
+                "--out", str(net_path)]) == 0
+    payload = json.loads(net_path.read_text())
+    payload["states"] = [[entry]]
+    net_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["audit-net", "--net", str(net_path), "--trials", "10", "--seed", "9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "states" in err

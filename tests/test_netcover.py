@@ -22,11 +22,11 @@ from randomizer import (
     pure_projector,
 )
 import randomizer.netcover as netcover
+from randomizer.linalg import hermitian_coordinates
 from randomizer.netcover import (
     _AUDIT_ENTRIES,
     _BLOCK_ENTRIES,
     _CANDIDATE_BATCH,
-    _bloch_features,
     _nearest_overlap,
     _overlap_threshold,
     _sorted_by_key,
@@ -452,8 +452,8 @@ def test_first_feature_moves_at_most_the_half_trace_distance(d, data):
 ])
 def test_window_max_equals_full_scan_within_reach(d, net_size, radius):
     gen = RngStream(40 + d).generator()
-    net_feats = _bloch_features(random_pure_states(d, net_size, gen))
-    feats = _bloch_features(random_pure_states(d, 20_000, gen))
+    net_feats = hermitian_coordinates(random_pure_states(d, net_size, gen))
+    feats = hermitian_coordinates(random_pure_states(d, 20_000, gen))
     net_sorted = _sorted_by_key(net_feats)
     assert np.all(np.diff(net_sorted[:, 0]) >= 0.0)
     full = full_scan(feats, net_feats)
@@ -468,8 +468,8 @@ def test_window_max_equals_full_scan_within_reach(d, net_size, radius):
 @pytest.mark.parametrize("d, net_size, delta", [(2, 200, 0.25), (2, 40, 0.6), (3, 100, 0.9)])
 def test_audit_overlap_equals_full_scan_on_every_row(d, net_size, delta, monkeypatch):
     gen = RngStream(50 + d).generator()
-    net_feats = _bloch_features(random_pure_states(d, net_size, gen))
-    feats = _bloch_features(random_pure_states(d, 20_000, gen))
+    net_feats = hermitian_coordinates(random_pure_states(d, net_size, gen))
+    feats = hermitian_coordinates(random_pure_states(d, 20_000, gen))
     full = full_scan(feats, net_feats)
     # rows lie beyond delta (failures), between delta/2 and delta, and within delta/2; only the
     # last are final in their window of reach delta/4, the others are rescanned in one that
@@ -492,7 +492,7 @@ def test_bloch_features_give_squared_overlaps(d, data):
     norms = np.linalg.norm(states, axis=1)
     assume(np.all(norms > 1e-3))
     x, y = states / norms[:, None]
-    feats = _bloch_features(np.stack([x, y]))
+    feats = hermitian_coordinates(np.stack([x, y]))
     assert feats.shape == (2, d * d) and feats.dtype == np.float64
     assert abs(feats[0] @ feats[1] - abs(np.vdot(x, y)) ** 2) <= 1e-14
     assert abs(feats[0] @ feats[0] - 1.0) <= 1e-14
