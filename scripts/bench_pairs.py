@@ -14,12 +14,15 @@ run length is ``run_seconds`` from ``BENCHMARK.json`` in the change tree, the
 same on both sides.
 
 The output file records every run (side, seed, order, end-to-end metrics and
-the ``attempted`` / ``failed`` counts), and for each workload, each side's
-median and quartiles of every end-to-end metric, the change's wins per metric
-over the pairs (ties count for neither side), and whether the change's median
-is better than the parent's by more than the distance between the parent's
-quartiles. After the pairs of a workload, one traced run per side at the first
-seed records the per-layer metrics, the time of each layer and CLI command.
+the ``correct`` / ``attempted`` / ``failed`` fields), and for each workload,
+each side's median and quartiles of every end-to-end metric, the change's wins
+per metric over the pairs (ties count for neither side), and whether the
+change's median is better than the parent's by more than the distance between
+the parent's quartiles (``gain_beyond_parent_iqr``). ``gain_accepted`` applies
+the whole rule a claimed gain must meet: that median test, wins in at least
+nine of every ten pairs, and no more failed operations than the parent. After
+the pairs of a workload, one traced run per side at the first seed records the
+per-layer metrics, the time of each layer and CLI command.
 """
 
 from __future__ import annotations
@@ -65,9 +68,11 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per-side spreads, pair wins and the gain rule for every end-to-end metric."""
+    """Per-side spreads, pair wins and the gain rules for every end-to-end metric."""
     out = {}
     seeds = sorted({r["seed"] for r in runs})
+    failed = {side: sum(r["failed"] for r in runs if r["side"] == side)
+              for side in ("parent", "change")}
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
         sides = {side: [r["metrics"][name] for r in runs if r["side"] == side]
@@ -81,13 +86,16 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         parent, change = stats["parent"], stats["change"]
         gain = (parent["median"] - change["median"]) if lower else (change["median"]
                                                                      - parent["median"])
+        beyond = gain > parent["q3"] - parent["q1"]
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
             "parent": stats["parent"], "change": stats["change"],
             "change_wins": wins, "pairs": len(seeds),
             "relative_change": (change["median"] - parent["median"]) / parent["median"]
             if parent["median"] else 0.0,
-            "gain_beyond_parent_iqr": gain > parent["q3"] - parent["q1"],
+            "gain_beyond_parent_iqr": beyond,
+            "gain_accepted": (beyond and 10 * wins >= 9 * len(seeds)
+                              and failed["change"] <= failed["parent"]),
         }
     return out
 
@@ -123,7 +131,8 @@ def run_pairs(checkouts: dict, workloads: list[str], seeds: list[int], out: str)
             for position, side in enumerate(order):
                 res = run_once(checkouts[side], workload, seed, seconds, 0)
                 runs.append({"side": side, "seed": seed, "first": position == 0,
-                             "attempted": res["attempted"], "failed": res["failed"],
+                             "correct": res["correct"], "attempted": res["attempted"],
+                             "failed": res["failed"],
                              "metrics": {n: res["metrics"][n]["value"] for n in names}})
                 print(f"{workload} seed={seed} {side}: "
                       + " ".join(f"{n}={runs[-1]['metrics'][n]:.4g}" for n in names)

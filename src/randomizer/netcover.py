@@ -44,16 +44,20 @@ share the union of their windows, one product per group.
   1 - delta^2/16. A maximal (delta/2)-packing puts nearly every sample that
   close: on d = 2 nets at delta = 0.25 and 0.125, 6 to 22 of 100,000 samples
   are left. Those rows, and any with an empty window, are rescanned in a
-  window that holds every net state, so ``max_gap`` and ``failures`` are those
-  of a full scan.
+  window that holds every net state, so ``failures`` are those of a full
+  scan. The first sample with the smallest maximum is kept, and ``max_gap``
+  is its distance to the nearest state of the whole net, evaluated once.
 
-The builder draws candidates in blocks of up to 2^16 feature entries (2^14
-candidates at d = 2, 7281 at d = 3), and a block ends no later than the
-candidate at which either stop rule could first fire: the run of rejections
-reaching the stop rule, or the net reaching its budget. A stop can then fire
-only at a block's last candidate, so every candidate drawn is counted, and
-the counters follow from the block's accept positions. Draws are
-prefix-stable, so a block holds exactly the candidates a one-by-one loop
+One budget, ``_BLOCK_ENTRIES`` = 2^16 entries, bounds every array a pass
+allocates: the feature rows of a block of candidates or of audit samples
+(2^14 states, 512 KB, at d = 2; 7281 at d = 3), and each tile of overlaps in
+a window's product. The builder draws candidates in such blocks, and the
+audit draws, featurizes and scans its samples in them. A builder block ends
+no later than the candidate at which either stop rule could first fire: the
+run of rejections reaching the stop rule, or the net reaching its budget. A
+stop can then fire only at a block's last candidate, so every candidate drawn
+is counted, and the counters follow from the block's accept positions. Draws
+are prefix-stable, so a block holds exactly the candidates a one-by-one loop
 draws. Longer blocks sort more query rows together, so each group of them
 spans less F_0 and scans a narrower union of windows. Each block is screened
 at once against the kept set as it stood when the block began; one greedy
@@ -78,9 +82,9 @@ from .linalg import TOL, hermitian_coordinates, require_finite
 
 _SIZE_CEILING = 10_000_000  # desk-scale memory ceiling on materialized nets
 _CANDIDATE_BATCH = 512  # survivors decided by one pairwise product in the greedy pass
-_BLOCK_ENTRIES = 1 << 16  # candidate feature entries per block: 2^14 candidates at d = 2
-_AUDIT_ENTRIES = 1 << 17  # sample feature entries per audit chunk: 2^15 samples at d = 2
-_TILE_ENTRIES = 1 << 17  # one 1 MB float block of overlaps, small enough to stay in L2
+# the one block budget of every netcover pass: the feature entries of a block of candidates
+# or audit samples (2^14 states, 512 KB, at d = 2) and the entries of one tile of overlaps
+_BLOCK_ENTRIES = 1 << 16
 _WINDOW_ROWS = 256  # sorted query rows that share one window of the net
 # pads a window's reach; covers rounding in the features and products and the 1e-12 norm
 # tolerance of net states, whose effect on F_0 and on the overlaps is of order 1e-11
@@ -106,10 +110,10 @@ def _column_max(net_feats: np.ndarray, cols: np.ndarray, out: np.ndarray,
     ``cols`` holds query feature rows as columns, so each product holds the
     overlaps of a run of columns with every net state, one row per net state, and
     the maximum runs down the columns, a reduction numpy vectorizes across them.
-    Each product holds at most ``_TILE_ENTRIES`` entries. With ``own``, column j
+    Each product holds at most ``_BLOCK_ENTRIES`` entries. With ``own``, column j
     skips net row ``own + j``: the column's own state.
     """
-    step = max(1, _TILE_ENTRIES // net_feats.shape[0])
+    step = max(1, _BLOCK_ENTRIES // net_feats.shape[0])
     for start in range(0, cols.shape[1], step):
         ov2 = net_feats @ cols[:, start:start + step]
         if own is not None:
@@ -358,20 +362,31 @@ def audit_covering(net: PureStateNet, trials: int, rng) -> CoverageReport:
     A failure is a sampled state farther than ``net.delta`` from every net
     state; for a truly covering net the failure count is zero. ``rng`` is an
     RngStream or an int seed.
+
+    Samples are drawn and scanned in blocks of ``_BLOCK_ENTRIES`` feature
+    entries. The worst sample is the first with the smallest window maximum,
+    and ``max_gap`` is 2 sqrt(1 - max |<y|x>|^2) over the whole net at that
+    sample x, from one complex product whose shape does not depend on the
+    blocks, so it reads the same for every block size.
     """
     trials = require_positive_int(trials, "trials")
     gen = as_stream(rng).generator()
     net_sorted = _sorted_by_key(hermitian_coordinates(net.states))
-    chunk = max(1, _AUDIT_ENTRIES // (net.dim * net.dim))
-    max_gap = 0.0
+    block = max(1, _BLOCK_ENTRIES // (net.dim * net.dim))
+    worst, worst_ov2 = None, math.inf
     failures = 0
     remaining = trials
     while remaining > 0:
-        k = min(chunk, remaining)
-        feats = hermitian_coordinates(random_pure_states(net.dim, k, gen))
-        best_ov2 = _nearest_overlap(feats, net_sorted, net.delta)
+        k = min(block, remaining)
+        samples = random_pure_states(net.dim, k, gen)
+        best_ov2 = _nearest_overlap(hermitian_coordinates(samples), net_sorted, net.delta)
+        i = int(np.argmin(best_ov2))
+        if best_ov2[i] < worst_ov2:
+            worst, worst_ov2 = samples[i].copy(), best_ov2[i]
         gaps = 2.0 * np.sqrt(np.maximum(0.0, 1.0 - best_ov2))
-        max_gap = max(max_gap, float(np.max(gaps)))
-        failures += int(np.sum(gaps > net.delta))
+        failures += int(np.count_nonzero(gaps > net.delta))
         remaining -= k
+    overlaps = np.conj(net.states) @ worst
+    j = int(np.argmax(np.abs(overlaps)))
+    max_gap = 2.0 * float(np.linalg.norm(worst - overlaps[j] * net.states[j]))
     return CoverageReport(net.dim, net.delta, trials, max_gap, failures)

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +25,6 @@ from randomizer import (
 import randomizer.netcover as netcover
 from randomizer.linalg import hermitian_coordinates
 from randomizer.netcover import (
-    _AUDIT_ENTRIES,
     _BLOCK_ENTRIES,
     _CANDIDATE_BATCH,
     _nearest_overlap,
@@ -419,8 +419,8 @@ def test_feasibility_guard_passes_coarse_radii_up_to_d5(d, delta, monkeypatch):
     (lambda: PureStateNet(1, 0.5, np.ones((1, 1), dtype=complex)), 10_001),
     (lambda: PureStateNet(2, 0.1, random_pure_states(2, 1, RngStream(12))), 10_001),
     (lambda: build_delta_net(2, 0.25, RngStream(31)), 10_001),
-    # two full audit chunks at d=2 and a partial one
-    (lambda: build_delta_net(2, 0.25, RngStream(31)), 2 * _AUDIT_ENTRIES // 4 + 1),
+    # two full audit blocks at d=2 and a partial one
+    (lambda: build_delta_net(2, 0.25, RngStream(31)), 2 * _BLOCK_ENTRIES // 4 + 1),
     (lambda: build_delta_net(3, 0.6, RngStream(32), max_states=400), 10_001),
     (lambda: build_delta_net(16, 0.5, RngStream(33), max_states=64), 10_001),
 ], ids=["d1", "d2-single", "d2-net", "d2-net-chunks", "d3-budget", "d16-budget"])
@@ -431,6 +431,41 @@ def test_audit_matches_complex_reference(make_net, trials):
     assert report.failures == failures
     # at d=1 the gap is sqrt(roundoff), about 1e-8; elsewhere the two agree to 1e-15
     assert abs(report.max_gap - max_gap) <= 1e-7
+
+
+@pytest.fixture(scope="module")
+def net531():
+    net = build_delta_net(2, 0.25, RngStream(3655785490956674035))
+    assert net.size == 531
+    return net
+
+
+def test_audit_max_gap_does_not_depend_on_the_block_size(net531, monkeypatch):
+    # the window products' last bits follow the block shape; max_gap is re-evaluated at the
+    # worst sample against the whole net, so it reads the same for every block size
+    def audit():
+        return audit_covering(net531, 100_000, RngStream(2255741908637261349))
+
+    reports = [audit()]
+    for entries in (1 << 12, 1 << 14, 1 << 16):
+        monkeypatch.setattr(netcover, "_BLOCK_ENTRIES", entries)
+        reports.append(audit())
+    assert len({(r.max_gap, r.failures) for r in reports}) == 1
+    # 2 sqrt(1 - |<y|x>|^2) at the worst sample, evaluated to 40 digits, is 0.12940489465488507
+    assert abs(reports[0].max_gap - 0.12940489465488507) <= 1e-16
+
+
+def test_audit_peak_memory_is_one_block(net531):
+    # a 2^14-sample block at d=2: 512 KB of features, the complex states and a 512 KB tile
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        audit_covering(net531, 100_000, RngStream(2255741908637261349))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3_000_000
 
 
 @settings(max_examples=300, deadline=None)
