@@ -364,10 +364,11 @@ def audit_covering(net: PureStateNet, trials: int, rng) -> CoverageReport:
     RngStream or an int seed.
 
     Samples are drawn and scanned in blocks of ``_BLOCK_ENTRIES`` feature
-    entries. The worst sample is the first with the smallest window maximum,
-    and ``max_gap`` is 2 sqrt(1 - max |<y|x>|^2) over the whole net at that
-    sample x, from one complex product whose shape does not depend on the
-    blocks, so it reads the same for every block size.
+    entries. The worst sample x is the first with the smallest window maximum.
+    ``max_gap`` is 2 sqrt(1 - |<y|x>|^2) for its nearest state y in the whole
+    net, found by one complex product whose shape does not depend on the
+    blocks, so it reads the same for every block size. It is evaluated as
+    2 |x - <y|x> y|, which keeps the digits that 1 - |<y|x>|^2 loses near 1.
     """
     trials = require_positive_int(trials, "trials")
     gen = as_stream(rng).generator()

@@ -452,7 +452,7 @@ def test_audit_max_gap_does_not_depend_on_the_block_size(net531, monkeypatch):
         reports.append(audit())
     assert len({(r.max_gap, r.failures) for r in reports}) == 1
     # 2 sqrt(1 - |<y|x>|^2) at the worst sample, evaluated to 40 digits, is 0.12940489465488507
-    assert abs(reports[0].max_gap - 0.12940489465488507) <= 1e-16
+    assert abs(reports[0].max_gap - 0.12940489465488507) <= 4e-16
 
 
 def test_audit_peak_memory_is_one_block(net531):
