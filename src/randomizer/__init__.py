@@ -65,7 +65,6 @@ from .haar import (
 from .linalg import (
     TOL,
     Tolerances,
-    hermitian_part,
 )
 from .netcover import (
     CoverageReport,

@@ -10,9 +10,10 @@ bound unconditionally. All restarts advance together, one stacked iteration
 for every restart still running, and each ends exactly where it would alone.
 A verdict compares both sides against epsilon / d.
 
-The net scan and the spectral bound both read the channel through its real
-``transfer`` matrix T, R on Hermitian inputs in an orthonormal basis: real
-GEMMs for the scan, a real SVD for the bound.
+Every layer reads the channel through its real ``transfer`` matrix T, R on
+Hermitian inputs in an orthonormal basis: real GEMMs for the net scan, a real
+SVD for the spectral bound, and one real matrix-vector product per restart
+for each half step of the ascent.
 """
 
 from __future__ import annotations
@@ -79,16 +80,15 @@ def spectral_upper_bound_A(ch: RandomUnitaryChannel) -> float:
     identity, ones on the d diagonal entries: D F(P) = F(R(P) - I/d) for
     unit-trace Hermitian P, the basis is orthonormal, and a unital,
     trace-preserving R leaves only the traceless parts Y of the pair,
-    ||Y||_2 = sqrt(1 - 1/d). T is S in an orthonormal basis, so D has the
-    singular values of S - |I>><<I|/d, here from a real SVD. At d = 2 the
-    bound equals A. The margin makes it bound the computed B and A_lower too:
-    (2/d)(||D c|| + ||c^T D||) covers partial traces of C off the identity
-    within TOL.unitarity; 8 eps d^2 sigma_max the SVD; 8 eps d^3 the roundoff
-    of x†Cx, as |x|^T |C| |x| <= tr C = d, and that of the gather of T, at
-    most 2 eps d. For a loaded C with a Hermiticity drift, T keeps only the
-    real part of S's basis change; (1 - 1/d) ||Im T||_F, with ||Im T||_F =
-    ||C - C†||_F / 2 and 0 for every built or saved channel, covers the part
-    dropped.
+    ||Y||_2 = sqrt(1 - 1/d); sigma_max(D) comes from a real SVD. At d = 2
+    the bound equals A. The margin makes it bound the computed B and A_lower
+    too: (2/d)(||D c|| + ||c^T D||) covers partial traces of C off the
+    identity within TOL.unitarity; 8 eps d^2 sigma_max the SVD; 8 eps d^3 the
+    roundoff of x†Cx, as |x|^T |C| |x| <= tr C = d, and that of the gather of
+    T, at most 2 eps d. For a loaded C with a Hermiticity drift, T keeps only
+    the real part of R's matrix in the Hermitian basis; (1 - 1/d) ||Im T||_F,
+    with ||Im T||_F = ||C - C†||_F / 2 and 0 for every built or saved
+    channel, covers the part dropped.
     """
     d = ch.dim
     dev = np.array(ch.transfer)
@@ -171,7 +171,10 @@ def _ascend(ch: RandomUnitaryChannel, starts: np.ndarray, tol: float, max_iters:
     Each half step solves its subproblem exactly, so every restart's objective
     sequence is non-decreasing up to roundoff. The restarts still running
     advance together: a half step is one stacked ``apply_channel`` (or
-    ``apply_adjoint``) of their projectors and one stacked ``eigh``. Each
+    ``apply_adjoint``) of their projectors, that is, one real product with T
+    (or T^T) per restart on the projectors' coordinates, and one stacked
+    ``eigh``. The products stay per restart, not one GEMM over the restarts,
+    whose rows BLAS may round differently at different widths. Each
     restart keeps its own stop rule (a full step that gains less than
     ``tol``, or ``max_iters`` steps) and its own best (value, phi, psi)
     triple, replaced only on a strict gain, so it ends bit for bit where it
@@ -236,7 +239,7 @@ def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = DEFAUL
 
     Each witness is rotated so that its first entry above ``_PHASE_FLOOR`` in
     magnitude is real and positive: the eigensolver's arbitrary global phase,
-    which roundoff in S can flip, never reaches a certificate. Not made
+    which roundoff in T can flip, never reaches a certificate. Not made
     canonical: at d = 2 the optimum may be attained by two orthogonal pairs,
     and roundoff may swap one for the other.
     """

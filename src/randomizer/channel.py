@@ -3,13 +3,13 @@
 A channel is its matrix C = (1/N) sum_i vec(U_i) vec(U_i)†, indexed by
 row-major pairs (i, j): R depends on nothing else, and at the N >= d / eps^2
 the randomizing regime needs, C (65536 entries at d = 16) is far smaller than
-the stack (N d^2). Regrouping its pairs (i, j), (k, l) to (i, k), (j, l) gives
-the superoperator S = (1/N) sum_i U_i ⊗ conj(U_i), which maps the row-major
-vec of rho to the vec of R(rho) and drives ``apply_*`` and the ascent. On
-Hermitian inputs R is the real d^2 x d^2 matrix T, S in the orthonormal
-Hermitian basis of ``linalg``, gathered from S's entries at construction;
-T drives the net scan and the spectral bound. The pair statistic is the form
-x†Cx with x = psi ⊗ conj(phi).
+the stack (N d^2). R preserves Hermiticity, so on Hermitian inputs it is the
+real d^2 x d^2 matrix T of its action in the orthonormal Hermitian basis of
+``linalg``, gathered from C's entries at construction. T is the one form of R
+that every layer reads: ``apply_channel`` and ``apply_adjoint`` (so the
+ascent) as T and T^T on coordinates, the net scan as real GEMMs, the spectral
+bound as a real SVD. C itself serves the pair statistic, the form x†Cx with
+x = psi ⊗ conj(phi), validation and files.
 
 C is folded in fixed blocks of ``_GRAM_BLOCK_TILES`` sampling tiles (whole
 rows, ``haar.tile_rows``) on the package's worker threads, by one reducer for
@@ -45,7 +45,8 @@ from .errors import (DimensionMismatch, InvalidDimension, InvalidMatrix, Numeric
                      require_positive_int)
 from .haar import (as_stream, complex_standard_normal, sample_haar_unitaries, tile_rows,
                    unitarity_defect)
-from .linalg import TOL, hermitian_part, hermitian_transfer, max_abs, require_finite
+from .linalg import (TOL, hermitian_matrix, hermitian_transfer, matrix_coordinates, max_abs,
+                     require_finite)
 from .workers import map_tiles
 
 # Sampling tiles per Gram block: 2^18 stack entries at d = 1, 2, 4, 8 and 16
@@ -92,17 +93,16 @@ def random_pure_states(d: int, count: int, rng) -> np.ndarray:
 class RandomUnitaryChannel:
     """A channel given by its matrix C = (1/N) sum_i vec(U_i) vec(U_i)†, shape ``(d^2, d^2)``.
 
-    ``gram`` is C, validated and stored read-only; ``superoperator`` is S, the
-    same entries regrouped; ``transfer`` is the real matrix T[a, b] =
-    tr(B_a R(B_b)) of R on Hermitian inputs, in the orthonormal Hermitian basis
-    of ``linalg``, also read-only. ``provenance`` records where C came from and
-    must hold ``count``, the number N of unitaries. Build a channel from a unitary
-    stack with ``channel_from_unitaries``. Equality is identity.
+    ``gram`` is C, validated and stored read-only; ``transfer`` is the real
+    matrix T[a, b] = tr(B_a R(B_b)) of R on Hermitian inputs, in the
+    orthonormal Hermitian basis of ``linalg``, gathered from C and also
+    read-only. ``provenance`` records where C came from and must hold
+    ``count``, the number N of unitaries. Build a channel from a unitary stack
+    with ``channel_from_unitaries``. Equality is identity.
     """
 
     gram: np.ndarray
     provenance: dict = field(default_factory=dict)
-    superoperator: np.ndarray = field(init=False, repr=False)
     transfer: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -132,10 +132,7 @@ class RandomUnitaryChannel:
                                     f"identity: max deviation {defect:.3e}")
         c.setflags(write=False)
         object.__setattr__(self, "gram", c)
-        sup = blocks.transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        sup.setflags(write=False)
-        object.__setattr__(self, "superoperator", sup)
-        transfer = hermitian_transfer(sup)
+        transfer = hermitian_transfer(c)
         transfer.setflags(write=False)
         object.__setattr__(self, "transfer", transfer)
 
@@ -244,21 +241,23 @@ def _require_square(ch: RandomUnitaryChannel, a: np.ndarray) -> np.ndarray:
 
 
 def apply_channel(ch: RandomUnitaryChannel, rho: np.ndarray) -> np.ndarray:
-    """(1/N) sum_i U_i rho U_i† as S vec(rho), symmetrized to kill Hermiticity drift.
+    """(1/N) sum_i U_i H U_i† for the Hermitian part H = (rho + rho†)/2: T on H's coordinates.
 
-    ``rho`` may be a stack ``(..., d, d)``: one stacked product, each item bit for bit its own call.
+    The image is exactly Hermitian. ``rho`` may be a stack ``(..., d, d)``:
+    one real matrix-vector product per item, each item bit for bit its own call.
     """
     rho = _require_square(ch, rho)
-    image = ch.superoperator @ rho.reshape(*rho.shape[:-2], -1, 1)
-    return hermitian_part(image.reshape(rho.shape))
+    return hermitian_matrix((ch.transfer @ matrix_coordinates(rho)[..., None])[..., 0])
 
 
 def apply_adjoint(ch: RandomUnitaryChannel, sigma: np.ndarray) -> np.ndarray:
-    """Adjoint map (1/N) sum_i U_i† sigma U_i as S† vec(sigma); stacks as ``apply_channel``."""
+    """Adjoint map (1/N) sum_i U_i† H U_i for the Hermitian part H of ``sigma``: T^T on H.
+
+    T is real in an orthonormal basis, so the adjoint is its transpose.
+    Stacks as ``apply_channel``.
+    """
     sigma = _require_square(ch, sigma)
-    rows = np.conj(sigma.reshape(*sigma.shape[:-2], 1, -1))
-    out = np.conj(rows @ ch.superoperator)  # conj(S^T conj(v)) = S† v
-    return hermitian_part(out.reshape(sigma.shape))
+    return hermitian_matrix((ch.transfer.T @ matrix_coordinates(sigma)[..., None])[..., 0])
 
 
 def pair_statistic(ch: RandomUnitaryChannel, phi: np.ndarray, psi: np.ndarray) -> float:

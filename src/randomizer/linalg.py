@@ -1,5 +1,5 @@
-"""Dense linear algebra: tolerances, finiteness, the Hermitian part, phase-fixed QR, and one
-orthonormal basis of the Hermitian matrices.
+"""Dense linear algebra: tolerances, finiteness, phase-fixed QR, and one orthonormal basis of the
+Hermitian matrices.
 
 Inputs are plain ``numpy`` arrays with ``complex128`` entries. Matrices may
 be stacked along leading axes where noted.
@@ -9,11 +9,12 @@ Hilbert-Schmidt inner product, lists E_jj for each j, then
 (E_jk + E_kj)/sqrt(2) and then i(E_jk - E_kj)/sqrt(2) for each pair j < k in
 ``np.triu_indices`` order. ``hermitian_coordinates`` gives the real
 coordinates tr(B_a |x><x|) of pure states, so the dot product of two rows is
-the squared overlap of their states; ``hermitian_transfer`` gives the real
-d^2 x d^2 matrix T[a, b] = tr(B_a R(B_b)) of a Hermiticity-preserving map R
-from its row-major superoperator. Then tr(R(|phi><phi|) |psi><psi|) =
-F(psi) . T F(phi), and the coordinates of the identity are ones on the d
-diagonal entries, zeros elsewhere.
+the squared overlap of their states; ``matrix_coordinates`` gives those of
+the Hermitian part of any matrix, and ``hermitian_matrix`` maps coordinates
+back to their matrix. ``hermitian_transfer`` gives the real d^2 x d^2 matrix
+T[a, b] = tr(B_a R(B_b)) of a random unitary channel R from its matrix C.
+Then tr(R(|phi><phi|) |psi><psi|) = F(psi) . T F(phi), and the coordinates of
+the identity are ones on the d diagonal entries, zeros elsewhere.
 """
 
 from __future__ import annotations
@@ -52,12 +53,6 @@ def require_finite(a: np.ndarray, what: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(arr.view(np.float64))):
         raise InvalidMatrix(f"{what} has non-finite entries")
     return arr
-
-
-def hermitian_part(a: np.ndarray) -> np.ndarray:
-    """Return (A + A†)/2."""
-    a = np.asarray(a, dtype=complex)
-    return (a + np.conj(np.swapaxes(a, -2, -1))) / 2.0
 
 
 def qr_positive_stacked(mats: np.ndarray):
@@ -102,27 +97,63 @@ def hermitian_coordinates(states: np.ndarray) -> np.ndarray:
     return np.concatenate([states.real ** 2 + states.imag ** 2, cross.real, cross.imag], axis=1)
 
 
-def hermitian_transfer(sup: np.ndarray) -> np.ndarray:
-    """The real matrix T[a, b] = tr(B_a R(B_b)) of the map whose row-major superoperator is ``sup``.
+def matrix_coordinates(a: np.ndarray) -> np.ndarray:
+    """Real coordinates ``(..., d^2)`` of the Hermitian part (A + A†)/2 of each matrix of ``a``.
 
-    An index gather, no product, one block of basis columns at a time: the
-    columns S vec(B_b) are read first, then their coordinates, each from the
-    diagonal entries, x + y and i(x - y) at the pair entries x = (j, k),
-    y = (k, j), and the 1/sqrt(2) factors are applied once per block at the
-    end, so the identity map gives T = I exactly. Returns the real part, which
-    is all of T when R preserves Hermiticity exactly (C exactly Hermitian).
-    The largest temporaries are the real and imaginary parts of one column
-    block's images, two real d^2 x d(d - 1)/2 arrays beside T.
+    Read from both triangles: Re A_jj, then (Re A_jk + Re A_kj)/sqrt(2) and
+    (Im A_jk - Im A_kj)/sqrt(2) for j < k.
     """
-    d = math.isqrt(sup.shape[0])
+    d = a.shape[-1]
+    rows, cols = _pair_indices(d)
+    flat = a.reshape(*a.shape[:-2], d * d)
+    upper, lower = flat[..., rows * d + cols], flat[..., cols * d + rows]
+    root = math.sqrt(0.5)
+    return np.concatenate([flat[..., ::d + 1].real, (upper.real + lower.real) * root,
+                           (upper.imag - lower.imag) * root], axis=-1)
+
+
+def hermitian_matrix(coords: np.ndarray) -> np.ndarray:
+    """The matrices sum_a coords[..., a] B_a, shape ``(..., d, d)``: ``matrix_coordinates`` inverted.
+
+    Exactly Hermitian: the diagonal is real and each entry below it is the
+    conjugate of its mirror.
+    """
+    d = math.isqrt(coords.shape[-1])
+    rows, cols = _pair_indices(d)
+    pairs, root = rows.size, math.sqrt(0.5)
+    out = np.empty(coords.shape, dtype=complex)
+    out[..., ::d + 1] = coords[..., :d]
+    upper = coords[..., d:d + pairs] * root + 1j * (coords[..., d + pairs:] * root)
+    out[..., rows * d + cols] = upper
+    out[..., cols * d + rows] = np.conj(upper)
+    return out.reshape(*coords.shape[:-1], d, d)
+
+
+def hermitian_transfer(gram: np.ndarray) -> np.ndarray:
+    """The real matrix T[a, b] = tr(B_a R(B_b)) of the channel R whose matrix C is ``gram``.
+
+    R(X)[i, k] = sum over (j, l) of C[(i, j), (k, l)] X[j, l], so the entries
+    of C regrouped to rows (i, k) and columns (j, l), a local copy, map the
+    row-major vec of X to that of R(X). T is an index gather from them, no
+    product, one block of basis columns at a time: the images R(B_b) are read
+    first, then their coordinates, each from the diagonal entries, x + y and
+    i(x - y) at the pair entries x = (j, k), y = (k, j), and the 1/sqrt(2)
+    factors are applied once per block at the end, so the identity map gives
+    T = I exactly. Returns the real part, which is all of T when R preserves
+    Hermiticity exactly (C exactly Hermitian). Beside T and the regrouped
+    copy, the largest temporaries are the real and imaginary parts of one
+    column block's images, two real d^2 x d(d - 1)/2 arrays.
+    """
+    d = math.isqrt(gram.shape[0])
     rows, cols = _pair_indices(d)
     diag, jk, kj = np.arange(d) * (d + 1), rows * d + cols, cols * d + rows
     n = d * d
     sym, anti = slice(d, d + rows.size), slice(d + rows.size, n)
-    a, b = sup.real, sup.imag
+    regrouped = gram.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
+    a, b = regrouped.real, regrouped.imag
     t = np.empty((n, n))
     for block in (slice(0, d), sym, anti):
-        # S vec(B_b) for the b of this block, unscaled, as its real and imaginary parts
+        # R(B_b) for the b of this block, unscaled, as its real and imaginary parts
         if block is sym:
             re, im = a[:, jk], b[:, jk]
             re += a[:, kj]

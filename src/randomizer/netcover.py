@@ -4,7 +4,8 @@ A maximal (delta/2)-separated set of pure states is a (delta/2)-net and hence
 a delta-net with margin (Hayden, Leung, Shor and Winter, CMP 250, 2004).
 Maximality is only probabilistic here: the builder stops after a run of
 consecutive rejections, and ``audit_covering`` measures how well the result
-actually covers.
+actually covers. A build that has not stopped within ``_WORK_CEILING``
+candidate-state pairs is refused, so every call ends.
 
 Every pure-state overlap in this module (the builder's screening, the
 separation certificate and the audit) goes through one real kernel. A state x
@@ -81,6 +82,10 @@ from .haar import as_stream
 from .linalg import TOL, hermitian_coordinates, require_finite
 
 _SIZE_CEILING = 10_000_000  # desk-scale memory ceiling on materialized nets
+# desk-scale time ceiling on a build: candidates drawn times the states kept when each block
+# began, 2^32. The README's d=2, delta=0.125 net takes 1.7e9; the d=4, delta=1 build, whose
+# stop rule would take hours, reaches the ceiling at 13,000 states, in 20 s on a 2-vCPU host
+_WORK_CEILING = 1 << 32
 _CANDIDATE_BATCH = 512  # survivors decided by one pairwise product in the greedy pass
 # the one block budget of every netcover pass: the feature entries of a block of candidates
 # or audit samples (2^14 states, 512 KB, at d = 2) and the entries of one tile of overlaps
@@ -242,6 +247,10 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
     ``rng`` is an RngStream or an int seed; the provenance records its seed
     and stream id.
 
+    A build whose candidates, each counted against the states kept when its
+    block began, pass ``_WORK_CEILING`` pairs without a stop raises
+    NetInfeasible, with or without a budget.
+
     Without an explicit ``max_states`` budget the covering-number bound guards
     against astronomically large requests (NetInfeasible); a delta/2-separated
     set is also delta'/2-separated for every delta' < delta, so from delta = 1
@@ -273,7 +282,7 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
 
     kept: list[np.ndarray] = []
     kept_sorted = np.zeros((0, d * d))
-    size = consecutive = candidates = 0
+    size = consecutive = candidates = work = 0
     while True:
         # neither stop can fire before the block's last candidate: a run of rejections
         # must reach the stop rule, and each accept is one candidate
@@ -299,6 +308,7 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
                     live[k + 1:] &= ~close[k, k + 1:]
 
         candidates += n
+        work += n * size
         if accepted:
             kept.append(block[accepted])
             kept_sorted = _sorted_by_key(np.concatenate([kept_sorted, feats[accepted]]))
@@ -316,6 +326,12 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
         if consecutive >= _stop_run(size):
             stopped_by = "rejections"
             break
+        if work >= _WORK_CEILING:
+            raise NetInfeasible(
+                f"net at (d={d}, delta={delta}) did not stop within the work ceiling: "
+                f"{candidates} candidates against up to {size} kept states, {work:.2e} pairs "
+                f">= {_WORK_CEILING:.2e}; pass a larger delta, or max_states below {size}"
+            )
 
     prov = {
         "seed": stream.seed,

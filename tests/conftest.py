@@ -40,6 +40,15 @@ def output_deviation(ch, phi: np.ndarray) -> float:
     return float(np.linalg.norm(apply_channel(ch, pure_projector(phi)) - np.eye(d) / d, 2))
 
 
+def superoperator(ch) -> np.ndarray:
+    """Oracle: the row-major superoperator S = (1/N) sum_i U_i ⊗ conj(U_i), C regrouped.
+
+    S[(i, k), (j, l)] = C[(i, j), (k, l)], so S vec(rho) is the row-major vec of R(rho).
+    """
+    d = ch.dim
+    return ch.gram.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+
 def complex_scan_B(ch, net):
     """Oracle: the net scan through complex GEMMs on S, in ``_SCAN_BUDGET`` chunks of phi rows.
 
@@ -52,7 +61,7 @@ def complex_scan_B(ch, net):
     chunk = max(1, randomizer.certify._SCAN_BUDGET // max(m, d * d))
     best, best_i, best_j = -1.0, 0, 0
     for start in range(0, m, chunk):
-        dev = np.abs(((vecs[start:start + chunk] @ ch.superoperator.T) @ np.conj(vecs.T)).real
+        dev = np.abs(((vecs[start:start + chunk] @ superoperator(ch).T) @ np.conj(vecs.T)).real
                      - 1.0 / d)
         k, j = divmod(int(np.argmax(dev)), m)
         if dev[k, j] > best:
@@ -66,7 +75,7 @@ def complex_spectral_bound(ch) -> float:
     d = ch.dim
     eps = np.finfo(float).eps
     ident = np.eye(d).reshape(-1)
-    dev = ch.superoperator - np.outer(ident, ident) / d
+    dev = superoperator(ch) - np.outer(ident, ident) / d
     sigma = float(np.linalg.svd(dev, compute_uv=False)[0])
     leak = np.linalg.norm(dev @ ident) + np.linalg.norm(ident @ dev)
     return (1.0 - 1.0 / d) * sigma + 8.0 * eps * d * d * (d + sigma) + 2.0 * float(leak) / d

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randomizer.certify
-from conftest import complex_scan_B, complex_spectral_bound, stream
+from conftest import complex_scan_B, complex_spectral_bound, stream, superoperator
 from randomizer import (
     DeviationCertificate,
     DimensionMismatch,
@@ -352,7 +352,7 @@ def test_witnesses_ignore_phases_of_the_unitaries(d, n):
     us = sample_haar_unitaries(d, n, RngStream(95 + d))
     rotated = channel_from_unitaries(us * np.exp(1j * theta)[:, None, None])
     # the same channel: S agrees up to roundoff, so the ascent ends at the same pair
-    assert np.max(np.abs(rotated.superoperator - ch.superoperator)) <= 1e-15
+    assert np.max(np.abs(superoperator(rotated) - superoperator(ch))) <= 1e-15
     want = alternating_max_lower_bound(ch, restarts=3, rng=RngStream(97))
     got = alternating_max_lower_bound(rotated, restarts=3, rng=RngStream(97))
     assert np.max(np.abs(got.phi - want.phi)) <= 1e-13

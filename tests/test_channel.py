@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import output_deviation, random_density, stream
+from conftest import output_deviation, random_density, stream, superoperator
 from randomizer import (
     DimensionMismatch,
     InvalidDimension,
@@ -65,7 +67,7 @@ def test_build_reproducible():
     a = build_random_channel(2, 3, RngStream(5))
     b = build_random_channel(2, 3, RngStream(5))
     assert np.array_equal(a.gram, b.gram)
-    assert np.array_equal(a.superoperator, b.superoperator)
+    assert np.array_equal(superoperator(a), superoperator(b))
     assert a.provenance["seed"] == 5
 
 
@@ -74,10 +76,10 @@ def test_superoperator_matches_kron_sum(d, n):
     ch = build_random_channel(d, n, RngStream(60 + d))
     us = haar_stack(d, n, 60 + d)
     want = sum(np.kron(u, np.conj(u)) for u in us) / n
-    assert np.max(np.abs(ch.superoperator - want)) <= 1e-14
+    assert np.max(np.abs(superoperator(ch) - want)) <= 1e-14
     assert np.max(np.abs(ch.gram - stack_gram(us))) <= 1e-14
     # regrouped to [(i, j), (k, l)], S is C, the Gram matrix of the vec(U_n): exactly Hermitian
-    gram = ch.superoperator.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    gram = superoperator(ch).reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     assert np.array_equal(gram, ch.gram)
     assert np.array_equal(gram, np.conj(gram.T))
 
@@ -92,7 +94,7 @@ def test_channel_does_not_depend_on_thread_count(d, monkeypatch):
             channels.append(build_random_channel(d, n, RngStream(80 + d)))
         for ch in channels[1:]:
             assert np.array_equal(ch.gram, channels[0].gram)
-            assert np.array_equal(ch.superoperator, channels[0].superoperator)
+            assert np.array_equal(superoperator(ch), superoperator(channels[0]))
 
 
 @pytest.mark.parametrize("d", [3, 16])
@@ -187,7 +189,9 @@ def test_build_contract_and_errors():
     assert unitarity_defect(haar_stack(4, 16, 7)) <= 1e-10
     assert ch.dim == 4 and ch.count == 16 and ch.gram.shape == (16, 16)
     assert ch.provenance == {"kind": "haar", "seed": 7, "stream_id": 0, "dim": 4, "count": 16}
-    assert not ch.gram.flags.writeable and not ch.superoperator.flags.writeable
+    assert not ch.gram.flags.writeable and not ch.transfer.flags.writeable
+    # C and T are the only arrays a channel holds
+    assert [f.name for f in dataclasses.fields(ch)] == ["gram", "provenance", "transfer"]
     with pytest.raises(InvalidDimension):
         build_random_channel(0, 3, RngStream(0))
     with pytest.raises(InvalidDimension):
@@ -222,7 +226,7 @@ def test_weyl_randomizes_exactly(d):
     assert np.max(np.abs(out2 - np.eye(d) / d)) <= 1e-12
     # the whole channel is the trace-and-replace map: S = |I>><<I| / d
     vec_eye = np.eye(d).reshape(-1)
-    assert np.max(np.abs(w.superoperator - np.outer(vec_eye, vec_eye) / d)) <= 1e-12
+    assert np.max(np.abs(superoperator(w) - np.outer(vec_eye, vec_eye) / d)) <= 1e-12
 
 
 def test_apply_identity_channel():
@@ -243,6 +247,17 @@ def test_apply_adjoint_matches_naive_oracle():
     sigma = random_density(4, stream(79))
     want = naive_adjoint(haar_stack(4, 7, 78), sigma)
     assert np.max(np.abs(apply_adjoint(ch, sigma) - want)) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_apply_reads_the_hermitian_part_of_any_input(d):
+    ch = build_random_channel(d, 7, RngStream(56 + d))
+    gen = stream(57, d).generator()
+    a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    part = (a + np.conj(a.T)) / 2.0
+    us = haar_stack(d, 7, 56 + d)
+    assert np.max(np.abs(apply_channel(ch, a) - naive_apply(us, part))) <= 1e-13
+    assert np.max(np.abs(apply_adjoint(ch, a) - naive_adjoint(us, part))) <= 1e-13
 
 
 def test_apply_preserves_trace_and_positivity():
@@ -307,7 +322,7 @@ def test_channel_matrix_contract():
     ch = build_random_channel(3, 5, RngStream(81))
     c = np.array(ch.gram)
     again = RandomUnitaryChannel(c, ch.provenance)
-    assert np.array_equal(again.superoperator, ch.superoperator)
+    assert np.array_equal(superoperator(again), superoperator(ch))
     c[0, 0] = 7.0  # the channel keeps its own validated copy of C
     assert np.array_equal(again.gram, ch.gram)
     for provenance in ({}, {"count": 0}, {"count": "5"}):
@@ -334,8 +349,50 @@ def test_transfer_has_the_singular_values_of_s(d, n):
     ch = build_random_channel(d, n, RngStream(90 + d))
     assert ch.transfer.dtype == np.float64 and ch.transfer.shape == (d * d, d * d)
     assert not ch.transfer.flags.writeable
-    want = np.linalg.svd(ch.superoperator, compute_uv=False)
+    want = np.linalg.svd(superoperator(ch), compute_uv=False)
     assert np.max(np.abs(np.linalg.svd(ch.transfer, compute_uv=False) - want)) <= 1e-12
+
+
+def transfer_from_superoperator(sup):
+    """Oracle: T gathered from the row-major superoperator S, the gather T was first read with.
+
+    The columns S vec(B_b) block by block, then their coordinates, the 1/sqrt(2)
+    factors applied once per block at the end.
+    """
+    d = math.isqrt(sup.shape[0])
+    rows, cols = np.triu_indices(d, 1)
+    diag, jk, kj = np.arange(d) * (d + 1), rows * d + cols, cols * d + rows
+    n = d * d
+    sym, anti = slice(d, d + rows.size), slice(d + rows.size, n)
+    a, b = sup.real, sup.imag
+    t = np.empty((n, n))
+    for block in (slice(0, d), sym, anti):
+        if block is sym:
+            re, im = a[:, jk], b[:, jk]
+            re += a[:, kj]
+            im += b[:, kj]
+        elif block is anti:
+            re, im = b[:, kj], a[:, jk]
+            re -= b[:, jk]
+            im -= a[:, kj]
+        else:
+            re, im = a[:, diag], b[:, diag]
+        t[:d, block] = re[diag]
+        np.add(re[jk], re[kj], out=t[sym, block])
+        np.subtract(im[jk], im[kj], out=t[anti, block])
+    scale = math.sqrt(0.5)
+    t[:d, d:] *= scale
+    t[d:, :d] *= scale
+    t[d:, d:] *= 0.5
+    return t
+
+
+@pytest.mark.parametrize("d, n", [(1, 3), (2, 7), (3, 20), (4, 9), (16, 40)])
+def test_transfer_from_c_equals_the_gather_from_s_bitwise(d, n):
+    ch = build_random_channel(d, n, RngStream(160 + d))
+    assert ch.transfer.tobytes() == transfer_from_superoperator(superoperator(ch)).tobytes()
+    w = build_weyl_channel(3)
+    assert w.transfer.tobytes() == transfer_from_superoperator(superoperator(w)).tobytes()
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])

@@ -296,6 +296,18 @@ def test_net_coarse_radius_trips_the_guard(tmp_path, capsys, monkeypatch):
     assert drawn == [] and not net_path.exists()
 
 
+def test_net_that_never_stops_exits_two(tmp_path, capsys, monkeypatch):
+    # net --dim 4 --delta 1.0 passes the covering guard, and its stop rule would take hours;
+    # the work ceiling, here small, refuses it
+    monkeypatch.setattr(netcover, "_WORK_CEILING", 10 ** 6)
+    net_path = tmp_path / "net.json"
+    assert run(["net", "--dim", "4", "--delta", "1.0", "--seed", "8",
+                "--out", str(net_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "work ceiling" in captured.err
+    assert not net_path.exists()
+
+
 def test_concentration_nonpositive_dim_exits_two(capsys):
     for dim in ("0", "-2"):
         assert run(["concentration", "--dim", dim, "--counts", "5", "--deltas", "0.5",

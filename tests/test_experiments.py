@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import superoperator
 from randomizer import (
     InvalidDimension,
     InvalidMatrix,
@@ -246,7 +247,7 @@ def test_channel_round_trip(tmp_path):
     save_channel(path, ch)
     loaded = load_channel(path)
     assert np.array_equal(loaded.gram, ch.gram)
-    assert np.array_equal(loaded.superoperator, ch.superoperator)
+    assert np.array_equal(superoperator(loaded), superoperator(ch))
     assert loaded.gram.tobytes() == ch.gram.tobytes()
     assert loaded.dim == 3 and loaded.count == 4
     assert loaded.provenance == ch.provenance

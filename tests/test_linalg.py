@@ -11,7 +11,8 @@ from randomizer import (
     sample_haar_unitaries,
 )
 from randomizer.certify import _extreme_eigvecs
-from randomizer.linalg import qr_positive_stacked
+from randomizer.linalg import (hermitian_coordinates, hermitian_matrix, matrix_coordinates,
+                               qr_positive_stacked)
 
 
 def operator_norm(h):
@@ -145,3 +146,31 @@ def test_non_hermitian_rejected():
     c[0, 1], c[1, 0] = 1e-6, -1e-6
     with pytest.raises(InvalidMatrix, match="not Hermitian"):
         RandomUnitaryChannel(c, {"count": 1})
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 16])
+def test_hermitian_matrix_inverts_the_coordinates(d):
+    gen = stream(150, d)
+    stack = np.stack([random_hermitian(d, gen.child(k)) for k in range(6)]).reshape(2, 3, d, d)
+    coords = matrix_coordinates(stack)
+    assert coords.shape == (2, 3, d * d) and coords.dtype == np.float64
+    back = hermitian_matrix(coords)
+    assert back.shape == stack.shape
+    assert np.max(np.abs(back - stack)) <= 1e-15
+    assert np.array_equal(back, np.conj(np.swapaxes(back, -2, -1)))  # exactly Hermitian
+    # the basis is orthonormal: coordinates keep the Hilbert-Schmidt inner product
+    gram = np.einsum("...ij,...ij->...", stack, np.conj(stack)).real
+    assert np.max(np.abs(np.sum(coords ** 2, axis=-1) - gram)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 16])
+def test_matrix_coordinates_read_the_hermitian_part(d):
+    gen = stream(151, d).generator()
+    a = gen.standard_normal((4, d, d)) + 1j * gen.standard_normal((4, d, d))
+    part = (a + np.conj(np.swapaxes(a, -2, -1))) / 2.0
+    assert np.max(np.abs(matrix_coordinates(a) - matrix_coordinates(part))) <= 1e-15
+    assert np.max(np.abs(hermitian_matrix(matrix_coordinates(a)) - part)) <= 1e-15
+    # on projectors they are the coordinates of the states themselves
+    states = a[:, 0] / np.linalg.norm(a[:, 0], axis=1, keepdims=True)
+    projectors = states[:, :, None] * np.conj(states)[:, None, :]
+    assert np.max(np.abs(matrix_coordinates(projectors) - hermitian_coordinates(states))) <= 1e-15

@@ -531,3 +531,20 @@ def test_bloch_features_give_squared_overlaps(d, data):
     assert feats.shape == (2, d * d) and feats.dtype == np.float64
     assert abs(feats[0] @ feats[1] - abs(np.vdot(x, y)) ** 2) <= 1e-14
     assert abs(feats[0] @ feats[0] - 1.0) <= 1e-14
+
+
+def test_builder_work_is_bounded(monkeypatch):
+    # a d=2, delta=0.25 build counts about 4e7 candidate-state pairs before its stop rule fires
+    want = build_delta_net(2, 0.25, RngStream(31))
+    small = build_delta_net(2, 0.5, RngStream(9))  # about 8e5 pairs
+    monkeypatch.setattr(netcover, "_WORK_CEILING", 10 ** 6)
+    with pytest.raises(NetInfeasible, match="work ceiling"):
+        build_delta_net(2, 0.25, RngStream(31))
+    with pytest.raises(NetInfeasible, match="work ceiling"):
+        build_delta_net(2, 0.25, RngStream(31), max_states=10 ** 6)
+    # a build that stops below the ceiling is the same net
+    again = build_delta_net(2, 0.5, RngStream(9))
+    assert again.states.tobytes() == small.states.tobytes()
+    assert again.provenance == small.provenance
+    monkeypatch.setattr(netcover, "_WORK_CEILING", 10 ** 8)
+    assert build_delta_net(2, 0.25, RngStream(31)).states.tobytes() == want.states.tobytes()
