@@ -113,9 +113,10 @@ def matrix_coordinates(a: np.ndarray) -> np.ndarray:
 
 
 def hermitian_matrix(coords: np.ndarray) -> np.ndarray:
-    """The matrices sum_a coords[..., a] B_a, shape ``(..., d, d)``: ``matrix_coordinates`` inverted.
+    """The matrices sum_a coords[..., a] B_a, shape ``(..., d, d)``, of real coordinates.
 
-    Exactly Hermitian: the diagonal is real and each entry below it is the
+    The inverse of ``matrix_coordinates`` on Hermitian matrices. The result is
+    exactly Hermitian: its diagonal is real and each entry below it is the
     conjugate of its mirror.
     """
     d = math.isqrt(coords.shape[-1])

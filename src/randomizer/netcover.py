@@ -5,7 +5,7 @@ a delta-net with margin (Hayden, Leung, Shor and Winter, CMP 250, 2004).
 Maximality is only probabilistic here: the builder stops after a run of
 consecutive rejections, and ``audit_covering`` measures how well the result
 actually covers. A build that has not stopped within ``_WORK_CEILING``
-candidate-state pairs is refused, so every call ends.
+windowed candidate-state pairs is refused, so every call ends.
 
 Every pure-state overlap in this module (the builder's screening, the
 separation certificate and the audit) goes through one real kernel. A state x
@@ -82,10 +82,11 @@ from .haar import as_stream
 from .linalg import TOL, hermitian_coordinates, require_finite
 
 _SIZE_CEILING = 10_000_000  # desk-scale memory ceiling on materialized nets
-# desk-scale time ceiling on a build: candidates drawn times the states kept when each block
-# began, 2^32. The README's d=2, delta=0.125 net takes 1.7e9; the d=4, delta=1 build, whose
-# stop rule would take hours, reaches the ceiling at 13,000 states, in 20 s on a 2-vCPU host
-_WORK_CEILING = 1 << 32
+# desk-scale time ceiling on a build, in windowed candidate-state pairs: each block's candidates
+# times the states kept when it began, times the share 2 r of F_0's range [0, 1] that a window
+# of reach r spans. The README's d=2, delta=0.125 net takes 1.1e8; the d=4, delta=1 build, whose
+# stop rule would take hours, reaches 2^31 at 13,000 states, in 20 s on a 2-vCPU host
+_WORK_CEILING = 1 << 31
 _CANDIDATE_BATCH = 512  # survivors decided by one pairwise product in the greedy pass
 # the one block budget of every netcover pass: the feature entries of a block of candidates
 # or audit samples (2^14 states, 512 KB, at d = 2) and the entries of one tile of overlaps
@@ -247,9 +248,9 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
     ``rng`` is an RngStream or an int seed; the provenance records its seed
     and stream id.
 
-    A build whose candidates, each counted against the states kept when its
-    block began, pass ``_WORK_CEILING`` pairs without a stop raises
-    NetInfeasible, with or without a budget.
+    A build whose candidates, each counted against the share of the states
+    kept when its block began that a window spans, pass ``_WORK_CEILING``
+    pairs without a stop raises NetInfeasible, with or without a budget.
 
     Without an explicit ``max_states`` budget the covering-number bound guards
     against astronomically large requests (NetInfeasible); a delta/2-separated
@@ -278,6 +279,7 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
     gen = stream.generator()
     threshold = _overlap_threshold(delta)
     reach = _window_reach(1.0 - threshold)
+    share = min(1.0, 2.0 * reach)  # of F_0's range [0, 1], spanned by a window
     ceiling = _SIZE_CEILING if max_states is None else max_states
 
     kept: list[np.ndarray] = []
@@ -308,7 +310,7 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
                     live[k + 1:] &= ~close[k, k + 1:]
 
         candidates += n
-        work += n * size
+        work += n * size * share
         if accepted:
             kept.append(block[accepted])
             kept_sorted = _sorted_by_key(np.concatenate([kept_sorted, feats[accepted]]))
@@ -329,8 +331,8 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
         if work >= _WORK_CEILING:
             raise NetInfeasible(
                 f"net at (d={d}, delta={delta}) did not stop within the work ceiling: "
-                f"{candidates} candidates against up to {size} kept states, {work:.2e} pairs "
-                f">= {_WORK_CEILING:.2e}; pass a larger delta, or max_states below {size}"
+                f"{candidates} candidates against up to {size} kept states, {work:.2e} windowed "
+                f"pairs >= {_WORK_CEILING:.2e}; pass a larger delta, or max_states below {size}"
             )
 
     prov = {

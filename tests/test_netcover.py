@@ -534,9 +534,10 @@ def test_bloch_features_give_squared_overlaps(d, data):
 
 
 def test_builder_work_is_bounded(monkeypatch):
-    # a d=2, delta=0.25 build counts about 4e7 candidate-state pairs before its stop rule fires
+    # a d=2, delta=0.25 build counts about 5e6 windowed candidate-state pairs before its stop
+    # rule fires
     want = build_delta_net(2, 0.25, RngStream(31))
-    small = build_delta_net(2, 0.5, RngStream(9))  # about 8e5 pairs
+    small = build_delta_net(2, 0.5, RngStream(9))  # about 2e5 windowed pairs
     monkeypatch.setattr(netcover, "_WORK_CEILING", 10 ** 6)
     with pytest.raises(NetInfeasible, match="work ceiling"):
         build_delta_net(2, 0.25, RngStream(31))
