@@ -354,7 +354,7 @@ def test_transfer_has_the_singular_values_of_s(d, n):
 
 
 def transfer_from_superoperator(sup):
-    """Oracle: T gathered from the row-major superoperator S, the gather T was first read with.
+    """Oracle: T gathered by index from the row-major superoperator S.
 
     The columns S vec(B_b) block by block, then their coordinates, the 1/sqrt(2)
     factors applied once per block at the end.
