@@ -8,21 +8,26 @@ is exported with ``git archive`` into its own temporary directory, so neither
 side runs in the working tree and both run from the same kind of tree. To
 measure uncommitted work, pass the commit that ``git stash create`` prints.
 For every workload and every seed, the script runs ``perfbench/run.py`` once
-in each tree, one after the other, alternating which side runs first, and
-parses the JSON object on the last line of each run's standard output. The
-run length is ``run_seconds`` from ``BENCHMARK.json`` in the change tree, the
-same on both sides.
+in each tree and a second time in the parent tree (the A/A arm, side
+``parent_again``), one after the other: parent, change, parent again, and
+the reverse order at every other seed. It parses the JSON object on the last line of each run's standard
+output. The run length is ``run_seconds`` from ``BENCHMARK.json`` in the
+change tree, the same on every side.
 
 The output file records every run (side, seed, order, end-to-end metrics and
 the ``correct`` / ``attempted`` / ``failed`` fields), and for each workload,
 each side's median and quartiles of every end-to-end metric, the change's wins
 per metric over the pairs (ties count for neither side), and whether the
 change's median is better than the parent's by more than the distance between
-the parent's quartiles (``gain_beyond_parent_iqr``). ``gain_accepted`` applies
-the whole rule a claimed gain must meet: that median test, wins in at least
-nine of every ten pairs, and no more failed operations than the parent. After
-the pairs of a workload, one traced run per side at the first seed records the
-per-layer metrics, the time of each layer and CLI command.
+the parent's quartiles (``gain_beyond_parent_iqr``). The A/A arm gives the
+same two numbers for a side that changes nothing: ``aa_shift``, how much
+better the second parent runs' median reads than the first's, and
+``aa_wins``, the pairs in which the second run reads better.
+``gain_accepted`` applies the whole rule a claimed gain must meet: that
+median test, a median shift larger than the A/A shift's magnitude, wins in
+at least nine of every ten pairs, and no more failed operations than the
+parent. After the pairs of a workload, one traced run per side at the first
+seed records the per-layer metrics, the time of each layer and CLI command.
 """
 
 from __future__ import annotations
@@ -67,34 +72,44 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
+SIDES = ("parent", "change", "parent_again")
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per-side spreads, pair wins and the gain rules for every end-to-end metric."""
+    """Per-side spreads, pair wins, the A/A arm and the gain rules for every end-to-end metric."""
     out = {}
     seeds = sorted({r["seed"] for r in runs})
     failed = {side: sum(r["failed"] for r in runs if r["side"] == side)
               for side in ("parent", "change")}
     for m in metrics:
-        name, lower = m["name"], m["better"] == "lower"
-        sides = {side: [r["metrics"][name] for r in runs if r["side"] == side]
-                 for side in ("parent", "change")}
-        stats = {side: spread(values) for side, values in sides.items()}
-        wins = 0
-        for seed in seeds:
-            pair = {r["side"]: r["metrics"][name] for r in runs if r["seed"] == seed}
-            if pair["change"] != pair["parent"]:
-                wins += (pair["change"] < pair["parent"]) == lower
+        name, sign = m["name"], -1.0 if m["better"] == "lower" else 1.0
+        stats = {side: spread([r["metrics"][name] for r in runs if r["side"] == side])
+                 for side in SIDES}
+
+        def wins(side):
+            """Pairs in which ``side`` reads better than the parent; ties count for neither."""
+            count = 0
+            for seed in seeds:
+                pair = {r["side"]: r["metrics"][name] for r in runs if r["seed"] == seed}
+                count += sign * (pair[side] - pair["parent"]) > 0
+            return count
+
+        def shift(side):
+            """How much better ``side``'s median reads than the parent's."""
+            return sign * (stats[side]["median"] - stats["parent"]["median"])
+
         parent, change = stats["parent"], stats["change"]
-        gain = (parent["median"] - change["median"]) if lower else (change["median"]
-                                                                     - parent["median"])
+        gain, aa_shift, change_wins = shift("change"), shift("parent_again"), wins("change")
         beyond = gain > parent["q3"] - parent["q1"]
         out[name] = {
             "unit": m["unit"], "better": m["better"], "bound": m["bound"],
-            "parent": stats["parent"], "change": stats["change"],
-            "change_wins": wins, "pairs": len(seeds),
+            **stats, "change_wins": change_wins, "pairs": len(seeds),
             "relative_change": (change["median"] - parent["median"]) / parent["median"]
             if parent["median"] else 0.0,
             "gain_beyond_parent_iqr": beyond,
-            "gain_accepted": (beyond and 10 * wins >= 9 * len(seeds)
+            "aa_shift": aa_shift, "aa_wins": wins("parent_again"),
+            "gain_accepted": (beyond and gain > abs(aa_shift)
+                              and 10 * change_wins >= 9 * len(seeds)
                               and failed["change"] <= failed["parent"]),
         }
     return out
@@ -117,7 +132,7 @@ def main(argv=None) -> int:
 
 
 def run_pairs(checkouts: dict, workloads: list[str], seeds: list[int], out: str) -> int:
-    """The paired and traced runs of every workload in the ``parent`` and ``change`` trees."""
+    """The paired, A/A and traced runs of every workload in the ``parent`` and ``change`` trees."""
     with open(os.path.join(checkouts["change"], "BENCHMARK.json"), encoding="utf-8") as handle:
         bench = json.load(handle)
     seconds = float(bench["run_seconds"])
@@ -127,10 +142,11 @@ def run_pairs(checkouts: dict, workloads: list[str], seeds: list[int], out: str)
     for workload in workloads:
         runs = []
         for index, seed in enumerate(seeds):
-            order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+            order = SIDES if index % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
-                res = run_once(checkouts[side], workload, seed, seconds, 0)
-                runs.append({"side": side, "seed": seed, "first": position == 0,
+                tree = checkouts["change" if side == "change" else "parent"]
+                res = run_once(tree, workload, seed, seconds, 0)
+                runs.append({"side": side, "seed": seed, "position": position,
                              "correct": res["correct"], "attempted": res["attempted"],
                              "failed": res["failed"],
                              "metrics": {n: res["metrics"][n]["value"] for n in names}})

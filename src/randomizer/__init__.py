@@ -21,14 +21,10 @@ from .certify import (
 )
 from .channel import (
     RandomUnitaryChannel,
-    apply_adjoint,
-    apply_channel,
     build_random_channel,
     build_weyl_channel,
     channel_from_unitaries,
-    maximally_mixed,
     pair_statistic,
-    pure_projector,
     random_pure_states,
 )
 from .errors import (

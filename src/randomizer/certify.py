@@ -11,9 +11,11 @@ for every restart still running, and each ends exactly where it would alone.
 A verdict compares both sides against epsilon / d.
 
 Every layer reads the channel through its real ``transfer`` matrix T, R on
-Hermitian inputs in an orthonormal basis: real GEMMs for the net scan, a real
-SVD for the spectral bound, and one real matrix-vector product per restart
-for each half step of the ascent.
+Hermitian inputs in an orthonormal basis, and reads states through their
+coordinates ``hermitian_coordinates``: real GEMMs for the net scan, a real SVD
+for the spectral bound, and one real matrix-vector product per restart for
+each half step of the ascent, whose image ``hermitian_matrix`` maps back for
+``eigh``.
 """
 
 from __future__ import annotations
@@ -26,12 +28,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import (RandomUnitaryChannel, apply_adjoint, apply_channel, maximally_mixed,
-                      pair_statistic, pure_projector, random_pure_states)
+from .channel import RandomUnitaryChannel, pair_statistic, random_pure_states
 from .errors import (DimensionMismatch, InvalidParameter, require_open_interval,
                      require_positive_int)
 from .haar import RngStream, as_stream
-from .linalg import hermitian_coordinates
+from .linalg import hermitian_coordinates, hermitian_matrix
 from .netcover import PureStateNet
 
 _SCAN_BUDGET = 1_000_000  # entries of the (chunk, net size) statistic block per B-scan step
@@ -163,6 +164,21 @@ def _extreme_eigvecs(h: np.ndarray):
             np.where(positive[:, None], vectors[:, :, -1], vectors[:, :, 0]))
 
 
+def _half_step(transfer: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The matrices R(|x><x|) - I/d of the rows x of ``states``, with ``transfer`` T.
+
+    One real product T F(x) per row, 1/d taken off the d diagonal
+    coordinates, and the coordinates mapped back to exactly Hermitian
+    matrices. With T^T, the adjoint's images. The products stay per row, not
+    one GEMM over the rows, whose rows BLAS may round differently at
+    different widths, so each row gets the bits it would get alone.
+    """
+    d = states.shape[1]
+    coords = (transfer @ hermitian_coordinates(states)[..., None])[..., 0]
+    coords[:, :d] -= 1.0 / d
+    return hermitian_matrix(coords)
+
+
 def _ascend(ch: RandomUnitaryChannel, starts: np.ndarray, tol: float, max_iters: int):
     """Alternating eigenvector ascent from every row of ``starts`` at once.
 
@@ -170,19 +186,14 @@ def _ascend(ch: RandomUnitaryChannel, starts: np.ndarray, tol: float, max_iters:
     fixing psi, the best phi is the extreme eigenvector of the adjoint image.
     Each half step solves its subproblem exactly, so every restart's objective
     sequence is non-decreasing up to roundoff. The restarts still running
-    advance together: a half step is one stacked ``apply_channel`` (or
-    ``apply_adjoint``) of their projectors, that is, one real product with T
-    (or T^T) per restart on the projectors' coordinates, and one stacked
-    ``eigh``. The products stay per restart, not one GEMM over the restarts,
-    whose rows BLAS may round differently at different widths. Each
-    restart keeps its own stop rule (a full step that gains less than
-    ``tol``, or ``max_iters`` steps) and its own best (value, phi, psi)
-    triple, replaced only on a strict gain, so it ends bit for bit where it
-    would alone. Returns the best values ``(R,)``, their
-    phis and psis ``(R, d)``, and the half-step objectives ``(2 steps, R)``,
-    NaN once a restart has stopped.
+    advance together: a half step is one ``_half_step`` of their states, with
+    T (or T^T), and one stacked ``eigh``. Each restart keeps its own stop rule
+    (a full step that gains less than ``tol``, or ``max_iters`` steps) and its
+    own best (value, phi, psi) triple, replaced only on a strict gain, so it
+    ends bit for bit where it would alone. Returns the best values ``(R,)``,
+    their phis and psis ``(R, d)``, and the half-step objectives
+    ``(2 steps, R)``, NaN once a restart has stopped.
     """
-    shift = maximally_mixed(ch.dim)
     count = starts.shape[0]
     best = np.full(count, -1.0)
     best_phi, best_psi = starts.copy(), starts.copy()
@@ -198,10 +209,10 @@ def _ascend(ch: RandomUnitaryChannel, starts: np.ndarray, tol: float, max_iters:
 
     for _ in range(max_iters):
         step = np.full((2, count), np.nan)
-        lam, psi = _extreme_eigvecs(apply_channel(ch, pure_projector(phi)) - shift)
+        lam, psi = _extreme_eigvecs(_half_step(ch.transfer, phi))
         step[0, live] = obj = np.abs(lam)
         keep(obj, phi, psi)
-        lam, phi = _extreme_eigvecs(apply_adjoint(ch, pure_projector(psi)) - shift)
+        lam, phi = _extreme_eigvecs(_half_step(ch.transfer.T, psi))
         step[1, live] = obj = np.abs(lam)
         keep(obj, phi, psi)
         history.append(step)

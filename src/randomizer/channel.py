@@ -6,8 +6,8 @@ the randomizing regime needs, C (65536 entries at d = 16) is far smaller than
 the stack (N d^2). R preserves Hermiticity, so on Hermitian inputs it is the
 real d^2 x d^2 matrix T of its action in the orthonormal Hermitian basis of
 ``linalg``, gathered from C's entries at construction. T is the one form of R
-that every layer reads: ``apply_channel`` and ``apply_adjoint`` (so the
-ascent) as T and T^T on coordinates, the net scan as real GEMMs, the spectral
+that every layer reads, always on the coordinates ``hermitian_coordinates``
+of states: the ascent as T and T^T, the net scan as real GEMMs, the spectral
 bound as a real SVD. C itself serves the pair statistic, the form x†Cx with
 x = psi ⊗ conj(phi), validation and files.
 
@@ -23,8 +23,8 @@ the tiled unitarity check (``haar.unitarity_defect``) and its real product
 ``x.T @ x`` over the block viewed as ``(rows, 2 d^2)`` interleaved (Re, Im)
 reals, both on the block's own thread; NumPy sends that product to a
 symmetric rank-k update, with no copy of the block. The partial products are
-summed in block order as the map yields them, so only the few blocks that
-finish ahead of the sum are held at once. Block boundaries depend only on d
+summed in block order as the map yields them, and the map runs at most one
+block more than it has threads ahead of the sum, so few partials are held. Block boundaries depend only on d
 and N, so C is bit for bit the same for every thread count and for both
 sources, and C is exactly Hermitian whatever the number of blocks. The
 constructor validates C on every path, fresh or loaded: shape d^2 x d^2,
@@ -45,8 +45,7 @@ from .errors import (DimensionMismatch, InvalidDimension, InvalidMatrix, Numeric
                      require_positive_int)
 from .haar import (as_stream, complex_standard_normal, sample_haar_unitaries, tile_rows,
                    unitarity_defect)
-from .linalg import (TOL, hermitian_matrix, hermitian_transfer, matrix_coordinates, max_abs,
-                     require_finite)
+from .linalg import TOL, hermitian_transfer, max_abs, require_finite
 from .workers import map_tiles
 
 # Sampling tiles per Gram block: 2^18 stack entries at d = 1, 2, 4, 8 and 16
@@ -56,20 +55,6 @@ from .workers import map_tiles
 # reals (2 MB at d = 16). Not 8 tiles: the symmetric rank-k update x.T @ x
 # costs 15-20% more BLAS time per row over 512 rows than over 1024 or 2048.
 _GRAM_BLOCK_TILES = 16
-
-
-def maximally_mixed(d: int) -> np.ndarray:
-    """The state I/d."""
-    return np.eye(d, dtype=complex) / d
-
-
-def pure_projector(x: np.ndarray) -> np.ndarray:
-    """Rank-1 projector |x><x| of a vector, or of each vector of a stack ``(..., d)``.
-
-    Bit for bit ``np.outer``, whose broadcasting multiply it runs.
-    """
-    vec = np.asarray(x, dtype=complex)
-    return vec[..., :, None] * np.conj(vec)[..., None, :]
 
 
 def random_pure_states(d: int, count: int, rng) -> np.ndarray:
@@ -227,39 +212,6 @@ def build_weyl_channel(d: int) -> RandomUnitaryChannel:
     return channel_from_unitaries(np.stack(ops), {"kind": "weyl"})
 
 
-def _check_dim(ch: RandomUnitaryChannel, dim: int):
-    if dim != ch.dim:
-        raise DimensionMismatch(f"channel acts on C^{ch.dim}, operand lives in C^{dim}")
-
-
-def _require_square(ch: RandomUnitaryChannel, a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
-        raise DimensionMismatch(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    _check_dim(ch, a.shape[-1])
-    return a
-
-
-def apply_channel(ch: RandomUnitaryChannel, rho: np.ndarray) -> np.ndarray:
-    """(1/N) sum_i U_i H U_i† for the Hermitian part H = (rho + rho†)/2: T on H's coordinates.
-
-    The image is exactly Hermitian. ``rho`` may be a stack ``(..., d, d)``:
-    one real matrix-vector product per item, each item bit for bit its own call.
-    """
-    rho = _require_square(ch, rho)
-    return hermitian_matrix((ch.transfer @ matrix_coordinates(rho)[..., None])[..., 0])
-
-
-def apply_adjoint(ch: RandomUnitaryChannel, sigma: np.ndarray) -> np.ndarray:
-    """Adjoint map (1/N) sum_i U_i† H U_i for the Hermitian part H of ``sigma``: T^T on H.
-
-    T is real in an orthonormal basis, so the adjoint is its transpose.
-    Stacks as ``apply_channel``.
-    """
-    sigma = _require_square(ch, sigma)
-    return hermitian_matrix((ch.transfer.T @ matrix_coordinates(sigma)[..., None])[..., 0])
-
-
 def pair_statistic(ch: RandomUnitaryChannel, phi: np.ndarray, psi: np.ndarray) -> float:
     """(1/N) sum_i |<psi|U_i|phi>|^2 = tr(R(|phi><phi|) |psi><psi|), as x†Cx with x = psi ⊗ conj(phi).
 
@@ -271,6 +223,7 @@ def pair_statistic(ch: RandomUnitaryChannel, phi: np.ndarray, psi: np.ndarray) -
     psi = np.asarray(psi, dtype=complex)
     if phi.shape != psi.shape:
         raise DimensionMismatch(f"state shapes differ: {phi.shape} vs {psi.shape}")
-    _check_dim(ch, phi.shape[0])
+    if phi.shape[0] != ch.dim:
+        raise DimensionMismatch(f"channel acts on C^{ch.dim}, states live in C^{phi.shape[0]}")
     x = np.outer(psi, np.conj(phi)).reshape(-1)
     return float(np.vdot(x, ch.gram @ x).real)

@@ -9,10 +9,10 @@ Hilbert-Schmidt inner product, lists E_jj for each j, then
 (E_jk + E_kj)/sqrt(2) and then i(E_jk - E_kj)/sqrt(2) for each pair j < k in
 ``np.triu_indices`` order. ``hermitian_coordinates`` gives the real
 coordinates tr(B_a |x><x|) of pure states, so the dot product of two rows is
-the squared overlap of their states; ``matrix_coordinates`` gives those of
-the Hermitian part of any matrix, and ``hermitian_matrix`` maps coordinates
-back to their matrix. ``hermitian_transfer`` gives the real d^2 x d^2 matrix
-T[a, b] = tr(B_a R(B_b)) of a random unitary channel R from its matrix C.
+the squared overlap of their states, and ``hermitian_matrix``, its one
+inverse, maps any real coordinates back to their Hermitian matrix.
+``hermitian_transfer`` gives the real d^2 x d^2 matrix T[a, b] =
+tr(B_a R(B_b)) of a random unitary channel R from its matrix C.
 Then tr(R(|phi><phi|) |psi><psi|) = F(psi) . T F(phi), and the coordinates of
 the identity are ones on the d diagonal entries, zeros elsewhere.
 """
@@ -97,26 +97,11 @@ def hermitian_coordinates(states: np.ndarray) -> np.ndarray:
     return np.concatenate([states.real ** 2 + states.imag ** 2, cross.real, cross.imag], axis=1)
 
 
-def matrix_coordinates(a: np.ndarray) -> np.ndarray:
-    """Real coordinates ``(..., d^2)`` of the Hermitian part (A + A†)/2 of each matrix of ``a``.
-
-    Read from both triangles: Re A_jj, then (Re A_jk + Re A_kj)/sqrt(2) and
-    (Im A_jk - Im A_kj)/sqrt(2) for j < k.
-    """
-    d = a.shape[-1]
-    rows, cols = _pair_indices(d)
-    flat = a.reshape(*a.shape[:-2], d * d)
-    upper, lower = flat[..., rows * d + cols], flat[..., cols * d + rows]
-    root = math.sqrt(0.5)
-    return np.concatenate([flat[..., ::d + 1].real, (upper.real + lower.real) * root,
-                           (upper.imag - lower.imag) * root], axis=-1)
-
-
 def hermitian_matrix(coords: np.ndarray) -> np.ndarray:
     """The matrices sum_a coords[..., a] B_a, shape ``(..., d, d)``, of real coordinates.
 
-    The inverse of ``matrix_coordinates`` on Hermitian matrices. The result is
-    exactly Hermitian: its diagonal is real and each entry below it is the
+    The inverse of the coordinates: ``hermitian_matrix(hermitian_coordinates(x))``
+    holds the projectors |x><x|. The result is exactly Hermitian: its diagonal is real and each entry below it is the
     conjugate of its mirror.
     """
     d = math.isqrt(coords.shape[-1])

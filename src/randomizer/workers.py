@@ -5,15 +5,17 @@ cores this process may run on decide. Only maps whose items pay for a thread
 use one: sweep and concentration cells, Haar sampling tiles and the channel's
 Gram blocks, each of which samples its tiles and runs its unitarity check on
 its own worker thread. The Gaussian draws of pure states run on the calling
-thread. A map called from inside a worker of another map runs serially, so
-pools never nest: a Gram block, or a sweep cell that samples a channel, draws
-its tiles on its own thread.
+thread: NumPy's ``standard_normal`` holds the GIL, so two threads drawing them
+gain next to nothing. A map called from inside a worker of another map runs
+serially, so pools never nest: a Gram block, or a sweep cell that samples a
+channel, draws its tiles on its own thread.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 from .errors import InvalidParameter
@@ -48,11 +50,12 @@ def _in_worker(fn, item):
 def parallel_map(fn, items):
     """Yield ``fn(item)`` in item order on ``resolve_threads()`` workers.
 
-    Results are yielded as the map reaches them, so a caller that reduces
-    them in order holds only the few that finished ahead of it; consume the
-    whole iterator even when ``fn`` works only by side effect. Runs on the
-    calling thread for one thread, at most one item, or a call made from
-    inside another ``parallel_map`` worker.
+    At most threads + 1 items are submitted ahead of the caller, and a
+    result is yielded as the map reaches it, so a caller that reduces them in
+    order holds at most that many; consume the whole iterator even when
+    ``fn`` works only by side effect. Runs on the calling thread for one
+    thread, at most one item, or a call made from inside another
+    ``parallel_map`` worker.
     """
     items = list(items)
     threads = resolve_threads()
@@ -60,7 +63,13 @@ def parallel_map(fn, items):
         yield from map(fn, items)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(lambda item: _in_worker(fn, item), items)
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(_in_worker, fn, item))
+            if len(pending) > threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def map_tiles(fn, count: int, per_tile: int):

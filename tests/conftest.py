@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 import randomizer.certify
-from randomizer import RngStream, apply_channel, pair_statistic, pure_projector
+from randomizer import RngStream, pair_statistic
 from randomizer.haar import complex_standard_normal
 
 
@@ -34,10 +34,9 @@ def trace_norm(h: np.ndarray) -> float:
     return float(np.sum(np.abs(np.linalg.eigvalsh(h))))
 
 
-def output_deviation(ch, phi: np.ndarray) -> float:
-    """Oracle: ||R(|phi><phi|) - I/d||_op, numpy's matrix 2-norm of the channel's output."""
-    d = ch.dim
-    return float(np.linalg.norm(apply_channel(ch, pure_projector(phi)) - np.eye(d) / d, 2))
+def projector(x: np.ndarray) -> np.ndarray:
+    """Oracle: |x><x| of a vector, or of each vector of a stack ``(..., d)``."""
+    return x[..., :, None] * np.conj(x)[..., None, :]
 
 
 def superoperator(ch) -> np.ndarray:
@@ -49,6 +48,44 @@ def superoperator(ch) -> np.ndarray:
     return ch.gram.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
 
 
+def channel_image(ch, rho: np.ndarray, adjoint: bool = False) -> np.ndarray:
+    """Oracle: R(rho), or R†(rho) = (1/N) sum_i U_i† rho U_i, through S (or S†) on vec(rho).
+
+    ``rho`` may be a stack ``(..., d, d)``.
+    """
+    d = ch.dim
+    sup = superoperator(ch)
+    vecs = rho.reshape(*rho.shape[:-2], d * d)
+    return (vecs @ (np.conj(sup) if adjoint else sup.T)).reshape(rho.shape)
+
+
+def output_deviation(ch, phi: np.ndarray) -> float:
+    """Oracle: ||R(|phi><phi|) - I/d||_op, numpy's matrix 2-norm of the channel's output."""
+    d = ch.dim
+    return float(np.linalg.norm(channel_image(ch, projector(phi)) - np.eye(d) / d, 2))
+
+
+def hermitian_basis(d: int) -> np.ndarray:
+    """Oracle: the orthonormal basis B_a of ``linalg`` as explicit matrices, shape (d^2, d, d).
+
+    E_jj for each j, then (E_jk + E_kj)/sqrt(2) and i(E_jk - E_kj)/sqrt(2) for j < k.
+    """
+    pairs = list(zip(*np.triu_indices(d, 1)))
+    basis = np.zeros((d * d, d, d), dtype=complex)
+    for j in range(d):
+        basis[j, j, j] = 1.0
+    for p, (j, k) in enumerate(pairs):
+        basis[d + p, j, k] = basis[d + p, k, j] = np.sqrt(0.5)
+        basis[d + len(pairs) + p, j, k] = 1j * np.sqrt(0.5)
+        basis[d + len(pairs) + p, k, j] = -1j * np.sqrt(0.5)
+    return basis
+
+
+def basis_coordinates(a: np.ndarray) -> np.ndarray:
+    """Oracle: Re tr(B_a A) for each matrix of ``a``, the coordinates of its Hermitian part."""
+    return np.einsum("bij,...ji->...b", hermitian_basis(a.shape[-1]), a).real
+
+
 def complex_scan_B(ch, net):
     """Oracle: the net scan through complex GEMMs on S, in ``_SCAN_BUDGET`` chunks of phi rows.
 
@@ -57,7 +94,7 @@ def complex_scan_B(ch, net):
     """
     states = net.states
     m, d = states.shape
-    vecs = pure_projector(states).reshape(m, d * d)
+    vecs = projector(states).reshape(m, d * d)
     chunk = max(1, randomizer.certify._SCAN_BUDGET // max(m, d * d))
     best, best_i, best_j = -1.0, 0, 0
     for start in range(0, m, chunk):

@@ -14,12 +14,18 @@ _spec.loader.exec_module(bench_pairs)
 METRICS = [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.15}]
 
 
-def paired_runs(parent, change, failed=(0, 0)):
-    """One parent and one change run per seed, with the given metric values and failures."""
+def paired_runs(parent, change, failed=(0, 0), again=None):
+    """One parent, one change and one A/A run per seed, with the given metric values and failures.
+
+    The A/A runs repeat the parent's values unless ``again`` gives their own.
+    """
     runs = []
-    for seed, (p, c) in enumerate(zip(parent, change)):
-        for side, value, bad in (("parent", p, failed[0]), ("change", c, failed[1])):
-            runs.append({"side": side, "seed": seed, "first": side == "parent",
+    again = parent if again is None else again
+    for seed, (p, c, a) in enumerate(zip(parent, change, again)):
+        for position, (side, value, bad) in enumerate((("parent", p, failed[0]),
+                                                       ("change", c, failed[1]),
+                                                       ("parent_again", a, failed[0]))):
+            runs.append({"side": side, "seed": seed, "position": position,
                          "correct": bad == 0, "attempted": 100, "failed": bad,
                          "metrics": {"peak_rss_mb": value}})
     return runs
@@ -57,7 +63,8 @@ def test_a_gain_with_one_more_failed_operation_is_not_accepted():
     change = [44.0] * 10
     assert summary(paired_runs(PARENT, change, failed=(0, 0)))["gain_accepted"]
     runs = paired_runs(PARENT, change)
-    runs[-1]["failed"], runs[-1]["correct"] = 1, False
+    last_change = [r for r in runs if r["side"] == "change"][-1]
+    last_change["failed"], last_change["correct"] = 1, False
     s = summary(runs)
     assert s["change_wins"] == 10 and s["gain_beyond_parent_iqr"]
     assert not s["gain_accepted"]
@@ -78,3 +85,22 @@ def test_the_rule_follows_the_metric_direction(better, parent, change):
     for r in runs:
         r["metrics"] = {"m": r["metrics"]["peak_rss_mb"]}
     assert bench_pairs.summarize(runs, metrics)["m"]["gain_accepted"]
+
+
+def test_no_claim_when_the_aa_shift_is_as_large_as_the_change():
+    # the change wins every pair by 2.7 MB, far beyond the parent's spread, but a second run
+    # of the parent itself reads as much better: the pairs cannot tell the change from noise
+    change = [44.0] * 10
+    s = summary(paired_runs(PARENT, change))
+    assert s["aa_shift"] == 0.0 and s["aa_wins"] == 0 and s["gain_accepted"]
+    again = [v - 2.73 for v in PARENT]
+    s = summary(paired_runs(PARENT, change, again=again))
+    assert s["change_wins"] == 10 and s["gain_beyond_parent_iqr"]
+    assert s["aa_wins"] == 10 and s["aa_shift"] >= 2.7 - 1e-9
+    assert not s["gain_accepted"]
+    # the A/A shift's sign does not matter: a second run as much worse refuses the claim too
+    s = summary(paired_runs(PARENT, change, again=[v + 2.73 for v in PARENT]))
+    assert s["aa_wins"] == 0 and s["aa_shift"] <= -2.7 + 1e-9 and not s["gain_accepted"]
+    # an A/A shift below the change's leaves the claim standing
+    s = summary(paired_runs(PARENT, change, again=[v - 1.0 for v in PARENT]))
+    assert s["aa_wins"] == 10 and s["gain_accepted"]

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import randomizer.certify
-from conftest import complex_scan_B, complex_spectral_bound, stream, superoperator
+from conftest import (channel_image, complex_scan_B, complex_spectral_bound, projector, stream,
+                      superoperator)
 from randomizer import (
     DeviationCertificate,
     DimensionMismatch,
@@ -31,10 +32,9 @@ from randomizer import (
     spectral_upper_bound_A,
     verdict,
 )
-from randomizer.certify import _ASCENT_TOL, _TIE_TOL, _ascend, _canonical_phase
-from randomizer.channel import apply_adjoint, apply_channel, pure_projector
+from randomizer.certify import _ASCENT_TOL, _TIE_TOL, _ascend, _canonical_phase, _half_step
 from randomizer.haar import complex_standard_normal
-from randomizer.linalg import max_abs
+from randomizer.linalg import hermitian_coordinates, hermitian_matrix, max_abs
 from randomizer.netcover import _require_separated
 
 
@@ -196,24 +196,30 @@ def sequential_extreme_eigvec(h):
     return float(values[0]), vectors[:, 0]
 
 
+def sequential_half_step(transfer, x):
+    """Oracle: R(|x><x|) - I/d of one state, T (or T^T) on its coordinates, I/d taken after."""
+    d = x.shape[0]
+    image = hermitian_matrix((transfer @ hermitian_coordinates(x[None])[0][:, None])[:, 0])
+    return image - np.eye(d) / d
+
+
 def sequential_ascend(ch, phi0, tol, max_iters):
     """Oracle: the alternating ascent from one start, one half step after another.
 
     Returns the best (value, phi, psi) triple, replaced on a strict gain, and
     the list of half-step objectives.
     """
-    shift = np.eye(ch.dim, dtype=complex) / ch.dim
     phi = phi0
     best = (-1.0, phi0, phi0)
     objectives = []
     previous = -np.inf
     for _ in range(max_iters):
-        lam_psi, psi = sequential_extreme_eigvec(apply_channel(ch, pure_projector(phi)) - shift)
+        lam_psi, psi = sequential_extreme_eigvec(sequential_half_step(ch.transfer, phi))
         obj = abs(lam_psi)
         objectives.append(obj)
         if obj > best[0]:
             best = (obj, phi, psi)
-        lam_phi, phi = sequential_extreme_eigvec(apply_adjoint(ch, pure_projector(psi)) - shift)
+        lam_phi, phi = sequential_extreme_eigvec(sequential_half_step(ch.transfer.T, psi))
         obj = abs(lam_phi)
         objectives.append(obj)
         if obj > best[0]:
@@ -240,6 +246,17 @@ def sequential_lower_bound(ch, restarts, max_iters, rng):
 def restart_histories(history):
     """Per restart, its half-step objectives: the column of ``history`` up to its first NaN."""
     return [column[~np.isnan(column)] for column in history.T]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 16])
+def test_half_steps_are_the_channel_images_less_i_over_d(d):
+    ch = build_random_channel(d, 50, stream(97, d))
+    states = random_pure_states(d, 5, stream(96, d))
+    shift = np.eye(d) / d
+    want = channel_image(ch, projector(states)) - shift
+    assert np.max(np.abs(_half_step(ch.transfer, states) - want)) <= 1e-13
+    want = channel_image(ch, projector(states), adjoint=True) - shift
+    assert np.max(np.abs(_half_step(ch.transfer.T, states) - want)) <= 1e-13
 
 
 def test_alternating_monotone_half_steps():

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import output_deviation, random_density, stream, superoperator
+from conftest import (basis_coordinates, channel_image, output_deviation, projector,
+                      random_density, stream, superoperator)
 from randomizer import (
     DimensionMismatch,
     InvalidDimension,
@@ -15,19 +16,16 @@ from randomizer import (
     InvalidParameter,
     RandomUnitaryChannel,
     RngStream,
-    apply_adjoint,
-    apply_channel,
     build_random_channel,
     build_weyl_channel,
     channel_from_unitaries,
-    maximally_mixed,
     pair_statistic,
-    pure_projector,
     random_pure_states,
     sample_haar_unitaries,
 )
 from randomizer import channel, haar
-from randomizer.linalg import TOL, hermitian_coordinates
+from randomizer.certify import _half_step
+from randomizer.linalg import TOL, hermitian_coordinates, hermitian_matrix
 
 
 def haar_stack(d, n, seed):
@@ -39,6 +37,12 @@ def stack_gram(unitaries):
     """Oracle C: (1/N) sum_n vec(U_n) vec(U_n)† as a sum of outer products."""
     vecs = [u.reshape(-1) for u in unitaries]
     return sum(np.outer(v, np.conj(v)) for v in vecs) / len(vecs)
+
+
+def transfer_image(ch, rho, adjoint=False):
+    """R(rho), or R†(rho), for the Hermitian part of ``rho``: T (or T^T) on its oracle coordinates."""
+    t = ch.transfer.T if adjoint else ch.transfer
+    return hermitian_matrix(basis_coordinates(rho) @ t.T)
 
 
 def naive_apply(unitaries, rho):
@@ -220,9 +224,9 @@ def test_weyl_randomizes_exactly(d):
     ops = [np.linalg.matrix_power(shift, j) @ np.linalg.matrix_power(clock, k)
            for j in range(d) for k in range(d)]
     assert np.max(np.abs(w.gram - stack_gram(ops))) <= 1e-12
-    out = naive_apply(ops, pure_projector(basis_state(d)))
+    out = naive_apply(ops, projector(basis_state(d)))
     assert np.max(np.abs(out - np.eye(d) / d)) <= 1e-12
-    out2 = apply_channel(w, random_density(d, stream(50, d)))
+    out2 = transfer_image(w, random_density(d, stream(50, d)))
     assert np.max(np.abs(out2 - np.eye(d) / d)) <= 1e-12
     # the whole channel is the trace-and-replace map: S = |I>><<I| / d
     vec_eye = np.eye(d).reshape(-1)
@@ -232,21 +236,21 @@ def test_weyl_randomizes_exactly(d):
 def test_apply_identity_channel():
     ch = channel_from_unitaries(np.eye(3, dtype=complex)[None, :, :])
     rho = random_density(3, stream(51))
-    assert np.max(np.abs(apply_channel(ch, rho) - rho)) <= 1e-14
-    assert np.max(np.abs(apply_adjoint(ch, rho) - rho)) <= 1e-14
+    assert np.max(np.abs(transfer_image(ch, rho) - rho)) <= 1e-14
+    assert np.max(np.abs(transfer_image(ch, rho, adjoint=True) - rho)) <= 1e-14
 
 
 def test_apply_matches_naive_oracle():
     ch = build_random_channel(4, 7, RngStream(52))
     rho = random_density(4, stream(53))
-    assert np.max(np.abs(apply_channel(ch, rho) - naive_apply(haar_stack(4, 7, 52), rho))) <= 1e-13
+    assert np.max(np.abs(transfer_image(ch, rho) - naive_apply(haar_stack(4, 7, 52), rho))) <= 1e-13
 
 
 def test_apply_adjoint_matches_naive_oracle():
     ch = build_random_channel(4, 7, RngStream(78))
     sigma = random_density(4, stream(79))
     want = naive_adjoint(haar_stack(4, 7, 78), sigma)
-    assert np.max(np.abs(apply_adjoint(ch, sigma) - want)) <= 1e-13
+    assert np.max(np.abs(transfer_image(ch, sigma, adjoint=True) - want)) <= 1e-13
 
 
 @pytest.mark.parametrize("d", [1, 2, 5])
@@ -256,8 +260,8 @@ def test_apply_reads_the_hermitian_part_of_any_input(d):
     a = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
     part = (a + np.conj(a.T)) / 2.0
     us = haar_stack(d, 7, 56 + d)
-    assert np.max(np.abs(apply_channel(ch, a) - naive_apply(us, part))) <= 1e-13
-    assert np.max(np.abs(apply_adjoint(ch, a) - naive_adjoint(us, part))) <= 1e-13
+    assert np.max(np.abs(transfer_image(ch, a) - naive_apply(us, part))) <= 1e-13
+    assert np.max(np.abs(transfer_image(ch, a, adjoint=True) - naive_adjoint(us, part))) <= 1e-13
 
 
 def test_apply_preserves_trace_and_positivity():
@@ -266,7 +270,7 @@ def test_apply_preserves_trace_and_positivity():
         d = 2 + trial % 7  # dimensions 2..8
         ch = build_random_channel(d, 3, gen.child(trial, 0))
         rho = random_density(d, gen.child(trial, 1), rank=1 + trial % d)
-        out = apply_channel(ch, rho)
+        out = transfer_image(ch, rho)
         assert abs(np.trace(out).real - 1.0) <= 1e-11
         assert np.linalg.eigvalsh(out)[0] >= -1e-10
 
@@ -276,8 +280,8 @@ def test_adjoint_duality():
     for trial in range(20):
         rho = random_density(3, stream(56, trial))
         sigma = random_density(3, stream(57, trial))
-        lhs = np.trace(apply_channel(ch, rho) @ sigma).real
-        rhs = np.trace(rho @ apply_adjoint(ch, sigma)).real
+        lhs = np.trace(transfer_image(ch, rho) @ sigma).real
+        rhs = np.trace(rho @ transfer_image(ch, sigma, adjoint=True)).real
         assert abs(lhs - rhs) <= 1e-11
 
 
@@ -301,7 +305,7 @@ def test_pair_statistic_equals_trace_path():
     for trial in range(50):
         phi = random_pure_states(4, 1, stream(61, trial))[0]
         psi = random_pure_states(4, 1, stream(62, trial))[0]
-        via_trace = np.trace(apply_channel(ch, pure_projector(phi)) @ pure_projector(psi)).real
+        via_trace = np.trace(channel_image(ch, projector(phi)) @ projector(psi)).real
         assert abs(pair_statistic(ch, phi, psi) - via_trace) <= 1e-11
 
 
@@ -433,12 +437,14 @@ def test_positivity_check_keeps_its_tolerance():
 
 
 def test_pure_output_matches_apply():
-    # on a pure input R(|phi><phi|) is (1/N) sum_i |U_i phi><U_i phi|
+    # on a pure input R(|phi><phi|) is (1/N) sum_i |U_i phi><U_i phi|, and the ascent's half
+    # step reads it, less I/d, from T on the state's coordinates
     ch = build_random_channel(5, 4, RngStream(63))
     phi = random_pure_states(5, 1, stream(64))[0]
     w = haar_stack(5, 4, 63) @ phi
     via_vectors = w.T @ np.conj(w) / ch.count
-    assert np.max(np.abs(via_vectors - apply_channel(ch, pure_projector(phi)))) <= 1e-13
+    half_step = _half_step(ch.transfer, phi[None])[0]
+    assert np.max(np.abs(via_vectors - np.eye(5) / 5 - half_step)) <= 1e-13
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -466,7 +472,7 @@ def test_variational_identity():
     ch = build_random_channel(3, 8, RngStream(69))
     phi = random_pure_states(3, 1, stream(70))[0]
     dev = output_deviation(ch, phi)
-    values, vectors = np.linalg.eigh(apply_channel(ch, pure_projector(phi)) - maximally_mixed(3))
+    values, vectors = np.linalg.eigh(_half_step(ch.transfer, phi[None])[0])
     psi_star = vectors[:, int(np.argmax(np.abs(values)))]
     assert abs(abs(pair_statistic(ch, phi, psi_star) - 1.0 / 3.0) - dev) <= 1e-9
     for trial in range(100):
@@ -477,10 +483,10 @@ def test_variational_identity():
 def test_convexity_restriction():
     # channel deviation on mixed states never beats the worst eigenvector
     ch = build_random_channel(3, 5, RngStream(72))
-    eye = maximally_mixed(3)
+    eye = np.eye(3) / 3
     for trial in range(200):
         rho = random_density(3, stream(73, trial))
-        mixed_dev = float(np.linalg.norm(apply_channel(ch, rho) - eye, 2))
+        mixed_dev = float(np.linalg.norm(transfer_image(ch, rho) - eye, 2))
         _, vectors = np.linalg.eigh(rho)
         pure_best = max(output_deviation(ch, vectors[:, k]) for k in range(3))
         assert mixed_dev <= pure_best + 1e-9
@@ -505,30 +511,21 @@ def test_haar_one_design():
 @pytest.mark.parametrize("d", [1, 2, 16])
 def test_stacked_channel_action_equals_per_item_calls_bitwise(d):
     ch = build_random_channel(d, 40, stream(58, d))
-    states = random_pure_states(d, 6, stream(59, d)).reshape(2, 3, d)
-    projectors = pure_projector(states)
-    assert projectors.shape == (2, 3, d, d)
-    images, adjoints = apply_channel(ch, projectors), apply_adjoint(ch, projectors)
-    for i, j in np.ndindex(2, 3):
-        one = pure_projector(states[i, j])
-        assert one.tobytes() == np.outer(states[i, j], np.conj(states[i, j])).tobytes()
-        assert projectors[i, j].tobytes() == one.tobytes()
-        assert images[i, j].tobytes() == apply_channel(ch, one).tobytes()
-        assert adjoints[i, j].tobytes() == apply_adjoint(ch, one).tobytes()
+    # the ascent's half step: each row of a stack gets the bits of its own call
+    states = random_pure_states(d, 6, stream(59, d))
+    images, adjoints = _half_step(ch.transfer, states), _half_step(ch.transfer.T, states)
+    assert images.shape == adjoints.shape == (6, d, d)
+    for k in range(6):
+        assert images[k].tobytes() == _half_step(ch.transfer, states[k:k + 1])[0].tobytes()
+        assert adjoints[k].tobytes() == _half_step(ch.transfer.T, states[k:k + 1])[0].tobytes()
 
 
 def test_dimension_mismatch():
     ch = build_random_channel(3, 2, RngStream(77))
     with pytest.raises(DimensionMismatch):
-        apply_channel(ch, np.eye(2, dtype=complex) / 2)
-    with pytest.raises(DimensionMismatch):
-        apply_adjoint(ch, np.ones(3, dtype=complex))
-    with pytest.raises(DimensionMismatch):
-        apply_channel(ch, np.ones((4, 3, 2), dtype=complex))
-    with pytest.raises(DimensionMismatch):
         pair_statistic(ch, basis_state(3), basis_state(2))
     with pytest.raises(DimensionMismatch):
-        apply_channel(ch, pure_projector(basis_state(4)))
+        pair_statistic(ch, basis_state(4), basis_state(4))
 
 
 def test_channel_equality_is_identity():

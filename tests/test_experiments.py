@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -216,6 +218,30 @@ def test_parallel_map_orders_results(monkeypatch):
     monkeypatch.setenv("RANDOMIZER_THREADS", "4")
     items = list(range(20))
     assert list(parallel_map(lambda x: x * x, items)) == [x * x for x in items]
+
+
+def test_parallel_map_runs_few_items_ahead_of_a_slow_consumer(monkeypatch):
+    # items that finish ahead of the consumer are held until it reaches them, so the map
+    # starts at most threads + 1 items that the consumer has not yet taken
+    monkeypatch.setenv("RANDOMIZER_THREADS", "2")
+    lock = threading.Lock()
+    started = consumed = ahead = 0
+
+    def work(item):
+        nonlocal started, ahead
+        with lock:
+            started += 1
+            ahead = max(ahead, started - consumed)
+        return item
+
+    got = []
+    for value in parallel_map(work, range(40)):
+        time.sleep(0.002)
+        with lock:
+            consumed += 1
+        got.append(value)
+    assert got == list(range(40))
+    assert ahead <= 3, ahead
 
 
 def test_resolve_threads(monkeypatch):

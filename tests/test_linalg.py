@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import randomizer.haar
-from conftest import random_hermitian, random_unit_vector, stream, trace_norm
+from conftest import (basis_coordinates, hermitian_basis, projector, random_hermitian,
+                      random_unit_vector, stream, trace_norm)
 from randomizer import (
     InvalidMatrix,
     NumericalFailure,
@@ -11,8 +12,7 @@ from randomizer import (
     sample_haar_unitaries,
 )
 from randomizer.certify import _extreme_eigvecs
-from randomizer.linalg import (hermitian_coordinates, hermitian_matrix, matrix_coordinates,
-                               qr_positive_stacked)
+from randomizer.linalg import hermitian_coordinates, hermitian_matrix, qr_positive_stacked
 
 
 def operator_norm(h):
@@ -152,7 +152,7 @@ def test_non_hermitian_rejected():
 def test_hermitian_matrix_inverts_the_coordinates(d):
     gen = stream(150, d)
     stack = np.stack([random_hermitian(d, gen.child(k)) for k in range(6)]).reshape(2, 3, d, d)
-    coords = matrix_coordinates(stack)
+    coords = basis_coordinates(stack)  # tr(B_a H) in an explicit basis
     assert coords.shape == (2, 3, d * d) and coords.dtype == np.float64
     back = hermitian_matrix(coords)
     assert back.shape == stack.shape
@@ -161,6 +161,8 @@ def test_hermitian_matrix_inverts_the_coordinates(d):
     # the basis is orthonormal: coordinates keep the Hilbert-Schmidt inner product
     gram = np.einsum("...ij,...ij->...", stack, np.conj(stack)).real
     assert np.max(np.abs(np.sum(coords ** 2, axis=-1) - gram)) <= 1e-12
+    basis = hermitian_basis(d)
+    assert np.max(np.abs(np.einsum("aij,bji->ab", basis, basis) - np.eye(d * d))) <= 1e-15
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 16])
@@ -168,9 +170,10 @@ def test_matrix_coordinates_read_the_hermitian_part(d):
     gen = stream(151, d).generator()
     a = gen.standard_normal((4, d, d)) + 1j * gen.standard_normal((4, d, d))
     part = (a + np.conj(np.swapaxes(a, -2, -1))) / 2.0
-    assert np.max(np.abs(matrix_coordinates(a) - matrix_coordinates(part))) <= 1e-15
-    assert np.max(np.abs(hermitian_matrix(matrix_coordinates(a)) - part)) <= 1e-15
-    # on projectors they are the coordinates of the states themselves
+    assert np.max(np.abs(hermitian_matrix(basis_coordinates(a)) - part)) <= 1e-15
+    # on projectors they are the coordinates of the states themselves, and the round trip
+    # through hermitian_matrix gives the projectors back
     states = a[:, 0] / np.linalg.norm(a[:, 0], axis=1, keepdims=True)
-    projectors = states[:, :, None] * np.conj(states)[:, None, :]
-    assert np.max(np.abs(matrix_coordinates(projectors) - hermitian_coordinates(states))) <= 1e-15
+    feats = hermitian_coordinates(states)
+    assert np.max(np.abs(basis_coordinates(projector(states)) - feats)) <= 1e-15
+    assert np.max(np.abs(hermitian_matrix(feats) - projector(states))) <= 1e-15

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import stream, trace_norm
+from conftest import projector, stream, trace_norm
 from randomizer import (
     DimensionMismatch,
     InvalidParameter,
@@ -20,7 +20,6 @@ from randomizer import (
     build_delta_net,
     log_cardinality_bound,
     random_pure_states,
-    pure_projector,
 )
 import randomizer.netcover as netcover
 from randomizer.linalg import hermitian_coordinates
@@ -63,7 +62,7 @@ def test_trace_distance_superposition():
     e0 = np.array([1, 0], dtype=complex)
     plus = np.array([1, 1], dtype=complex) / np.sqrt(2)
     assert trace_distance_pure(e0, plus) == pytest.approx(np.sqrt(2), abs=1e-12)
-    assert trace_norm(pure_projector(e0) - pure_projector(plus)) == pytest.approx(
+    assert trace_norm(projector(e0) - projector(plus)) == pytest.approx(
         np.sqrt(2), abs=1e-12
     )
 
@@ -74,7 +73,7 @@ def test_closed_form_matches_trace_norm():
         d = 2 + trial % 4
         x = random_pure_states(d, 1, gen.child(trial, 0))[0]
         y = random_pure_states(d, 1, gen.child(trial, 1))[0]
-        direct = trace_norm(pure_projector(x) - pure_projector(y))
+        direct = trace_norm(projector(x) - projector(y))
         assert abs(trace_distance_pure(x, y) - direct) <= 1e-10
 
 
@@ -534,10 +533,10 @@ def test_bloch_features_give_squared_overlaps(d, data):
 
 
 def test_builder_work_is_bounded(monkeypatch):
-    # a d=2, delta=0.25 build counts about 5e6 windowed candidate-state pairs before its stop
-    # rule fires
+    # a d=2, delta=0.25 build counts about 1.8e7 feature entries of windowed candidate-state
+    # pairs before its stop rule fires
     want = build_delta_net(2, 0.25, RngStream(31))
-    small = build_delta_net(2, 0.5, RngStream(9))  # about 2e5 windowed pairs
+    small = build_delta_net(2, 0.5, RngStream(9))  # about 5e5 entries
     monkeypatch.setattr(netcover, "_WORK_CEILING", 10 ** 6)
     with pytest.raises(NetInfeasible, match="work ceiling"):
         build_delta_net(2, 0.25, RngStream(31))
@@ -549,3 +548,38 @@ def test_builder_work_is_bounded(monkeypatch):
     assert again.provenance == small.provenance
     monkeypatch.setattr(netcover, "_WORK_CEILING", 10 ** 8)
     assert build_delta_net(2, 0.25, RngStream(31)).states.tobytes() == want.states.tobytes()
+
+
+def test_work_counts_the_feature_entries_of_windowed_pairs(monkeypatch):
+    # the second block's work is its candidates times the states the first block kept, times
+    # the share 2 r of F_0's range that a window spans, times the d^2 entries of a pair: a
+    # ceiling at exactly that count refuses the build after the second block, one just above
+    # it only later
+    d, delta, seed = 3, 0.9, 1
+    real, blocks = netcover.random_pure_states, []
+
+    def recording(d, n, gen):
+        blocks.append(n)
+        return real(d, n, gen)
+
+    monkeypatch.setattr(netcover, "random_pure_states", recording)
+    first = real(d, 1000, RngStream(seed).generator())  # the first block: the stop run of 1000
+    threshold = netcover._overlap_threshold(delta)
+    kept = []
+    for x in first:  # oracle: the greedy pass, candidate by candidate
+        if all(abs(np.vdot(y, x)) ** 2 <= threshold for y in kept):
+            kept.append(x)
+    share = 2.0 * netcover._window_reach(1.0 - threshold)
+    monkeypatch.setattr(netcover, "_WORK_CEILING", 1)
+    with pytest.raises(NetInfeasible):
+        build_delta_net(d, delta, RngStream(seed))
+    assert blocks[0] == 1000 and len(blocks) == 2
+    entries = blocks[1] * len(kept) * share * d * d
+    monkeypatch.setattr(netcover, "_WORK_CEILING", entries)
+    with pytest.raises(NetInfeasible, match=f"{1000 + blocks[1]} candidates"):
+        build_delta_net(d, delta, RngStream(seed))
+    blocks.clear()
+    monkeypatch.setattr(netcover, "_WORK_CEILING", np.nextafter(entries, math.inf))
+    with pytest.raises(NetInfeasible, match="work ceiling"):
+        build_delta_net(d, delta, RngStream(seed))
+    assert len(blocks) == 3
