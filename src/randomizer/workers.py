@@ -1,4 +1,4 @@
-"""Worker threads: how many to use, and the one order-preserving map that runs them.
+"""Worker threads: how many to use, and the order-preserving maps that run them.
 
 ``RANDOMIZER_THREADS`` is the package's only thread setting; without it the
 cores this process may run on decide. Only maps whose items pay for a thread
@@ -47,34 +47,51 @@ def _in_worker(fn, item):
         _worker.active = False
 
 
+def _pool_threads(items: list) -> int:
+    """Worker threads for a map over ``items``; 1 means the calling thread runs it.
+
+    One thread, at most one item, or a call made from inside another map's
+    worker runs on the calling thread, so pools never nest.
+    """
+    threads = resolve_threads()
+    return 1 if len(items) <= 1 or getattr(_worker, "active", False) else threads
+
+
 def parallel_map(fn, items):
     """Yield ``fn(item)`` in item order on ``resolve_threads()`` workers.
 
-    At most threads + 1 items are submitted ahead of the caller, and a
-    result is yielded as the map reaches it, so a caller that reduces them in
-    order holds at most that many; consume the whole iterator even when
-    ``fn`` works only by side effect. Runs on the calling thread for one
-    thread, at most one item, or a call made from inside another
-    ``parallel_map`` worker.
+    Every item is submitted at once, so no worker waits on a slow earlier
+    item: for cells of uneven cost and small results. Results are yielded as
+    the map reaches them; consume the whole iterator even when ``fn`` works
+    only by side effect.
     """
     items = list(items)
-    threads = resolve_threads()
-    if threads <= 1 or len(items) <= 1 or getattr(_worker, "active", False):
+    threads = _pool_threads(items)
+    if threads == 1:
         yield from map(fn, items)
         return
     with ThreadPoolExecutor(max_workers=threads) as pool:
+        yield from pool.map(lambda item: _in_worker(fn, item), items)
+
+
+def map_tiles(fn, count: int, per_tile: int):
+    """Yield ``fn(tile)`` in order for consecutive slices of ``per_tile`` items out of ``count``.
+
+    The last slice may end past ``count``. Tiles cost alike, so at most
+    threads + 1 of them are submitted ahead of the caller: a caller that
+    reduces large results in order holds at most that many, and no worker
+    idles for long. Consume the whole iterator, as for ``parallel_map``.
+    """
+    tiles = [slice(start, start + per_tile) for start in range(0, count, per_tile)]
+    threads = _pool_threads(tiles)
+    if threads == 1:
+        yield from map(fn, tiles)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         pending = deque()
-        for item in items:
-            pending.append(pool.submit(_in_worker, fn, item))
+        for tile in tiles:
+            pending.append(pool.submit(_in_worker, fn, tile))
             if len(pending) > threads:
                 yield pending.popleft().result()
         while pending:
             yield pending.popleft().result()
-
-
-def map_tiles(fn, count: int, per_tile: int):
-    """``parallel_map`` of ``fn`` over consecutive slices of ``per_tile`` items out of ``count``.
-
-    The last slice may end past ``count``.
-    """
-    return parallel_map(fn, [slice(start, start + per_tile) for start in range(0, count, per_tile)])

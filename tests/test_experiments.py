@@ -37,6 +37,7 @@ from randomizer import (
 import randomizer.experiments as experiments
 import randomizer.netcover as netcover
 from randomizer.experiments import parallel_map, resolve_threads
+from randomizer.workers import map_tiles
 
 
 # ---------------------------------------------------------------------------
@@ -220,28 +221,44 @@ def test_parallel_map_orders_results(monkeypatch):
     assert list(parallel_map(lambda x: x * x, items)) == [x * x for x in items]
 
 
-def test_parallel_map_runs_few_items_ahead_of_a_slow_consumer(monkeypatch):
-    # items that finish ahead of the consumer are held until it reaches them, so the map
-    # starts at most threads + 1 items that the consumer has not yet taken
+def test_map_tiles_runs_few_tiles_ahead_of_a_slow_consumer(monkeypatch):
+    # tiles that finish ahead of the consumer are held until it reaches them, so the map
+    # starts at most threads + 1 tiles that the consumer has not yet taken
     monkeypatch.setenv("RANDOMIZER_THREADS", "2")
     lock = threading.Lock()
     started = consumed = ahead = 0
 
-    def work(item):
+    def work(tile):
         nonlocal started, ahead
         with lock:
             started += 1
             ahead = max(ahead, started - consumed)
-        return item
+        return tile.start
 
     got = []
-    for value in parallel_map(work, range(40)):
+    for value in map_tiles(work, 80, 2):
         time.sleep(0.002)
         with lock:
             consumed += 1
         got.append(value)
-    assert got == list(range(40))
+    assert got == list(range(0, 80, 2))
     assert ahead <= 3, ahead
+
+
+def test_parallel_map_keeps_workers_busy_behind_a_slow_item(monkeypatch):
+    # cells differ in cost, so every cell is submitted at once: while the first runs, the
+    # other worker reaches the last cell, however many lie between
+    monkeypatch.setenv("RANDOMIZER_THREADS", "2")
+    last_started = threading.Event()
+
+    def cell(i):
+        if i == 0:
+            return last_started.wait(timeout=10)
+        if i == 9:
+            last_started.set()
+        return i
+
+    assert list(parallel_map(cell, range(10))) == [True] + list(range(1, 10))
 
 
 def test_resolve_threads(monkeypatch):

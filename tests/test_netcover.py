@@ -583,3 +583,12 @@ def test_work_counts_the_feature_entries_of_windowed_pairs(monkeypatch):
     with pytest.raises(NetInfeasible, match="work ceiling"):
         build_delta_net(d, delta, RngStream(seed))
     assert len(blocks) == 3
+
+
+def test_finest_d3_net_under_the_work_ceiling():
+    # at seed 1 the d=3 nets build down to delta = 0.81; delta = 0.8, which a ceiling of 2^31
+    # pairs let through, passes 2^33 feature entries (9.5e8 pairs at d = 3) before its stop rule
+    net = build_delta_net(3, 0.81, RngStream(1))
+    assert net.provenance["stopped_by"] == "rejections" and net.size == 1977
+    with pytest.raises(NetInfeasible, match="work ceiling"):
+        build_delta_net(3, 0.8, RngStream(1))
