@@ -20,7 +20,6 @@ each half step of the ascent, whose image ``hermitian_matrix`` maps back for
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -85,21 +84,16 @@ def spectral_upper_bound_A(ch: RandomUnitaryChannel) -> float:
     the bound equals A. The margin makes it bound the computed B and A_lower
     too: (2/d)(||D c|| + ||c^T D||) covers partial traces of C off the
     identity within TOL.unitarity; 8 eps d^2 sigma_max the SVD; 8 eps d^3 the
-    roundoff of x†Cx, as |x|^T |C| |x| <= tr C = d, and that of the gather of
-    T, at most 2 eps d. For a loaded C with a Hermiticity drift, T keeps only
-    the real part of R's matrix in the Hermitian basis; (1 - 1/d) ||Im T||_F,
-    with ||Im T||_F = ||C - C†||_F / 2 and 0 for every built or saved
-    channel, covers the part dropped.
+    roundoff of x†Cx, as |x|^T |C| |x| <= tr C = d, and that of the basis
+    change to T, at most 2 eps d. C is exactly Hermitian, so T is all of R on
+    Hermitian inputs and the bound reads T alone.
     """
     d = ch.dim
     dev = np.array(ch.transfer)
     dev[:d, :d] -= 1.0 / d
     sigma = float(np.linalg.svd(dev, compute_uv=False)[0])
     leak = np.linalg.norm(dev[:, :d].sum(axis=1)) + np.linalg.norm(dev[:d].sum(axis=0))
-    gram = ch.gram  # ||C - C†||_F / 2, from d rows of C - C† at a time
-    rows = (gram[k:k + d] - np.conj(gram[:, k:k + d].T) for k in range(0, d * d, d))
-    dropped = math.sqrt(sum(float(np.vdot(x, x).real) for x in rows)) / 2.0
-    return ((1.0 - 1.0 / d) * (sigma + dropped) + 8.0 * _EPS * d * d * (d + sigma)
+    return ((1.0 - 1.0 / d) * sigma + 8.0 * _EPS * d * d * (d + sigma)
             + 2.0 * float(leak) / d)
 
 

@@ -1,11 +1,13 @@
-"""Random unitary mixing channels R(rho) = (1/N) sum_i U_i rho U_i†, held as one d^2 x d^2 matrix.
+"""Random unitary mixing channels R(rho) = (1/N) sum_i U_i rho U_i†, held as one d^2 x d^2
+matrix.
 
 A channel is its matrix C = (1/N) sum_i vec(U_i) vec(U_i)†, indexed by
 row-major pairs (i, j): R depends on nothing else, and at the N >= d / eps^2
 the randomizing regime needs, C (65536 entries at d = 16) is far smaller than
-the stack (N d^2). R preserves Hermiticity, so on Hermitian inputs it is the
-real d^2 x d^2 matrix T of its action in the orthonormal Hermitian basis of
-``linalg``, gathered from C's entries at construction. T is the one form of R
+the stack (N d^2). C is exactly Hermitian from the constructor on, so R
+preserves Hermiticity exactly, and on Hermitian inputs it is the real
+d^2 x d^2 matrix T of its action in the orthonormal Hermitian basis of
+``linalg``, one change of basis of C at construction. T is the one form of R
 that every layer reads, always on the coordinates ``hermitian_coordinates``
 of states: the ascent as T and T^T, the net scan as real GEMMs, the spectral
 bound as a real SVD. C itself serves the pair statistic, the form x†Cx with
@@ -24,14 +26,17 @@ the tiled unitarity check (``haar.unitarity_defect``) and its real product
 reals, both on the block's own thread; NumPy sends that product to a
 symmetric rank-k update, with no copy of the block. The partial products are
 summed in block order as the map yields them, and the map runs at most one
-block more than it has threads ahead of the sum, so few partials are held. Block boundaries depend only on d
-and N, so C is bit for bit the same for every thread count and for both
-sources, and C is exactly Hermitian whatever the number of blocks. The
-constructor validates C on every path, fresh or loaded: shape d^2 x d^2,
-finite, Hermitian, positive semidefinite, and both partial traces the
-identity (R preserves the trace and is unital). That is all any bound uses;
-it does not prove that C is a mixture of unitaries, which at d >= 3 a unital
-channel need not be.
+block more than it has threads ahead of the sum, so few partials are held.
+Block boundaries depend only on d and N, so C is bit for bit the same for
+every thread count and for both sources, and C is exactly Hermitian whatever
+the number of blocks. The constructor validates C on every path, fresh or
+loaded: shape d^2 x d^2, finite, within ``TOL.hermiticity`` of Hermitian,
+positive semidefinite, and both partial traces the identity (R preserves the
+trace and is unital). It then stores the Hermitian part (C + C†)/2, which
+leaves an exactly Hermitian C unchanged bit for bit, so validation, T and the
+pair statistic all read one matrix. That is all any bound uses; it does not
+prove that C is a mixture of unitaries, which at d >= 3 a unital channel
+need not be.
 """
 
 from __future__ import annotations
@@ -78,9 +83,9 @@ def random_pure_states(d: int, count: int, rng) -> np.ndarray:
 class RandomUnitaryChannel:
     """A channel given by its matrix C = (1/N) sum_i vec(U_i) vec(U_i)†, shape ``(d^2, d^2)``.
 
-    ``gram`` is C, validated and stored read-only; ``transfer`` is the real
-    matrix T[a, b] = tr(B_a R(B_b)) of R on Hermitian inputs, in the
-    orthonormal Hermitian basis of ``linalg``, gathered from C and also
+    ``gram`` is C, validated and stored read-only as its exactly Hermitian
+    part; ``transfer`` is the real matrix T[a, b] = tr(B_a R(B_b)) of R on
+    Hermitian inputs, in the orthonormal Hermitian basis of ``linalg``, also
     read-only. ``provenance`` records where C came from and must hold
     ``count``, the number N of unitaries. Build a channel from a unitary stack
     with ``channel_from_unitaries``. Equality is identity.
@@ -96,10 +101,15 @@ class RandomUnitaryChannel:
         if d < 1 or c.shape != (d * d, d * d):
             raise InvalidDimension(f"channel matrix C must be d^2 x d^2, got shape {c.shape}")
         require_positive_int(self.provenance.get("count"), "provenance count N")
-        drift = max_abs(c - np.conj(c.T))
+        adjoint = np.conj(c.T)
+        drift = max_abs(c - adjoint)
         if drift > TOL.hermiticity:
             raise InvalidMatrix(f"matrix is not Hermitian: max|H - H^dag| = {drift:.3e} "
                                 f"> {TOL.hermiticity:.1e}")
+        # (C + C†)/2: entry (j, i) is the conjugate of entry (i, j) bit for bit, which
+        # C - (C - C†)/2 is not where an entry and its mirror differ in sign
+        c += adjoint
+        c *= 0.5
         try:
             lowest = np.linalg.eigvalsh(c)[0]
         except np.linalg.LinAlgError as exc:
@@ -213,11 +223,12 @@ def build_weyl_channel(d: int) -> RandomUnitaryChannel:
 
 
 def pair_statistic(ch: RandomUnitaryChannel, phi: np.ndarray, psi: np.ndarray) -> float:
-    """(1/N) sum_i |<psi|U_i|phi>|^2 = tr(R(|phi><phi|) |psi><psi|), as x†Cx with x = psi ⊗ conj(phi).
+    """(1/N) sum_i |<psi|U_i|phi>|^2 = tr(R(|phi><phi|) |psi><psi|), as x†Cx.
 
-    One d^2 x d^2 matrix-vector product, whatever N is. Certificates report
-    their values through it at the witness pair, so a value can be checked
-    again from the pair and the channel alone.
+    Here x = psi ⊗ conj(phi), and the form is one d^2 x d^2 matrix-vector
+    product, whatever N is. Certificates report their values through it at the
+    witness pair, so a value can be checked again from the pair and the
+    channel alone.
     """
     phi = np.asarray(phi, dtype=complex)
     psi = np.asarray(psi, dtype=complex)

@@ -12,7 +12,8 @@ coordinates tr(B_a |x><x|) of pure states, so the dot product of two rows is
 the squared overlap of their states, and ``hermitian_matrix``, its one
 inverse, maps any real coordinates back to their Hermitian matrix.
 ``hermitian_transfer`` gives the real d^2 x d^2 matrix T[a, b] =
-tr(B_a R(B_b)) of a random unitary channel R from its matrix C.
+tr(B_a R(B_b)) of a random unitary channel R from its Hermitian matrix C, as
+one change of basis.
 Then tr(R(|phi><phi|) |psi><psi|) = F(psi) . T F(phi), and the coordinates of
 the identity are ones on the d diagonal entries, zeros elsewhere.
 """
@@ -101,8 +102,8 @@ def hermitian_matrix(coords: np.ndarray) -> np.ndarray:
     """The matrices sum_a coords[..., a] B_a, shape ``(..., d, d)``, of real coordinates.
 
     The inverse of the coordinates: ``hermitian_matrix(hermitian_coordinates(x))``
-    holds the projectors |x><x|. The result is exactly Hermitian: its diagonal is real and each entry below it is the
-    conjugate of its mirror.
+    holds the projectors |x><x|. The result is exactly Hermitian: its diagonal is
+    real and each entry below it is the conjugate of its mirror.
     """
     d = math.isqrt(coords.shape[-1])
     rows, cols = _pair_indices(d)
@@ -116,44 +117,28 @@ def hermitian_matrix(coords: np.ndarray) -> np.ndarray:
 
 
 def hermitian_transfer(gram: np.ndarray) -> np.ndarray:
-    """The real matrix T[a, b] = tr(B_a R(B_b)) of the channel R whose matrix C is ``gram``.
+    """The real matrix T[a, b] = tr(B_a R(B_b)) of the channel whose Hermitian matrix C is ``gram``.
 
     R(X)[i, k] = sum over (j, l) of C[(i, j), (k, l)] X[j, l], so the entries
-    of C regrouped to rows (i, k) and columns (j, l), a local copy, map the
-    row-major vec of X to that of R(X). T is an index gather from them, no
-    product, one block of basis columns at a time: the images R(B_b) are read
-    first, then their coordinates, each from the diagonal entries, x + y and
-    i(x - y) at the pair entries x = (j, k), y = (k, j), and the 1/sqrt(2)
-    factors are applied once per block at the end, so the identity map gives
-    T = I exactly. Returns the real part, which is all of T when R preserves
-    Hermiticity exactly (C exactly Hermitian). Beside T and the regrouped
-    copy, the largest temporaries are the real and imaginary parts of one
-    column block's images, two real d^2 x d(d - 1)/2 arrays.
+    of C regrouped to rows (i, k) and columns (j, l), a local copy R, map the
+    row-major vec of X to that of R(X), and T = Re(W† R W) with W the basis
+    as columns. Unscaled, each B_b has two entries, at ``first`` and
+    ``second`` with weights (1, 0), (1, 1) or (i, -i): the images R W are two
+    weighted columns of R, their coordinates two weighted rows of the images,
+    and the 1/sqrt(2) factors are applied once at the end, so the identity map
+    gives T = I exactly. T is returned C-contiguous: the ascent's stacked
+    products round differently on a strided T.
     """
     d = math.isqrt(gram.shape[0])
     rows, cols = _pair_indices(d)
     diag, jk, kj = np.arange(d) * (d + 1), rows * d + cols, cols * d + rows
+    first, second = np.concatenate([diag, jk, jk]), np.concatenate([diag, kj, kj])
+    w1, w2 = (np.repeat(w, [d, rows.size, rows.size]) for w in ([1, 1, 1j], [0, 1, -1j]))
     n = d * d
-    sym, anti = slice(d, d + rows.size), slice(d + rows.size, n)
     regrouped = gram.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
-    a, b = regrouped.real, regrouped.imag
-    t = np.empty((n, n))
-    for block in (slice(0, d), sym, anti):
-        # R(B_b) for the b of this block, unscaled, as its real and imaginary parts
-        if block is sym:
-            re, im = a[:, jk], b[:, jk]
-            re += a[:, kj]
-            im += b[:, kj]
-        elif block is anti:  # i(x - y)
-            re, im = b[:, kj], a[:, jk]
-            re -= b[:, jk]
-            im -= a[:, kj]
-        else:
-            re, im = a[:, diag], b[:, diag]
-        # Re tr(B_a Y) at a pair row: Re(x + y) for the symmetric element, Im(x - y) for the other
-        t[:d, block] = re[diag]
-        np.add(re[jk], re[kj], out=t[sym, block])
-        np.subtract(im[jk], im[kj], out=t[anti, block])
+    images = regrouped[:, first] * w1 + regrouped[:, second] * w2
+    t = np.ascontiguousarray((images[first] * np.conj(w1[:, None])
+                              + images[second] * np.conj(w2[:, None])).real)
     scale = math.sqrt(0.5)
     t[:d, d:] *= scale
     t[d:, :d] *= scale

@@ -14,6 +14,7 @@ from randomizer import (
     InvalidDimension,
     InvalidParameter,
     PureStateNet,
+    RandomUnitaryChannel,
     RngStream,
     Verdict,
     alternating_max_lower_bound,
@@ -416,8 +417,8 @@ def test_real_spectral_bound_matches_the_complex_svd(d):
 @pytest.mark.parametrize("d", [2, 3])
 def test_spectral_bound_covers_a_loaded_hermitian_drift(d, tmp_path):
     # C + i H with H = A ⊗ B, A and B traceless Hermitian: the partial traces stay the
-    # identity and max|C - C†| = 5e-13; T keeps the real part, and the dropped one is
-    # covered, for a degenerate top singular value (the identity map) and a random channel
+    # identity and max|C - C†| = 5e-13; the loaded channel holds the Hermitian part, so T and
+    # the bound read one matrix, for the identity map and a random channel
     gen = RngStream(65 + d).generator()
     a, b = (complex_standard_normal(gen, (d, d)) for _ in range(2))
     a, b = (m + np.conj(m.T) for m in (a, b))
@@ -430,12 +431,18 @@ def test_spectral_bound_covers_a_loaded_hermitian_drift(d, tmp_path):
         save_channel(path, base)
         payload = json.loads(path.read_text())
         gram = base.gram + drift
+        assert abs(max_abs(gram - np.conj(gram.T)) - 5e-13) <= 1e-15
         payload["gram"] = np.stack([gram.real, gram.imag], axis=-1).tolist()
         path.write_text(json.dumps(payload))
         loaded = load_channel(path)
-        assert max_abs(loaded.gram - np.conj(loaded.gram.T)) == pytest.approx(5e-13, rel=1e-3)
-        assert spectral_upper_bound_A(loaded) >= complex_spectral_bound(loaded)
-        assert spectral_upper_bound_A(loaded) >= complex_spectral_bound(base)
+        part = (gram + np.conj(gram.T)) / 2.0
+        assert max_abs(loaded.gram - part) <= 1e-16
+        assert np.array_equal(loaded.gram, np.conj(loaded.gram.T))
+        built = RandomUnitaryChannel(part, {"count": base.count})
+        assert loaded.transfer.tobytes() == built.transfer.tobytes()
+        assert spectral_upper_bound_A(loaded) == spectral_upper_bound_A(built)
+        lower = alternating_max_lower_bound(loaded, restarts=4, rng=RngStream(75 + d))
+        assert lower.value <= spectral_upper_bound_A(loaded)
 
 
 @settings(max_examples=40, deadline=None)

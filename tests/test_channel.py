@@ -397,6 +397,8 @@ def test_transfer_from_c_equals_the_gather_from_s_bitwise(d, n):
     assert ch.transfer.tobytes() == transfer_from_superoperator(superoperator(ch)).tobytes()
     w = build_weyl_channel(3)
     assert w.transfer.tobytes() == transfer_from_superoperator(superoperator(w)).tobytes()
+    # tobytes() reads a strided T in C order too; the ascent's products need it contiguous
+    assert ch.transfer.flags.c_contiguous and w.transfer.flags.c_contiguous
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])

@@ -292,6 +292,8 @@ def test_channel_round_trip(tmp_path):
     assert np.array_equal(loaded.gram, ch.gram)
     assert np.array_equal(superoperator(loaded), superoperator(ch))
     assert loaded.gram.tobytes() == ch.gram.tobytes()
+    assert loaded.transfer.tobytes() == ch.transfer.tobytes()
+    assert loaded.transfer.flags.c_contiguous
     assert loaded.dim == 3 and loaded.count == 4
     assert loaded.provenance == ch.provenance
     assert set(json.loads(path.read_text())) == {"schema", "dim", "count", "seed", "stream_id",
