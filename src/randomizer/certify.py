@@ -227,6 +227,18 @@ def _canonical_phase(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _canonical_pair(phi: np.ndarray, psi: np.ndarray):
+    """The witness pair in one form: at d = 2, (phi⊥, psi⊥) when |phi_0| < |phi_1|; then phases.
+
+    x⊥ = (-conj(x_1), conj(x_0)). At d = 2, R(P_phi⊥) = I - R(P_phi) for a
+    unital, trace-preserving R, so both pairs attain the same statistic, and
+    a pair and its ⊥ pair map to one pair.
+    """
+    if phi.size == 2 and abs(phi[0]) < abs(phi[1]):
+        phi, psi = (np.array([-np.conj(x[1]), np.conj(x[0])]) for x in (phi, psi))
+    return _canonical_phase(phi), _canonical_phase(psi)
+
+
 def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = DEFAULT_RESTARTS,
                                 max_iters: int = DEFAULT_MAX_ITERS, rng=None) -> LowerBound:
     """Best witnessed value of |pair statistic - 1/d| over random restarts.
@@ -244,9 +256,9 @@ def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = DEFAUL
 
     Each witness is rotated so that its first entry above ``_PHASE_FLOOR`` in
     magnitude is real and positive: the eigensolver's arbitrary global phase,
-    which roundoff in T can flip, never reaches a certificate. Not made
-    canonical: at d = 2 the optimum may be attained by two orthogonal pairs,
-    and roundoff may swap one for the other.
+    which roundoff in T can flip, never reaches a certificate. At d = 2 the
+    optimum is attained by two orthogonal pairs, which roundoff may swap, so
+    the pair with |phi_0| >= |phi_1| is returned (``_canonical_pair``).
     """
     restarts = require_positive_int(restarts, "restarts")
     max_iters = require_positive_int(max_iters, "max_iters")
@@ -255,7 +267,7 @@ def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = DEFAUL
     values, phis, psis, _ = _ascend(ch, random_pure_states(d, restarts, rng), _ASCENT_TOL,
                                     max_iters)
     winner = int(np.argmax(values))  # the first maximum, as a strict-gain scan keeps it
-    phi, psi = _canonical_phase(phis[winner]), _canonical_phase(psis[winner])
+    phi, psi = _canonical_pair(phis[winner], psis[winner])
     value = abs(pair_statistic(ch, phi, psi) - 1.0 / d)
     return LowerBound(value, phi, psi)
 

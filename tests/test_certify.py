@@ -33,7 +33,8 @@ from randomizer import (
     spectral_upper_bound_A,
     verdict,
 )
-from randomizer.certify import _ASCENT_TOL, _TIE_TOL, _ascend, _canonical_phase, _half_step
+from randomizer.certify import (_ASCENT_TOL, _TIE_TOL, _ascend, _canonical_pair, _canonical_phase,
+                               _half_step)
 from randomizer.haar import complex_standard_normal
 from randomizer.linalg import hermitian_coordinates, hermitian_matrix, max_abs
 from randomizer.netcover import _require_separated
@@ -240,7 +241,7 @@ def sequential_lower_bound(ch, restarts, max_iters, rng):
                                          max_iters)
         if best is None or candidate[0] > best[0]:
             best = candidate
-    phi, psi = _canonical_phase(best[1]), _canonical_phase(best[2])
+    phi, psi = _canonical_pair(best[1], best[2])
     return abs(pair_statistic(ch, phi, psi) - 1.0 / ch.dim), phi, psi
 
 
@@ -361,6 +362,31 @@ def test_witness_phase_ignores_eigensolver_phase(d, n, monkeypatch):
         assert np.max(np.abs(got.phi - want.phi)) <= 1e-13
         assert np.max(np.abs(got.psi - want.psi)) <= 1e-13
         assert abs(got.value - want.value) <= 1e-15
+
+
+def perp(x):
+    """Oracle: the state orthogonal to a qubit state x, (-conj(x_1), conj(x_0))."""
+    return np.array([-np.conj(x[1]), np.conj(x[0])])
+
+
+@pytest.mark.parametrize("n", [1, 5, 2000])
+def test_d2_witness_pair_is_canonical(n):
+    # (phi, psi) and (phi⊥, psi⊥) attain one statistic at d = 2, and the rule maps both,
+    # whatever their phases, to one pair: the one with |phi_0| >= |phi_1|
+    ch = build_random_channel(2, n, stream(92, n))
+    gen = RngStream(93).generator()
+    states = random_pure_states(2, 40, gen)
+    phases = np.exp(2j * np.pi * gen.random(40))
+    for k in range(0, 40, 2):
+        phi, psi = states[k], states[k + 1]
+        flipped = perp(phi) * phases[k], perp(psi) * phases[k + 1]
+        assert abs(pair_statistic(ch, *flipped) - pair_statistic(ch, phi, psi)) <= 1e-15
+        want, got = _canonical_pair(phi, psi), _canonical_pair(*flipped)
+        assert abs(want[0][0]) >= abs(want[0][1])
+        assert max(np.max(np.abs(w - g)) for w, g in zip(want, got)) <= 1e-15
+    for seed in range(6):
+        lower = alternating_max_lower_bound(ch, restarts=4, rng=stream(94, n, seed))
+        assert abs(lower.phi[0]) >= abs(lower.phi[1])
 
 
 @pytest.mark.parametrize("d, n", [(2, 40), (4, 100), (16, 300)])
