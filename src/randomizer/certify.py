@@ -85,16 +85,14 @@ def spectral_upper_bound_A(ch: RandomUnitaryChannel) -> float:
     too: (2/d)(||D c|| + ||c^T D||) covers partial traces of C off the
     identity within TOL.unitarity; 8 eps d^2 sigma_max the SVD; 8 eps d^3 the
     roundoff of x†Cx, as |x|^T |C| |x| <= tr C = d, and that of the basis
-    change to T, at most 2 eps d. C is exactly Hermitian, so T is all of R on
-    Hermitian inputs and the bound reads T alone.
+    change to T, at most 2 eps d. C is exactly Hermitian, so T is all of R.
     """
     d = ch.dim
     dev = np.array(ch.transfer)
     dev[:d, :d] -= 1.0 / d
     sigma = float(np.linalg.svd(dev, compute_uv=False)[0])
     leak = np.linalg.norm(dev[:, :d].sum(axis=1)) + np.linalg.norm(dev[:d].sum(axis=0))
-    return ((1.0 - 1.0 / d) * sigma + 8.0 * _EPS * d * d * (d + sigma)
-            + 2.0 * float(leak) / d)
+    return (1.0 - 1.0 / d) * sigma + 8.0 * _EPS * d * d * (d + sigma) + 2.0 * float(leak) / d
 
 
 class LowerBound(NamedTuple):
@@ -228,11 +226,9 @@ def _canonical_phase(x: np.ndarray) -> np.ndarray:
 
 
 def _canonical_pair(phi: np.ndarray, psi: np.ndarray):
-    """The witness pair in one form: at d = 2, (phi⊥, psi⊥) when |phi_0| < |phi_1|; then phases.
+    """The pair with phases fixed; at d = 2 (phi⊥, psi⊥) if |phi_0| < |phi_1|, of equal statistic.
 
-    x⊥ = (-conj(x_1), conj(x_0)). At d = 2, R(P_phi⊥) = I - R(P_phi) for a
-    unital, trace-preserving R, so both pairs attain the same statistic, and
-    a pair and its ⊥ pair map to one pair.
+    x⊥ = (-conj(x_1), conj(x_0)), and R(P_phi⊥) = I - R(P_phi) for a unital, trace-preserving R.
     """
     if phi.size == 2 and abs(phi[0]) < abs(phi[1]):
         phi, psi = (np.array([-np.conj(x[1]), np.conj(x[0])]) for x in (phi, psi))
@@ -255,10 +251,9 @@ def alternating_max_lower_bound(ch: RandomUnitaryChannel, restarts: int = DEFAUL
     wins, as in a loop over the restarts that keeps a strict gain.
 
     Each witness is rotated so that its first entry above ``_PHASE_FLOOR`` in
-    magnitude is real and positive: the eigensolver's arbitrary global phase,
-    which roundoff in T can flip, never reaches a certificate. At d = 2 the
-    optimum is attained by two orthogonal pairs, which roundoff may swap, so
-    the pair with |phi_0| >= |phi_1| is returned (``_canonical_pair``).
+    magnitude is real and positive, and at d = 2, of the two orthogonal pairs
+    that attain the value, the one with |phi_0| >= |phi_1| is returned: neither
+    the eigensolver's phase nor roundoff that swaps the pairs reaches a certificate.
     """
     restarts = require_positive_int(restarts, "restarts")
     max_iters = require_positive_int(max_iters, "max_iters")

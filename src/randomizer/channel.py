@@ -1,42 +1,31 @@
-"""Random unitary mixing channels R(rho) = (1/N) sum_i U_i rho U_i†, held as one d^2 x d^2
-matrix.
+"""Random unitary mixing channels R(rho) = (1/N) sum_i U_i rho U_i†, held as one matrix.
 
-A channel is its matrix C = (1/N) sum_i vec(U_i) vec(U_i)†, indexed by
-row-major pairs (i, j): R depends on nothing else, and at the N >= d / eps^2
+A channel is its d^2 x d^2 matrix C = (1/N) sum_i vec(U_i) vec(U_i)†, indexed
+by row-major pairs (i, j): R depends on nothing else, and at the N >= d / eps^2
 the randomizing regime needs, C (65536 entries at d = 16) is far smaller than
-the stack (N d^2). C is exactly Hermitian from the constructor on, so R
-preserves Hermiticity exactly, and on Hermitian inputs it is the real
-d^2 x d^2 matrix T of its action in the orthonormal Hermitian basis of
-``linalg``, one change of basis of C at construction. T is the one form of R
-that every layer reads, always on the coordinates ``hermitian_coordinates``
-of states: the ascent as T and T^T, the net scan as real GEMMs, the spectral
-bound as a real SVD. C itself serves the pair statistic, the form x†Cx with
-x = psi ⊗ conj(phi), validation and files.
+the stack (N d^2). C is exactly Hermitian once constructed, and the real
+matrix T of R on Hermitian inputs, in the orthonormal basis of ``linalg``, is
+one change of basis of it: the one form of R that every layer of ``certify``
+reads. C serves the pair statistic x†Cx, validation and files.
 
 C is folded in fixed blocks of ``_GRAM_BLOCK_TILES`` sampling tiles (whole
 rows, ``haar.tile_rows``) on the package's worker threads, by one reducer for
-both sources of unitaries. A block holds 2^18 stack entries at d = 1, 2, 4,
-8 and 16: 1024 unitaries, 4 MB, at d = 16, where N = 16000 gives 16 blocks.
-``build_random_channel`` samples each block's own tiles into a block-sized
-buffer (``sample_haar_unitaries`` from the block's first row), so no
-``(N, d, d)`` stack is ever allocated;
-``channel_from_unitaries`` reads the blocks of a given stack. Each block runs
-the tiled unitarity check (``haar.unitarity_defect``) and its real product
-``x.T @ x`` over the block viewed as ``(rows, 2 d^2)`` interleaved (Re, Im)
-reals, both on the block's own thread; NumPy sends that product to a
-symmetric rank-k update, with no copy of the block. The partial products are
-summed in block order as the map yields them, and the map runs at most one
-block more than it has threads ahead of the sum, so few partials are held.
-Block boundaries depend only on d and N, so C is bit for bit the same for
-every thread count and for both sources, and C is exactly Hermitian whatever
-the number of blocks. The constructor validates C on every path, fresh or
-loaded: shape d^2 x d^2, finite, within ``TOL.hermiticity`` of Hermitian,
-positive semidefinite, and both partial traces the identity (R preserves the
-trace and is unital). It then stores the Hermitian part (C + C†)/2, which
-leaves an exactly Hermitian C unchanged bit for bit, so validation, T and the
-pair statistic all read one matrix. That is all any bound uses; it does not
-prove that C is a mixture of unitaries, which at d >= 3 a unital channel
-need not be.
+both sources of unitaries: ``build_random_channel`` samples each block's own
+tiles (``sample_haar_unitaries`` from the block's first row), so no
+``(N, d, d)`` stack is ever allocated, and ``channel_from_unitaries`` reads the
+blocks of a given stack. Each block runs the tiled unitarity check
+(``haar.unitarity_defect``) and its real product ``x.T @ x`` over the block
+viewed as ``(rows, 2 d^2)`` interleaved (Re, Im) reals, a symmetric rank-k
+update with no copy, on its own thread. The partials are summed in block order
+as the map yields them, and the map runs at most one block more than it has
+threads ahead of the sum. Block boundaries depend only on d and N, so C is bit
+for bit the same for every thread count and for both sources. The constructor
+validates C on every path, fresh or loaded: shape d^2 x d^2, finite, within
+``TOL.hermiticity`` of Hermitian, positive semidefinite, and both partial
+traces the identity (R preserves the trace and is unital), all that any bound
+uses; it does not prove that C is a mixture of unitaries, which at d >= 3 a
+unital channel need not be. It then stores the Hermitian part (C + C†)/2, which
+is C bit for bit when C is exactly Hermitian, as a built C is.
 """
 
 from __future__ import annotations
@@ -106,8 +95,7 @@ class RandomUnitaryChannel:
         if drift > TOL.hermiticity:
             raise InvalidMatrix(f"matrix is not Hermitian: max|H - H^dag| = {drift:.3e} "
                                 f"> {TOL.hermiticity:.1e}")
-        # (C + C†)/2: entry (j, i) is the conjugate of entry (i, j) bit for bit, which
-        # C - (C - C†)/2 is not where an entry and its mirror differ in sign
+        # (C + C†)/2 is exactly Hermitian; C - (C - C†)/2 is not where C[i, j] ~ -conj(C[j, i])
         c += adjoint
         c *= 0.5
         try:

@@ -30,7 +30,7 @@ class NumericalFailure(RandomizerError, RuntimeError):
 
 
 class NetInfeasible(InvalidParameter):
-    """Requested net exceeds the desk-scale size ceiling."""
+    """Requested net exceeds the covering guard or the builder's work ceiling."""
 
 
 class ParseError(RandomizerError, ValueError):

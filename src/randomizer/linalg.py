@@ -12,8 +12,7 @@ coordinates tr(B_a |x><x|) of pure states, so the dot product of two rows is
 the squared overlap of their states, and ``hermitian_matrix``, its one
 inverse, maps any real coordinates back to their Hermitian matrix.
 ``hermitian_transfer`` gives the real d^2 x d^2 matrix T[a, b] =
-tr(B_a R(B_b)) of a random unitary channel R from its Hermitian matrix C, as
-one change of basis.
+tr(B_a R(B_b)) of a channel R, one change of basis of its Hermitian matrix C.
 Then tr(R(|phi><phi|) |psi><psi|) = F(psi) . T F(phi), and the coordinates of
 the identity are ones on the d diagonal entries, zeros elsewhere.
 """
@@ -119,23 +118,20 @@ def hermitian_matrix(coords: np.ndarray) -> np.ndarray:
 def hermitian_transfer(gram: np.ndarray) -> np.ndarray:
     """The real matrix T[a, b] = tr(B_a R(B_b)) of the channel whose Hermitian matrix C is ``gram``.
 
-    R(X)[i, k] = sum over (j, l) of C[(i, j), (k, l)] X[j, l], so the entries
-    of C regrouped to rows (i, k) and columns (j, l), a local copy R, map the
-    row-major vec of X to that of R(X), and T = Re(W† R W) with W the basis
-    as columns. Unscaled, each B_b has two entries, at ``first`` and
-    ``second`` with weights (1, 0), (1, 1) or (i, -i): the images R W are two
-    weighted columns of R, their coordinates two weighted rows of the images,
-    and the 1/sqrt(2) factors are applied once at the end, so the identity map
-    gives T = I exactly. T is returned C-contiguous: the ascent's stacked
-    products round differently on a strided T.
+    C regrouped to rows (i, k) and columns (j, l), a local copy R, maps the
+    row-major vec of X to that of R(X), so T = Re(W† R W), W the basis as
+    columns. Unscaled, B_b has entries at ``first`` and ``second`` with weights
+    (1, 0), (1, 1) or (i, -i): R W is two weighted columns of R, W† R W two
+    weighted rows of that, and the 1/sqrt(2) factors come last, so the identity
+    gives T = I exactly. T is C-contiguous: the ascent's stacked products round
+    differently on a strided T.
     """
     d = math.isqrt(gram.shape[0])
     rows, cols = _pair_indices(d)
     diag, jk, kj = np.arange(d) * (d + 1), rows * d + cols, cols * d + rows
     first, second = np.concatenate([diag, jk, jk]), np.concatenate([diag, kj, kj])
     w1, w2 = (np.repeat(w, [d, rows.size, rows.size]) for w in ([1, 1, 1j], [0, 1, -1j]))
-    n = d * d
-    regrouped = gram.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(n, n)
+    regrouped = gram.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     images = regrouped[:, first] * w1 + regrouped[:, second] * w2
     t = np.ascontiguousarray((images[first] * np.conj(w1[:, None])
                               + images[second] * np.conj(w2[:, None])).real)

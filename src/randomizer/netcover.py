@@ -283,7 +283,10 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
     threshold = _overlap_threshold(delta)
     reach = _window_reach(1.0 - threshold)
     share = min(1.0, 2.0 * reach)  # of F_0's range [0, 1], spanned by a window
-    ceiling = _SIZE_CEILING if max_states is None else max_states
+    # no size stop without a budget: a block adds at most 2^16/d^2 states, so S states charge
+    # at least S(S - 2^16/d^2)/2 share d^2 entries, past _WORK_CEILING before S = 3.2e5 at every
+    # (d >= 2, delta) the covering guard admits (d = 2, delta >= 0.089); a d = 1 net has 1 state
+    budget = math.inf if max_states is None else max_states
 
     kept: list[np.ndarray] = []
     kept_sorted = np.zeros((0, d * d))
@@ -291,7 +294,7 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
     while True:
         # neither stop can fire before the block's last candidate: a run of rejections
         # must reach the stop rule, and each accept is one candidate
-        n = max(1, min(_BLOCK_ENTRIES // (d * d), _stop_run(size) - consecutive, ceiling - size))
+        n = max(1, min(_BLOCK_ENTRIES // (d * d), _stop_run(size) - consecutive, budget - size))
         block = random_pure_states(d, n, gen)
         feats = hermitian_coordinates(block)
         survivors = np.flatnonzero(_window_max(feats, kept_sorted, reach) <= threshold)
@@ -321,11 +324,7 @@ def build_delta_net(d: int, delta: float, rng, max_states: int | None = None) ->
             consecutive = n - 1 - accepted[-1]
         else:
             consecutive += n
-        if size >= ceiling:
-            if max_states is None:
-                raise NetInfeasible(
-                    f"net at (d={d}, delta={delta}) exceeded the size ceiling {_SIZE_CEILING:.0e}"
-                )
+        if size >= budget:
             stopped_by = "budget"
             break
         if consecutive >= _stop_run(size):

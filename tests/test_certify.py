@@ -33,8 +33,7 @@ from randomizer import (
     spectral_upper_bound_A,
     verdict,
 )
-from randomizer.certify import (_ASCENT_TOL, _TIE_TOL, _ascend, _canonical_pair, _canonical_phase,
-                               _half_step)
+from randomizer.certify import _ASCENT_TOL, _TIE_TOL, _ascend, _canonical_pair, _half_step
 from randomizer.haar import complex_standard_normal
 from randomizer.linalg import hermitian_coordinates, hermitian_matrix, max_abs
 from randomizer.netcover import _require_separated
