@@ -441,22 +441,23 @@ def test_real_spectral_bound_matches_the_complex_svd(d):
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_spectral_bound_covers_a_loaded_hermitian_drift(d, tmp_path):
-    # C + i H with H = A ⊗ B, A and B traceless Hermitian: the partial traces stay the
-    # identity and max|C - C†| = 5e-13; the loaded channel holds the Hermitian part, so T and
-    # the bound read one matrix, for the identity map and a random channel
+    # C + i H + 1e-14 G with H = A ⊗ B, A and B traceless Hermitian, and G complex Gaussian:
+    # the partial traces stay within 1e-13 of the identity and max|C - C†| is about 5e-13; the
+    # loaded channel holds the exactly Hermitian part, so T and the bound read one matrix, for
+    # the identity map and a random channel
     gen = RngStream(65 + d).generator()
     a, b = (complex_standard_normal(gen, (d, d)) for _ in range(2))
     a, b = (m + np.conj(m.T) for m in (a, b))
     a, b = (m - np.trace(m) / d * np.eye(d) for m in (a, b))
     h = np.kron(a, b)
-    drift = 2.5e-13 * 1j * h / np.max(np.abs(h))
+    drift = 2.5e-13 * 1j * h / np.max(np.abs(h)) + 1e-14 * complex_standard_normal(gen, h.shape)
     for base in (channel_from_unitaries(np.eye(d, dtype=complex)[None]),
                  build_random_channel(d, 5, RngStream(70 + d))):
         path = tmp_path / "drift.json"
         save_channel(path, base)
         payload = json.loads(path.read_text())
         gram = base.gram + drift
-        assert abs(max_abs(gram - np.conj(gram.T)) - 5e-13) <= 1e-15
+        assert 4e-13 <= max_abs(gram - np.conj(gram.T)) <= 6e-13
         payload["gram"] = np.stack([gram.real, gram.imag], axis=-1).tolist()
         path.write_text(json.dumps(payload))
         loaded = load_channel(path)
