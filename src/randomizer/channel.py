@@ -90,13 +90,12 @@ class RandomUnitaryChannel:
         if d < 1 or c.shape != (d * d, d * d):
             raise InvalidDimension(f"channel matrix C must be d^2 x d^2, got shape {c.shape}")
         require_positive_int(self.provenance.get("count"), "provenance count N")
-        adjoint = np.conj(c.T)
-        drift = max_abs(c - adjoint)
+        drift = max_abs(c - np.conj(c.T))
         if drift > TOL.hermiticity:
             raise InvalidMatrix(f"matrix is not Hermitian: max|H - H^dag| = {drift:.3e} "
                                 f"> {TOL.hermiticity:.1e}")
         # (C + C†)/2 is exactly Hermitian; C - (C - C†)/2 is not where C[i, j] ~ -conj(C[j, i])
-        c += adjoint
+        c += np.conj(c.T)
         c *= 0.5
         try:
             lowest = np.linalg.eigvalsh(c)[0]
@@ -150,9 +149,10 @@ def _fold_channel(d: int, n: int, block, provenance: dict) -> RandomUnitaryChann
         g += partial
     if not defect <= TOL.unitarity:  # a non-finite entry makes the defect NaN
         raise InvalidMatrix(f"stack contains a non-unitary matrix: max|U†U - I| = {defect:.3e}")
-    gram = (g[0::2, 0::2] + g[1::2, 1::2]) + 1j * (g[1::2, 0::2] - g[0::2, 1::2])
-    gram /= n
-    return RandomUnitaryChannel(gram, {**provenance, "dim": d, "count": n})
+    # C replaces the real product before the constructor's temporaries are made
+    g = (g[0::2, 0::2] + g[1::2, 1::2]) + 1j * (g[1::2, 0::2] - g[0::2, 1::2])
+    g /= n
+    return RandomUnitaryChannel(g, {**provenance, "dim": d, "count": n})
 
 
 def channel_from_unitaries(unitaries: np.ndarray, provenance: dict | None = None

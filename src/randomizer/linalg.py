@@ -131,10 +131,10 @@ def hermitian_transfer(gram: np.ndarray) -> np.ndarray:
     diag, jk, kj = np.arange(d) * (d + 1), rows * d + cols, cols * d + rows
     first, second = np.concatenate([diag, jk, jk]), np.concatenate([diag, kj, kj])
     w1, w2 = (np.repeat(w, [d, rows.size, rows.size]) for w in ([1, 1, 1j], [0, 1, -1j]))
-    regrouped = gram.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-    images = regrouped[:, first] * w1 + regrouped[:, second] * w2
-    t = np.ascontiguousarray((images[first] * np.conj(w1[:, None])
-                              + images[second] * np.conj(w2[:, None])).real)
+    r = gram.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    r = r[:, first] * w1 + r[:, second] * w2  # the images R W replace the regrouped copy
+    t = np.ascontiguousarray((r[first] * np.conj(w1[:, None])
+                              + r[second] * np.conj(w2[:, None])).real)
     scale = math.sqrt(0.5)
     t[:d, d:] *= scale
     t[d:, :d] *= scale
