@@ -50,24 +50,25 @@ share the union of their windows, one product per group.
   scan. The first sample with the smallest maximum is kept, and ``max_gap``
   is its distance to the nearest state of the whole net, evaluated once.
 
-One budget, ``_BLOCK_ENTRIES`` = 2^16 entries, bounds every array a pass
-allocates: the feature rows of a block of candidates or of audit samples
-(2^14 states, 512 KB, at d = 2; 7281 at d = 3), and each tile of overlaps in
-a window's product. The builder draws candidates in such blocks, and the
-audit draws, featurizes and scans its samples in them. A builder block ends
-no later than the candidate at which either stop rule could first fire: the
-run of rejections reaching the stop rule, or the net reaching its budget. A
-stop can then fire only at a block's last candidate, so every candidate drawn
-is counted, and the counters follow from the block's accept positions. Draws
-are prefix-stable, so a block holds exactly the candidates a one-by-one loop
-draws. Longer blocks sort more query rows together, so each group of them
-spans less F_0 and scans a narrower union of windows. Each block is screened
-at once against the kept set as it stood when the block began; one greedy
-pass then runs over the survivors in chunks of at most 512, each chunk
-screened through the same windows against the states accepted earlier in the
-block before its own pairwise product decides it. The maximum over a union is
-the maximum of the maxima, so every decision, and hence every net, equals
-that of a candidate-by-candidate loop.
+One budget, ``_BLOCK_ENTRIES`` = 2^16 entries, bounds the feature rows of a
+block of candidates or of audit samples (2^14 states, 512 KB, at d = 2; 7281
+at d = 3) and each tile of overlaps in a window's product. The one larger
+product is the greedy pass's ``fresh @ fresh.T`` over a chunk of at most
+``_CANDIDATE_BATCH`` = 512 survivors: up to 2^18 entries, 2 MB. The builder
+draws candidates in such blocks, and the audit draws, featurizes and scans its
+samples in them. A builder block ends no later than the candidate at which
+either stop rule could first fire: the run of rejections reaching the stop
+rule, or the net reaching its budget. A stop can then fire only at a block's
+last candidate, so every candidate drawn is counted, and the counters follow
+from the block's accept positions. Draws are prefix-stable, so a block holds
+exactly the candidates a one-by-one loop draws. Longer blocks sort more query
+rows together, so each group of them spans less F_0 and scans a narrower union
+of windows. Each block is screened at once against the kept set as it stood
+when the block began; one greedy pass then runs over the survivors in chunks
+of at most 512, each chunk screened through the same windows against the
+states accepted earlier in the block before its own pairwise product decides
+it. The maximum over a union is the maximum of the maxima, so every decision,
+and hence every net, equals that of a candidate-by-candidate loop.
 """
 
 from __future__ import annotations
@@ -86,8 +87,8 @@ _SIZE_CEILING = 10_000_000  # desk-scale memory ceiling on materialized nets
 # desk-scale time ceiling on a build, in feature entries of windowed candidate-state pairs: each
 # block's candidates times the states kept when it began, times the share 2 r of F_0's range
 # [0, 1] that a window of reach r spans, times the d^2 entries of a feature row. The README's
-# d=2, delta=0.125 net takes 4.4e8; the d=4 and d=5, delta=1 builds, whose stop rules would
-# take hours, reach 2^33 in under 10 s on a 2-vCPU host
+# d=2, delta=0.125 net at seed 9 takes 4.25e8; the d=4 and d=5, delta=1 builds, whose stop
+# rules would take hours, reach 2^33 in under 10 s on a 2-vCPU host
 _WORK_CEILING = 1 << 33
 _CANDIDATE_BATCH = 512  # survivors decided by one pairwise product in the greedy pass
 # the one block budget of every netcover pass: the feature entries of a block of candidates

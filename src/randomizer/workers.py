@@ -1,14 +1,16 @@
-"""Worker threads: how many to use, and the order-preserving maps that run them.
+"""Worker threads: how many to use, and the one order-preserving map that runs them.
 
 ``RANDOMIZER_THREADS`` is the package's only thread setting; without it the
-cores this process may run on decide. Only maps whose items pay for a thread
-use one: sweep and concentration cells, Haar sampling tiles and the channel's
-Gram blocks, each of which samples its tiles and runs its unitarity check on
-its own worker thread. The Gaussian draws of pure states run on the calling
+cores this process may run on decide. Only items that pay for a thread use
+one: sweep and concentration cells, Haar sampling tiles and the channel's Gram
+blocks, each of which samples its tiles and runs its unitarity check on its
+own worker thread. The Gaussian draws of pure states run on the calling
 thread: NumPy's ``standard_normal`` holds the GIL, so two threads drawing them
-gain next to nothing. A map called from inside a worker of another map runs
-serially, so pools never nest: a Gram block, or a sweep cell that samples a
-channel, draws its tiles on its own thread.
+gain next to nothing. Cells and tiles go through one map that yields results
+in item order; it submits all cells at once, and tiles at most threads + 1
+ahead of the consumer. Each pool thread marks itself as it starts, and a map
+called on a marked thread runs inline, so pools never nest: a Gram block, or a
+sweep cell that samples a channel, draws its tiles on its own thread.
 """
 
 from __future__ import annotations
@@ -39,59 +41,47 @@ def resolve_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _in_worker(fn, item):
-    _worker.active = True
-    try:
-        return fn(item)
-    finally:
-        _worker.active = False
+def _ordered_map(fn, items: list, bounded: bool):
+    """Yield ``fn(item)`` in item order, inline on one thread, for one item or on a pool thread.
 
-
-def _pool_threads(items: list) -> int:
-    """Worker threads for a map over ``items``; 1 means the calling thread runs it.
-
-    One thread, at most one item, or a call made from inside another map's
-    worker runs on the calling thread, so pools never nest.
+    A bounded map submits at most threads + 1 items ahead of the consumer. Items
+    not yet started are cancelled when the consumer stops or an item raises.
     """
     threads = resolve_threads()
-    return 1 if len(items) <= 1 or getattr(_worker, "active", False) else threads
+    if threads == 1 or len(items) <= 1 or getattr(_worker, "active", False):
+        yield from map(fn, items)
+        return
+    pool = ThreadPoolExecutor(max_workers=threads, initializer=setattr,
+                              initargs=(_worker, "active", True))
+    pending = deque()
+    try:
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if bounded and len(pending) > threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def parallel_map(fn, items):
-    """Yield ``fn(item)`` in item order on ``resolve_threads()`` workers.
+    """Yield ``fn(item)`` in item order, every item submitted at once.
 
-    Every item is submitted at once, so no worker waits on a slow earlier
-    item: for cells of uneven cost and small results. Results are yielded as
-    the map reaches them; consume the whole iterator even when ``fn`` works
-    only by side effect.
+    For cells of uneven cost and small results: no worker waits on a slow
+    earlier item. Consume the whole iterator even when ``fn`` works only by
+    side effect.
     """
-    items = list(items)
-    threads = _pool_threads(items)
-    if threads == 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        yield from pool.map(lambda item: _in_worker(fn, item), items)
+    return _ordered_map(fn, list(items), bounded=False)
 
 
 def map_tiles(fn, count: int, per_tile: int):
     """Yield ``fn(tile)`` in order for consecutive slices of ``per_tile`` items out of ``count``.
 
     The last slice may end past ``count``. Tiles cost alike, so at most
-    threads + 1 of them are submitted ahead of the caller: a caller that
-    reduces large results in order holds at most that many, and no worker
-    idles for long. Consume the whole iterator, as for ``parallel_map``.
+    threads + 1 are submitted ahead of the caller, which then holds at most
+    that many large results while no worker idles for long. Consume the whole
+    iterator, as for ``parallel_map``.
     """
     tiles = [slice(start, start + per_tile) for start in range(0, count, per_tile)]
-    threads = _pool_threads(tiles)
-    if threads == 1:
-        yield from map(fn, tiles)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending = deque()
-        for tile in tiles:
-            pending.append(pool.submit(_in_worker, fn, tile))
-            if len(pending) > threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
+    return _ordered_map(fn, tiles, bounded=True)

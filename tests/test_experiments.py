@@ -215,6 +215,27 @@ def test_sweep_reproducible_and_thread_invariant(monkeypatch):
     assert a.cells == b.cells
 
 
+@pytest.mark.parametrize("grid, error, message", [
+    ({"dims": (2, 0)}, InvalidDimension, "dimension must be a positive integer, got 0"),
+    ({"counts": (4, 0)}, InvalidDimension, "count must be a positive integer, got 0"),
+    ({"epsilons": (0.5, 1.5)}, InvalidParameter, "epsilon must lie in (0, 1), got 1.5"),
+    ({"restarts": 0}, InvalidDimension, "restarts must be a positive integer, got 0"),
+    ({"max_iters": 0}, InvalidDimension, "max_iters must be a positive integer, got 0"),
+], ids=["d", "N", "epsilon", "restarts", "max_iters"])
+def test_sweep_checks_the_whole_grid_before_any_cell_runs(monkeypatch, grid, error, message):
+    # the bad value sits in the last cell, yet no channel is built before the sweep refuses it
+    built = []
+    real = experiments.build_random_channel
+    monkeypatch.setattr(experiments, "build_random_channel",
+                        lambda *args: built.append(args) or real(*args))
+    config = SweepConfig(**{"dims": (2,), "epsilons": (0.5,), "counts": (4,),
+                            "channels_per_cell": 3, **grid})
+    with pytest.raises(error) as caught:
+        run_randomizing_sweep(config, RngStream(12))
+    assert str(caught.value) == message
+    assert built == []
+
+
 def test_parallel_map_orders_results(monkeypatch):
     monkeypatch.setenv("RANDOMIZER_THREADS", "4")
     items = list(range(20))
@@ -259,6 +280,31 @@ def test_parallel_map_keeps_workers_busy_behind_a_slow_item(monkeypatch):
         return i
 
     assert list(parallel_map(cell, range(10))) == [True] + list(range(1, 10))
+
+
+@pytest.mark.parametrize("run_map", [
+    lambda fn: parallel_map(fn, range(200)),
+    lambda fn: map_tiles(lambda tile: fn(tile.start), 200, 1),
+], ids=["cells", "tiles"])
+def test_a_failing_item_stops_either_map(monkeypatch, run_map):
+    # the first item raises: its error reaches the consumer and the items not yet started
+    # are cancelled, rather than all 200 running before the map gives up
+    monkeypatch.setenv("RANDOMIZER_THREADS", "2")
+    lock = threading.Lock()
+    started = 0
+
+    def item(i):
+        nonlocal started
+        with lock:
+            started += 1
+        if i == 0:
+            raise ValueError("item 0 failed")
+        time.sleep(0.005)
+        return i
+
+    with pytest.raises(ValueError, match="item 0 failed"):
+        list(run_map(item))
+    assert started < 20, started
 
 
 def test_resolve_threads(monkeypatch):
