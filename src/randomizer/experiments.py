@@ -172,6 +172,7 @@ def run_randomizing_sweep(config: SweepConfig, seed) -> SweepReport:
     count never changes results.
     """
     require_positive_int(config.channels_per_cell, "channels_per_cell")
+    stream = as_stream(seed)
     cells = config.cells()
     for d, epsilon, n in cells:  # the checks of a cell's build and verdict, before any cell runs
         require_positive_int(d, "dimension")
@@ -179,7 +180,6 @@ def run_randomizing_sweep(config: SweepConfig, seed) -> SweepReport:
         require_open_interval(epsilon, "epsilon")
     require_positive_int(config.restarts, "restarts")
     require_positive_int(config.max_iters, "max_iters")
-    stream = as_stream(seed)
     results = parallel_map(lambda ic: _run_sweep_cell(config, stream, ic[0], ic[1]),
                            enumerate(cells))
     return SweepReport(config=config, seed=stream.seed, stream_id=stream.stream_id,

@@ -42,7 +42,7 @@ def resolve_threads() -> int:
 
 
 def _ordered_map(fn, items: list, bounded: bool):
-    """Yield ``fn(item)`` in item order, inline on one thread, for one item or on a pool thread.
+    """Yield ``fn(item)`` in item order; inline for one thread, one item or a pool thread.
 
     A bounded map submits at most threads + 1 items ahead of the consumer. Items
     not yet started are cancelled when the consumer stops or an item raises.
@@ -79,9 +79,9 @@ def map_tiles(fn, count: int, per_tile: int):
     """Yield ``fn(tile)`` in order for consecutive slices of ``per_tile`` items out of ``count``.
 
     The last slice may end past ``count``. Tiles cost alike, so at most
-    threads + 1 are submitted ahead of the caller, which then holds at most
-    that many large results while no worker idles for long. Consume the whole
-    iterator, as for ``parallel_map``.
+    threads + 1 of them are submitted ahead of the caller: a caller that
+    reduces large results in order holds at most that many, and no worker
+    idles for long. Consume the whole iterator, as for ``parallel_map``.
     """
     tiles = [slice(start, start + per_tile) for start in range(0, count, per_tile)]
     return _ordered_map(fn, tiles, bounded=True)
